@@ -14,14 +14,15 @@ can replay them. Subscriptions are runtime state and are not journaled.
 
 import json
 import logging
+import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Protocol, Union
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
-from citykit.ngsi import Attribute, NgsiEntity, NgsiError, iso_utc, validate_entity
+from citykit.ngsi import Attribute, NgsiEntity, NgsiError, is_number, iso_utc, validate_entity
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +53,16 @@ class TypeMismatch(BrokerError):
 
 class MalformedSubscription(BrokerError):
     pass
+
+
+class Broker(Protocol):
+    """Entity operations of ContextBroker and BrokerClient, with the same errors."""
+
+    def upsert_entity(self, entity: NgsiEntity) -> str: ...
+    def get_entity(self, entity_id: str) -> NgsiEntity: ...
+    def query_entities(self, typeFilter: Optional[str] = None, idPattern: Optional[str] = None,
+                       attrFilter: Optional[list] = None) -> list[NgsiEntity]: ...
+    def update_attributes(self, entity_id: str, patch: dict[str, Attribute]) -> NgsiEntity: ...
 
 
 class CollectSink:
@@ -142,7 +153,7 @@ def compare_values(value, op: str, literal) -> bool:
         return value == literal and isinstance(value, type(literal)) or _num_eq(value, literal)
     if op == "!=":
         return not compare_values(value, "==", literal)
-    both_num = _is_num(value) and _is_num(literal)
+    both_num = is_number(value) and is_number(literal)
     both_str = isinstance(value, str) and isinstance(literal, str)
     if not (both_num or both_str):
         raise TypeMismatch(f"cannot order {value!r} against {literal!r}")
@@ -157,12 +168,8 @@ def compare_values(value, op: str, literal) -> bool:
     raise MalformedPattern(f"unknown comparator {op!r}")
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _num_eq(a, b) -> bool:
-    return _is_num(a) and _is_num(b) and a == b
+    return is_number(a) and is_number(b) and a == b
 
 
 def parse_q(q: str) -> list[tuple[str, str, Any]]:
@@ -468,16 +475,28 @@ class ContextBroker:
         self._journal_fh.flush()
 
     def _replay_journal(self) -> None:
+        """Re-apply journaled writes; a torn last record (a crash mid-write) is cut off."""
         try:
-            fh = open(self._journal_path, "r", encoding="utf-8")
+            fh = open(self._journal_path, "rb")
         except FileNotFoundError:
             return
         with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    if not line.endswith(b"\n"):
+                        raise ValueError("record has no line end")
+                    record = json.loads(line) if line.strip() else None
+                except ValueError as exc:
+                    if fh.read(1):
+                        raise BrokerError(f"journal {self._journal_path} line {lineno} "
+                                          f"is corrupt: {exc}") from exc
+                    logger.warning("journal %s: dropping torn record at line %d",
+                                   self._journal_path, lineno)
+                    # else the next append would be glued onto the torn record
+                    os.truncate(self._journal_path, fh.tell() - len(line))
+                    return
+                if record is None:
                     continue
-                record = json.loads(line)
                 if record["op"] == "upsert":
                     entity = NgsiEntity.from_wire(record["entity"])
                     self._entities[entity.id] = entity

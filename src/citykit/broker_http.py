@@ -9,11 +9,14 @@ Routes:
   DELETE /v2/subscriptions/{id}        unsubscribe
 
 Error mapping: invalid input and malformed filters are 400, unknown ids are
-404. Notifications go out as POSTs of the notification document to the
+404, and the body's ``error`` slug names the broker exception class.
+Notifications go out as POSTs of the notification document to the
 subscription's callback URL.
 """
 
+import json
 import logging
+from contextlib import contextmanager
 from typing import Optional
 from urllib.parse import quote, unquote, urlencode
 
@@ -27,42 +30,65 @@ from citykit.broker import (
     TypeMismatch,
     parse_q,
 )
-from citykit.httpd import HttpError, JsonHttpServer, request_json
+from citykit.httpd import HttpError, HttpService, JsonHttpServer, request_json
 from citykit.ngsi import Attribute, NgsiEntity, NgsiError
 
 logger = logging.getLogger(__name__)
 
 
-def _error_status(exc: BrokerError) -> int:
-    if isinstance(exc, NotFound):
-        return 404
-    if isinstance(exc, (InvalidEntity, MalformedPattern, TypeMismatch,
-                        MalformedSubscription)):
-        return 400
-    return 500
+_STATUS = {NotFound: 404, InvalidEntity: 400, MalformedPattern: 400,
+           TypeMismatch: 400, MalformedSubscription: 400}
 
 
-class BrokerServer:
+def _slug(kind: type) -> str:
+    """Wire name of a broker exception class: NotFound -> not-found."""
+    return "".join("-" + c.lower() if c.isupper() else c for c in kind.__name__).lstrip("-")
+
+
+_BY_SLUG = {_slug(kind): kind for kind in _STATUS}
+
+
+@contextmanager
+def _broker_errors():
+    """Re-raise an HTTP error reply as the broker exception its slug names."""
+    try:
+        yield
+    except HttpError as exc:
+        slug = exc.payload.get("error") if isinstance(exc.payload, dict) else None
+        if slug not in _BY_SLUG:
+            raise
+        raise _BY_SLUG[slug](exc.payload.get("detail", "")) from exc
+
+
+def _replying_errors(handler):
+    """Route handler that answers a broker or entity error with its slug."""
+    def run(match, params, body):
+        try:
+            return handler(match, params, body)
+        except (NgsiError, BrokerError) as exc:
+            kind = InvalidEntity if isinstance(exc, NgsiError) else type(exc)
+            return _STATUS.get(kind, 500), {"error": _slug(kind), "detail": str(exc)}
+    return run
+
+
+class BrokerServer(HttpService):
     """Binds a ContextBroker to the /v2 routes on a loopback HTTP server."""
 
     def __init__(self, broker: Optional[ContextBroker] = None,
                  host: str = "127.0.0.1", port: int = 0):
         self.broker = broker or ContextBroker()
         self.server = JsonHttpServer(host=host, port=port)
-        s = self.server
-        s.add_route("POST", r"/v2/entities", self._upsert)
-        s.add_route("GET", r"/v2/entities", self._query)
-        s.add_route("GET", r"/v2/entities/(?P<id>[^/]+)", self._get)
-        s.add_route("PATCH", r"/v2/entities/(?P<id>[^/]+)/attrs", self._patch)
-        s.add_route("POST", r"/v2/subscriptions", self._subscribe)
-        s.add_route("DELETE", r"/v2/subscriptions/(?P<id>[^/]+)", self._unsubscribe)
-
-    def start(self) -> str:
-        self.server.start()
-        return self.url
+        for method, pattern, handler in (
+                ("POST", r"/v2/entities", self._upsert),
+                ("GET", r"/v2/entities", self._query),
+                ("GET", r"/v2/entities/(?P<id>[^/]+)", self._get),
+                ("PATCH", r"/v2/entities/(?P<id>[^/]+)/attrs", self._patch),
+                ("POST", r"/v2/subscriptions", self._subscribe),
+                ("DELETE", r"/v2/subscriptions/(?P<id>[^/]+)", self._unsubscribe)):
+            self.server.add_route(method, pattern, _replying_errors(handler))
 
     def stop(self) -> None:
-        self.server.stop()
+        super().stop()
         self.broker.close()
 
     @property
@@ -72,69 +98,40 @@ class BrokerServer:
     # -- handlers ----------------------------------------------------------
 
     def _upsert(self, match, params, body):
-        try:
-            entity = NgsiEntity.from_wire(body)
-            outcome = self.broker.upsert_entity(entity)
-        except (NgsiError, BrokerError) as exc:
-            return self._fail(exc)
+        outcome = self.broker.upsert_entity(NgsiEntity.from_wire(body))
         return (201 if outcome == "created" else 200), {"result": outcome}
 
     def _query(self, match, params, body):
-        try:
-            attr_filter = parse_q(params["q"]) if "q" in params else None
-            entities = self.broker.query_entities(
-                typeFilter=params.get("type"),
-                idPattern=params.get("idPattern"),
-                attrFilter=attr_filter,
-            )
-        except BrokerError as exc:
-            return self._fail(exc)
+        entities = self.broker.query_entities(
+            typeFilter=params.get("type"),
+            idPattern=params.get("idPattern"),
+            attrFilter=parse_q(params["q"]) if "q" in params else None,
+        )
         return 200, [e.to_wire() for e in entities]
 
     def _get(self, match, params, body):
-        try:
-            entity = self.broker.get_entity(unquote(match.group("id")))
-        except BrokerError as exc:
-            return self._fail(exc)
-        return 200, entity.to_wire()
+        return 200, self.broker.get_entity(unquote(match.group("id"))).to_wire()
 
     def _patch(self, match, params, body):
         if not isinstance(body, dict):
-            return 400, {"error": "invalid-entity", "detail": "body must be an attribute map"}
-        try:
-            patch = {name: Attribute.from_wire(doc) for name, doc in body.items()}
-            entity = self.broker.update_attributes(unquote(match.group("id")), patch)
-        except (NgsiError, BrokerError) as exc:
-            return self._fail(exc)
-        return 200, entity.to_wire()
+            raise InvalidEntity("body must be an attribute map")
+        patch = {name: Attribute.from_wire(doc) for name, doc in body.items()}
+        return 200, self.broker.update_attributes(unquote(match.group("id")), patch).to_wire()
 
     def _subscribe(self, match, params, body):
         if not isinstance(body, dict):
-            return 400, {"error": "malformed-subscription", "detail": "body must be an object"}
-        try:
-            sub_id = self.broker.subscribe(body)
-        except BrokerError as exc:
-            return self._fail(exc)
-        return 201, {"id": sub_id}
+            raise MalformedSubscription("body must be an object")
+        return 201, {"id": self.broker.subscribe(body)}
 
     def _unsubscribe(self, match, params, body):
-        try:
-            self.broker.unsubscribe(unquote(match.group("id")))
-        except BrokerError as exc:
-            return self._fail(exc)
+        self.broker.unsubscribe(unquote(match.group("id")))
         return 200, {"removed": True}
-
-    @staticmethod
-    def _fail(exc):
-        if isinstance(exc, NgsiError):
-            return 400, {"error": "invalid-entity", "detail": str(exc)}
-        kind = type(exc).__name__
-        slug = "".join("-" + c.lower() if c.isupper() else c for c in kind).lstrip("-")
-        return _error_status(exc), {"error": slug, "detail": str(exc)}
 
 
 class BrokerClient:
-    """Convenience wrapper for talking to a BrokerServer."""
+    """Talks to a BrokerServer. The ``Broker`` protocol's methods raise
+    ContextBroker's exceptions; the short wire-level ones raise HttpError.
+    """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
@@ -180,6 +177,26 @@ class BrokerClient:
             body=doc, timeout=self.timeout,
         )
         return NgsiEntity.from_wire(payload)
+
+    def upsert_entity(self, entity: NgsiEntity) -> str:
+        with _broker_errors():
+            return self.upsert(entity)
+
+    def get_entity(self, entity_id: str) -> NgsiEntity:
+        with _broker_errors():
+            return self.get(entity_id)
+
+    def query_entities(self, typeFilter: Optional[str] = None,
+                       idPattern: Optional[str] = None,
+                       attrFilter: Optional[list] = None) -> list[NgsiEntity]:
+        q = ";".join(f"{name}{op}{json.dumps(literal)}"
+                     for name, op, literal in attrFilter) if attrFilter else None
+        with _broker_errors():
+            return self.query(typeFilter, idPattern, q)
+
+    def update_attributes(self, entity_id: str, patch: dict[str, Attribute]) -> NgsiEntity:
+        with _broker_errors():
+            return self.patch(entity_id, patch)
 
     def subscribe(self, doc: dict) -> str:
         _, payload = request_json("POST", f"{self.base_url}/v2/subscriptions",

@@ -141,8 +141,9 @@ def cmd_gtfsrt_serve(args) -> int:
 def cmd_gtfs_fetch(args) -> int:
     from citykit.broker_http import BrokerClient
     from citykit.gtfs_fetcher import GtfsFetcher
+    from citykit.routing import RouterClient
 
-    fetcher = GtfsFetcher(args.router)
+    fetcher = GtfsFetcher(RouterClient(args.router))
     fetcher.poll(BrokerClient(args.broker))
     for event in fetcher.events:
         _print(event)

@@ -25,11 +25,13 @@ from citykit.ngsi import (
     BOOLEAN,
     DATETIME,
     GEOJSON,
+    ISO_RE,
     NUMBER,
     REFERENCE,
     STRUCTURED,
     TEXT,
     NgsiEntity,
+    is_number,
 )
 
 RULE_KINDS = (
@@ -40,11 +42,6 @@ RULE_KINDS = (
     "pattern-mismatch",
     "unknown-entity-type",
 )
-
-_ISO_VALUE_RE = re.compile(
-    r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:?\d{2})?$"
-)
-
 
 class SchemaError(Exception):
     """Schema document problems; ``kind`` is parse-error or inconsistent-rule."""
@@ -209,17 +206,13 @@ def bundled_registry() -> SchemaRegistry:
     return registry
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _type_ok(expected: str, value) -> bool:
     if expected == NUMBER:
-        return _is_num(value)
+        return is_number(value)
     if expected == TEXT:
         return isinstance(value, str)
     if expected == DATETIME:
-        return isinstance(value, str) and bool(_ISO_VALUE_RE.match(value))
+        return isinstance(value, str) and bool(ISO_RE.match(value))
     if expected == BOOLEAN:
         return isinstance(value, bool)
     if expected == REFERENCE:
@@ -261,7 +254,7 @@ def validate_entity(entity: NgsiEntity, registry: SchemaRegistry) -> ValidationR
                 f"{attr.valueType} value {value!r}",
             ))
             continue  # downstream checks would double-report the same fault
-        if rule.numericRange is not None and _is_num(value):
+        if rule.numericRange is not None and is_number(value):
             lo, hi = rule.numericRange
             if (lo is not None and value < lo) or (hi is not None and value > hi):
                 report.violations.append(Violation(
@@ -282,7 +275,7 @@ def validate_entity(entity: NgsiEntity, registry: SchemaRegistry) -> ValidationR
     for a, b in schema.lessOrEqual:
         va = entity.value(a)
         vb = entity.value(b)
-        if _is_num(va) and _is_num(vb) and va > vb:
+        if is_number(va) and is_number(vb) and va > vb:
             report.violations.append(Violation(
                 a, "out-of-range", f"{a!r}={va!r} exceeds {b!r}={vb!r}",
             ))

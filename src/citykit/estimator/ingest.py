@@ -12,9 +12,10 @@ import logging
 from pathlib import Path
 from typing import Optional
 
+from citykit.broker import Broker, Subscription
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.store import TimeSeriesStore
-from citykit.ngsi import NgsiEntity, NgsiError, parse_iso
+from citykit.ngsi import NgsiEntity, NgsiError, is_number, parse_iso
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +42,7 @@ def _sample_time(entity: NgsiEntity, attribute: str, fallback: float) -> float:
             return parse_iso(stamp)
         except NgsiError:
             pass
-    if isinstance(stamp, (int, float)) and not isinstance(stamp, bool):
+    if is_number(stamp):
         return float(stamp)
     return fallback
 
@@ -49,7 +50,7 @@ def _sample_time(entity: NgsiEntity, attribute: str, fallback: float) -> float:
 def ingest_entity(store: TimeSeriesStore, entity: NgsiEntity, attribute: str,
                   fallback_time: float, stats: Optional[IngestStats] = None) -> bool:
     value = entity.value(attribute)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         if stats:
             stats.skipped_non_numeric += 1
         logger.debug("skipping non-numeric %s.%s=%r", entity.id, attribute, value)
@@ -61,16 +62,14 @@ def ingest_entity(store: TimeSeriesStore, entity: NgsiEntity, attribute: str,
     return True
 
 
-def ingest_snapshot(store: TimeSeriesStore, broker, mapping: dict[str, str],
+def ingest_snapshot(store: TimeSeriesStore, broker: Broker, mapping: dict[str, str],
                     clock: Optional[Clock] = None) -> IngestStats:
     """One broker query per mapped type; one sample per matching entity."""
     clock = clock or SystemClock()
     stats = IngestStats()
     for entity_type in sorted(mapping):
         attribute = mapping[entity_type]
-        entities = broker.query_entities(typeFilter=entity_type) \
-            if hasattr(broker, "query_entities") \
-            else broker.query(entity_type=entity_type)
+        entities = broker.query_entities(typeFilter=entity_type)
         now = clock.now()
         for entity in entities:
             ingest_entity(store, entity, attribute, now, stats)
@@ -87,7 +86,7 @@ def ingest_historical(store: TimeSeriesStore, source) -> IngestStats:
         records = list(source)
     for record in records:
         value = record.get("value")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             stats.skipped_non_numeric += 1
             continue
         store.append(record["entityId"], record["attr"], float(record["t"]),
@@ -100,7 +99,6 @@ def ingest_subscription(store: TimeSeriesStore, broker, mapping: dict[str, str],
                         clock: Optional[Clock] = None,
                         stats: Optional[IngestStats] = None) -> list[str]:
     """Broker subscriptions that keep appending as commits arrive (in-process)."""
-    from citykit.broker import Subscription
     clock = clock or SystemClock()
     stats = stats if stats is not None else IngestStats()
 

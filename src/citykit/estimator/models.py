@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from citykit.estimator.store import Sample, TimeSeriesStore
 
@@ -134,15 +135,12 @@ def fit_ridge(values: list[float], lags: int, ridge_lambda: float):
     if n <= lags:
         raise EstimatorError("insufficient-context",
                              f"need more than {lags} samples, have {n}")
-    rows = n - lags
-    a = np.empty((rows, lags + 1), dtype=float)
-    y = np.empty(rows, dtype=float)
-    for i in range(rows):
-        a[i, 0] = 1.0
-        # row i predicts values[lags + i] from the lags values before it
-        for j in range(lags):
-            a[i, 1 + j] = values[lags + i - 1 - j]
-        y[i] = values[lags + i]
+    v = np.asarray(values, dtype=float)
+    a = np.empty((n - lags, lags + 1), dtype=float)
+    a[:, 0] = 1.0
+    # row i predicts v[lags + i] from the lags values before it, newest first
+    a[:, 1:] = sliding_window_view(v[:-1], lags)[:, ::-1]
+    y = v[lags:]
     ata = a.T @ a + ridge_lambda * np.eye(lags + 1)
     aty = a.T @ y
     try:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import unquote
 
-from citykit.broker import NotFound
+from citykit.broker import Broker, NotFound
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.ingest import (
     IngestStats,
@@ -28,7 +28,7 @@ from citykit.estimator.ingest import (
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
-from citykit.httpd import HttpError, JsonHttpServer
+from citykit.httpd import HttpService, JsonHttpServer
 from citykit.ngsi import Attribute
 
 logger = logging.getLogger(__name__)
@@ -40,7 +40,7 @@ PROFILES = {
 }
 
 
-def writeback(prediction: Prediction, broker) -> bool:
+def writeback(prediction: Prediction, broker: Broker) -> bool:
     """Attach the forecast to the source entity; False when it is gone."""
     name = prediction.attributeName + "Forecast"
     attr = Attribute(
@@ -53,18 +53,10 @@ def writeback(prediction: Prediction, broker) -> bool:
         },
     )
     try:
-        if hasattr(broker, "update_attributes"):
-            broker.update_attributes(prediction.entityId, {name: attr})
-        else:
-            broker.patch(prediction.entityId, {name: attr})
+        broker.update_attributes(prediction.entityId, {name: attr})
     except NotFound:
         logger.warning("writeback target %s is gone", prediction.entityId)
         return False
-    except HttpError as exc:
-        if exc.status == 404:
-            logger.warning("writeback target %s is gone", prediction.entityId)
-            return False
-        raise
     return True
 
 
@@ -144,7 +136,7 @@ class EstimatorService:
         self.scheduler.start(now)
 
 
-class EstimatorServer:
+class EstimatorServer(HttpService):
     """HTTP face of the estimator.
 
     GET /series/{entityId}/{attr}?from=&to= lists stored samples (404 for a
@@ -161,13 +153,6 @@ class EstimatorServer:
         self.server.add_route("POST", r"/predict/(?P<id>[^/]+)/(?P<attr>[^/]+)",
                               self._predict)
         self.server.add_route("GET", r"/models", self._models)
-
-    def start(self) -> str:
-        self.server.start()
-        return self.server.url()
-
-    def stop(self) -> None:
-        self.server.stop()
 
     def _series(self, match, params, body):
         entity_id = unquote(match.group("id"))

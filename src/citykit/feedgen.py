@@ -25,8 +25,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
+from citykit.broker import Broker
+from citykit.clock import SimulatedClock
 from citykit.datamodels import SchemaRegistry, bundled_registry
-from citykit.ngsi import Attribute, NgsiEntity, iso_utc
+from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
 
 DAY_SECONDS = 86400
 
@@ -456,24 +458,23 @@ class StreamGenerator:
         return [{"kind": "delay", "tripId": trip_id, "delaySeconds": delay}
                 for trip_id, delay in sorted(self.trip_delays.items())]
 
-    def emit(self, broker, clock=None, duration: float = DAY_SECONDS,
-             include_arrivals: bool = True) -> int:
+    def emit(self, broker: Broker, clock: Optional[SimulatedClock] = None,
+             duration: float = DAY_SECONDS, include_arrivals: bool = True) -> int:
         """Replay events into a broker (in-process or HTTP client) in time order.
 
         Site entities must already exist (patches carry only the changing
         attributes); ArrivalEstimation entities are created on first sight.
+        A simulated ``clock`` is moved to each event's time.
         """
-        upsert = getattr(broker, "upsert_entity", None) or broker.upsert
-        patch = getattr(broker, "update_attributes", None) or broker.patch
         count = 0
         for event in self.events(duration, include_arrivals):
-            if clock is not None and hasattr(clock, "set") and event.t > clock.now():
+            if clock is not None and event.t > clock.now():
                 clock.set(event.t)
             if event.entityType == "ArrivalEstimation":
-                upsert(NgsiEntity(event.entityId, event.entityType,
-                                  dict(event.attributes)))
+                broker.upsert_entity(NgsiEntity(event.entityId, event.entityType,
+                                                dict(event.attributes)))
             else:
-                patch(event.entityId, dict(event.attributes))
+                broker.update_attributes(event.entityId, dict(event.attributes))
             count += 1
         return count
 
@@ -510,10 +511,6 @@ def _eligible_attrs(registry, entity, predicate) -> list[str]:
                   if name in entity.attributes and predicate(rule))
 
 
-def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _range_attrs(registry: SchemaRegistry, entity: NgsiEntity) -> list[str]:
     """Attributes where a just-out-of-bounds value trips the range rule alone.
 
@@ -533,9 +530,9 @@ def _range_attrs(registry: SchemaRegistry, entity: NgsiEntity) -> list[str]:
         goes_low = lo is not None  # planted value is lo-1, else hi+1
         safe = True
         for a, b in schema.lessOrEqual:
-            if name == b and goes_low and _num(entity.value(a)):
+            if name == b and goes_low and is_number(entity.value(a)):
                 safe = False
-            if name == a and not goes_low and _num(entity.value(b)):
+            if name == a and not goes_low and is_number(entity.value(b)):
                 safe = False
         if safe:
             names.append(name)

@@ -23,6 +23,7 @@ from typing import Optional, Union
 from urllib.parse import urlparse
 from urllib.request import url2pathname
 
+from citykit.broker import Broker
 from citykit.ngsi import NgsiEntity, iso_utc, make_entity
 
 logger = logging.getLogger(__name__)
@@ -343,7 +344,7 @@ def path_from_url(url: str) -> str:
     return url2pathname(parsed.path)
 
 
-def publish_feed_entity(zip_url: str, broker, feed_id: Optional[str] = None,
+def publish_feed_entity(zip_url: str, broker: Broker, feed_id: Optional[str] = None,
                         name: Optional[str] = None) -> NgsiEntity:
     """Point a GtfsTransitFeedFile entity at a feed archive.
 
@@ -371,8 +372,7 @@ def publish_feed_entity(zip_url: str, broker, feed_id: Optional[str] = None,
         name=name or stem,
     )
     try:
-        broker.upsert_entity(entity) if hasattr(broker, "upsert_entity") \
-            else broker.upsert(entity)
+        broker.upsert_entity(entity)
     except OSError as exc:
         raise FeedError("broker-unreachable", str(exc)) from exc
     return entity

@@ -3,20 +3,18 @@
 The fetcher watches GtfsTransitFeedFile entities. Whenever one's
 dateModified (or url) differs from what was last applied, the referenced
 archive is read and handed to the router; a fetch or parse failure is logged
-as an event and the previous graph keeps serving. The router handle is
-either an in-process object exposing ``load_zip_bytes`` or the base URL of a
-router server (reload is then delegated via POST /graph/reload).
+as an event and the previous graph keeps serving. The router is a ``Router``
+or a ``RouterClient`` for a router server; both offer ``load_url``.
 """
 
 import logging
 import threading
-from typing import Optional, Union
-from urllib.error import URLError
-from urllib.request import urlopen
+from typing import Union
 
-from citykit.gtfs import FeedError, file_url
-from citykit.httpd import HttpError, post_json
+from citykit.broker import Broker, Subscription
+from citykit.gtfs import FeedError
 from citykit.ngsi import NgsiEntity
+from citykit.routing import Router, RouterClient
 
 logger = logging.getLogger(__name__)
 
@@ -24,7 +22,7 @@ logger = logging.getLogger(__name__)
 class GtfsFetcher:
     """Applies feed-pointer changes to a router, remembering what it applied."""
 
-    def __init__(self, router: Union[object, str]):
+    def __init__(self, router: Union[Router, RouterClient]):
         self.router = router
         self.events: list[dict] = []
         self._applied: dict[str, tuple] = {}  # entityId -> (url, dateModified)
@@ -32,7 +30,6 @@ class GtfsFetcher:
 
     def attach(self, broker) -> str:
         """Subscribe in-process; every feed-pointer commit lands here."""
-        from citykit.broker import Subscription
         return broker.subscribe(Subscription(
             id="",
             entityTypeFilter="GtfsTransitFeedFile",
@@ -48,13 +45,10 @@ class GtfsFetcher:
                 continue
             self.consider(entity)
 
-    def poll(self, broker) -> int:
+    def poll(self, broker: Broker) -> int:
         """Scan current pointers once (covers state older than the subscription)."""
-        entities = broker.query_entities(typeFilter="GtfsTransitFeedFile") \
-            if hasattr(broker, "query_entities") \
-            else broker.query(entity_type="GtfsTransitFeedFile")
         applied = 0
-        for entity in entities:
+        for entity in broker.query_entities(typeFilter="GtfsTransitFeedFile"):
             if self.consider(entity):
                 applied += 1
         return applied
@@ -64,8 +58,8 @@ class GtfsFetcher:
         url = entity.value("url")
         modified = entity.value("dateModified")
         if not isinstance(url, str) or not url:
-            self._record(entity.id, url, modified, "fetch-error",
-                         "pointer has no usable url")
+            self.events.append({"entityId": entity.id, "url": url, "dateModified": modified,
+                                "outcome": "fetch-error", "detail": "pointer has no usable url"})
             return False
         with self._lock:
             if self._applied.get(entity.id) == (url, modified):
@@ -80,40 +74,15 @@ class GtfsFetcher:
             return False
 
     def _reload(self, url: str) -> dict:
-        if isinstance(self.router, str):
-            try:
-                _, payload = post_json(f"{self.router.rstrip('/')}/graph/reload",
-                                       {"url": url})
-                return {"outcome": "reloaded", "version": payload.get("version")}
-            except HttpError as exc:
-                logger.warning("router rejected reload of %s: %s", url, exc.payload)
-                return {"outcome": "parse-error", "detail": str(exc.payload)}
-            except (URLError, OSError) as exc:
-                logger.warning("router unreachable for reload of %s: %s", url, exc)
-                return {"outcome": "fetch-error", "detail": str(exc)}
         try:
-            data = self._read(url)
-        except (URLError, OSError, ValueError) as exc:
+            version = self.router.load_url(url)
+        except FeedError as exc:
+            logger.warning("feed at %s was rejected: %s", url, exc)
+            return {"outcome": "parse-error", "detail": str(exc)}
+        except (OSError, ValueError) as exc:  # URLError is an OSError
             logger.warning("could not fetch %s: %s", url, exc)
             return {"outcome": "fetch-error", "detail": str(exc)}
-        try:
-            version = self.router.load_zip_bytes(data)
-        except FeedError as exc:
-            logger.warning("feed at %s does not parse: %s", url, exc)
-            return {"outcome": "parse-error", "detail": str(exc)}
         return {"outcome": "reloaded", "version": version}
-
-    @staticmethod
-    def _read(url: str) -> bytes:
-        if "://" not in url:
-            url = file_url(url)
-        with urlopen(url, timeout=30.0) as resp:
-            return resp.read()
-
-    def _record(self, entity_id: str, url, modified, outcome: str, detail: str):
-        self.events.append({"entityId": entity_id, "url": url,
-                            "dateModified": modified, "outcome": outcome,
-                            "detail": detail})
 
     def reload_count(self) -> int:
         return sum(1 for e in self.events if e["outcome"] == "reloaded")

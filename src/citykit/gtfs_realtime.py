@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 
 from citykit.clock import Clock, SystemClock
 from citykit.gtfs import GtfsFeed
-from citykit.httpd import JsonHttpServer
-from citykit.ngsi import NgsiEntity
+from citykit.httpd import HttpService, JsonHttpServer
+from citykit.ngsi import NgsiEntity, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +132,7 @@ def arrival_estimations_to_gtfsrt(entities: Iterable[NgsiEntity], now: int,
             unresolved.append({"entityId": entity.id,
                                "reason": "missing refStop/refLine"})
             continue
-        if not isinstance(remaining, (int, float)) or isinstance(remaining, bool) \
-                or remaining < 0:
+        if not is_number(remaining) or remaining < 0:
             unresolved.append({"entityId": entity.id,
                                "reason": f"bad remainingTime {remaining!r}"})
             continue
@@ -203,7 +202,7 @@ class RtLoader:
         return self._current
 
 
-class RtServer:
+class RtServer(HttpService):
     """HTTP face of an RtLoader.
 
     GET /gtfs-rt answers the current feed as canonical JSON, or 503 until
@@ -218,13 +217,6 @@ class RtServer:
         self.server.add_route("GET", r"/gtfs-rt", self._feed)
         self.server.add_route("POST", r"/notify", self._notify)
         self.server.add_route("GET", r"/status", self._status)
-
-    def start(self) -> str:
-        self.server.start()
-        return self.server.url()
-
-    def stop(self) -> None:
-        self.server.stop()
 
     def _feed(self, match, params, body):
         feed = self.loader.current()

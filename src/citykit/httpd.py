@@ -20,6 +20,9 @@ logger = logging.getLogger(__name__)
 
 Handler = Callable[[re.Match, dict, Any], tuple]
 
+# How often serve_forever checks for shutdown; stop() waits up to this long.
+POLL_SECONDS = 0.02
+
 
 class JsonHttpServer:
     """Loopback-friendly HTTP server with (method, path-regex) routing."""
@@ -94,7 +97,8 @@ class JsonHttpServer:
         self._httpd = ThreadingHTTPServer((self.host, self.port), _RequestHandler)
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        args=(POLL_SECONDS,), daemon=True)
         self._thread.start()
         return self.port
 
@@ -103,6 +107,18 @@ class JsonHttpServer:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
+
+
+class HttpService:
+    """Base of each service's HTTP face, whose routes live on ``self.server``."""
+
+    def start(self) -> str:
+        """Serve on a daemon thread; returns the base URL."""
+        self.server.start()
+        return self.server.url()
+
+    def stop(self) -> None:
+        self.server.stop()
 
 
 class HttpError(Exception):

@@ -24,7 +24,7 @@ KNOWN_VALUE_TYPES = frozenset(
     {TEXT, NUMBER, BOOLEAN, DATETIME, GEOJSON, STRUCTURED, REFERENCE}
 )
 
-_ISO_RE = re.compile(
+ISO_RE = re.compile(
     r"(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})"
     r"[T ](?P<H>\d{2}):(?P<M>\d{2}):(?P<S>\d{2}(?:\.\d+)?)"
     r"(?P<tz>Z|[+-]\d{2}:?\d{2})?$"
@@ -155,13 +155,18 @@ def validate_attribute(name: str, attr: Attribute) -> None:
     if not isinstance(attr.metadata, dict):
         raise NgsiError(f"attribute {name!r} metadata must be an object")
     if attr.valueType == NUMBER:
-        if isinstance(attr.value, bool) or not isinstance(attr.value, (int, float)):
+        if not is_number(attr.value):
             raise NgsiError(f"attribute {name!r} tagged Number holds {attr.value!r}")
     elif attr.valueType == DATETIME:
-        if not isinstance(attr.value, str) or not _ISO_RE.match(attr.value):
+        if not isinstance(attr.value, str) or not ISO_RE.match(attr.value):
             raise NgsiError(
                 f"attribute {name!r} tagged DateTime holds a non-ISO value {attr.value!r}"
             )
+
+
+def is_number(value: Any) -> bool:
+    """True for ints and floats; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def infer_value_type(value: Any) -> str:
@@ -171,7 +176,7 @@ def infer_value_type(value: Any) -> str:
     if isinstance(value, (int, float)):
         return NUMBER
     if isinstance(value, str):
-        return DATETIME if _ISO_RE.match(value) else TEXT
+        return DATETIME if ISO_RE.match(value) else TEXT
     if isinstance(value, dict) and value.get("type") in (
         "Point", "LineString", "Polygon", "MultiPoint", "MultiLineString",
         "MultiPolygon",
@@ -203,7 +208,7 @@ def iso_utc(ts: float) -> str:
 
 def parse_iso(text: str) -> float:
     """ISO-8601 timestamp to seconds since the epoch; bare stamps read as UTC."""
-    m = _ISO_RE.match(text.strip())
+    m = ISO_RE.match(text.strip())
     if not m:
         raise NgsiError(f"not an ISO-8601 timestamp: {text!r}")
     frac = 0.0

@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import Optional, Union
+from urllib.request import urlopen
 
-from citykit.gtfs import GtfsFeed
+from citykit.gtfs import FeedError, GtfsFeed, file_url
+from citykit.httpd import HttpError, HttpService, JsonHttpServer, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -506,10 +508,9 @@ class Router:
         return self.load_feed(parse_feed(data))
 
     def load_url(self, url: str) -> int:
-        """Read a feed zip from a file:// or http(s):// URL and swap it in."""
-        from urllib.request import urlopen
+        """Read a feed zip from a file:// or http(s):// URL and swap it in.
+        FeedError if it does not parse, OSError or ValueError if unreadable."""
         if "://" not in url:
-            from citykit.gtfs import file_url
             url = file_url(url)
         with urlopen(url, timeout=30.0) as resp:
             data = resp.read()
@@ -528,7 +529,7 @@ class Router:
         return plan(graph, query, overlay, max_transfers)
 
 
-class RouterServer:
+class RouterServer(HttpService):
     """HTTP face of a Router.
 
     GET /plan?fromStop=&toStop=&departAfter=&maxWalk=&n=[&modes=] answers a
@@ -539,19 +540,11 @@ class RouterServer:
 
     def __init__(self, router: Optional[Router] = None,
                  host: str = "127.0.0.1", port: int = 0):
-        from citykit.httpd import JsonHttpServer
         self.router = router or Router()
         self.server = JsonHttpServer(host=host, port=port)
         self.server.add_route("GET", r"/plan", self._plan)
         self.server.add_route("POST", r"/graph/reload", self._reload)
         self.server.add_route("GET", r"/version", self._version)
-
-    def start(self) -> str:
-        self.server.start()
-        return self.server.url()
-
-    def stop(self) -> None:
-        self.server.stop()
 
     def _plan(self, match, params, body):
         try:
@@ -576,7 +569,6 @@ class RouterServer:
         url = body.get("url") if isinstance(body, dict) else body
         if not isinstance(url, str) or not url:
             return 400, {"error": "bad-request", "detail": "body needs a feed url"}
-        from citykit.gtfs import FeedError
         try:
             version = self.router.load_url(url)
         except (FeedError, OSError) as exc:
@@ -585,3 +577,18 @@ class RouterServer:
 
     def _version(self, match, params, body):
         return 200, {"version": self.router.version}
+
+
+class RouterClient:
+    """Reloads the graph of a RouterServer; a drop-in for ``Router.load_url``."""
+
+    def __init__(self, base_url: str):
+        self.base_url = base_url.rstrip("/")
+
+    def load_url(self, url: str) -> int:
+        """FeedError when the router rejects the feed, URLError when it is down."""
+        try:
+            _, payload = post_json(f"{self.base_url}/graph/reload", {"url": url})
+        except HttpError as exc:
+            raise FeedError("reload-failed", str(exc.payload)) from exc
+        return payload["version"]

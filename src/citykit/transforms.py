@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Optional
 
-from citykit.ngsi import GEOJSON, REFERENCE, Attribute, NgsiEntity
+from citykit.ngsi import GEOJSON, REFERENCE, Attribute, NgsiEntity, is_number
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 _PATH_STEP_RE = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
@@ -62,7 +62,7 @@ def _apply_transform(spec, value):
         return value
     if name == "scale":
         factor = spec.get("factor", 1)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise TransformError("transform-error", f"scale needs a number, got {value!r}")
         result = value * factor
         if isinstance(result, float):

@@ -3,6 +3,7 @@
 import pytest
 
 from citykit.broker import (
+    BrokerError,
     CollectSink,
     ContextBroker,
     InvalidEntity,
@@ -330,3 +331,37 @@ def test_journal_survives_a_second_generation(tmp_path):
     third = ContextBroker(journal_path=path)
     assert {e.id for e in third.query_entities()} == {"p-1", "r-9"}
     third.close()
+
+
+def test_torn_last_journal_record_is_cut_off(tmp_path, caplog):
+    path = tmp_path / "journal.jsonl"
+    first = ContextBroker(journal_path=path)
+    first.upsert_entity(make_parking(spots=9))
+    first.close()
+    whole = path.read_bytes()
+    with open(path, "ab") as fh:  # a crash halfway through the next record
+        fh.write(b'{"entity": {"id": "q-1", "entityT')
+
+    second = ContextBroker(journal_path=path)
+    assert "torn record at line 2" in caplog.text
+    assert path.read_bytes() == whole
+    assert [e.id for e in second.query_entities()] == ["p-1"]
+    second.upsert_entity(make_entity("q-2", "Sensor", level=1))
+    second.close()
+
+    third = ContextBroker(journal_path=path)
+    assert [e.id for e in third.query_entities()] == ["p-1", "q-2"]
+    assert third.get_entity("p-1").value("availableSpotNumber") == 9
+    third.close()
+
+
+def test_corrupt_record_inside_the_journal_fails_loudly(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    first = ContextBroker(journal_path=path)
+    first.upsert_entity(make_parking())
+    first.upsert_entity(make_entity("q-1", "Sensor", level=3))
+    first.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b'{"op": "ups\n' + lines[1])
+    with pytest.raises(BrokerError, match="line 2"):
+        ContextBroker(journal_path=path)

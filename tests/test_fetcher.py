@@ -9,7 +9,7 @@ from citykit.broker import ContextBroker
 from citykit.gtfs import publish_feed_entity, serialize_feed
 from citykit.gtfs_fetcher import GtfsFetcher
 from citykit.ngsi import make_entity
-from citykit.routing import ItineraryQuery, Router, RouterServer
+from citykit.routing import ItineraryQuery, Router, RouterClient, RouterServer
 
 DAY = 1748822400  # 2025-06-02 00:00 UTC
 
@@ -136,7 +136,7 @@ class TestRemoteRouter:
     def test_reload_is_delegated_over_http(self, broker, served, feed_zip):
         url, router = served
         publish_feed_entity(str(feed_zip), broker)
-        fetcher = GtfsFetcher(url)
+        fetcher = GtfsFetcher(RouterClient(url))
         assert fetcher.poll(broker) == 1
         assert router.version == 1
         assert fetcher.events[-1] == {
@@ -151,13 +151,13 @@ class TestRemoteRouter:
         bad.write_bytes(b"garbage")
         os.utime(bad, (DAY, DAY))
         publish_feed_entity(str(bad), broker)
-        fetcher = GtfsFetcher(url)
+        fetcher = GtfsFetcher(RouterClient(url))
         assert fetcher.poll(broker) == 0
         assert fetcher.events[-1]["outcome"] == "parse-error"
         assert router.version == 0
 
     def test_unreachable_router_is_a_fetch_error(self, broker, feed_zip):
         publish_feed_entity(str(feed_zip), broker)
-        fetcher = GtfsFetcher("http://127.0.0.1:9")  # discard port, nothing listens
+        fetcher = GtfsFetcher(RouterClient("http://127.0.0.1:9"))  # discard port, nothing listens
         assert fetcher.poll(broker) == 0
         assert fetcher.events[-1]["outcome"] == "fetch-error"
