@@ -172,14 +172,19 @@ def _num_eq(a, b) -> bool:
     return is_number(a) and is_number(b) and a == b
 
 
+# a clause runs to the next `;` that is not inside a double-quoted string
+_CLAUSE_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"?|[^;"])+', re.DOTALL)
+
+
 def parse_q(q: str) -> list[tuple[str, str, Any]]:
     """Parse a filter string of `name<op>literal` clauses joined by `;`.
 
     Literals are decoded as JSON when possible (numbers, booleans, quoted
-    strings); anything else is taken as a bare string.
+    strings); anything else is taken as a bare string. A `;` inside a quoted
+    literal belongs to the literal.
     """
     filters = []
-    for clause in q.split(";"):
+    for clause in _CLAUSE_RE.findall(q):
         clause = clause.strip()
         if not clause:
             continue

@@ -6,17 +6,21 @@ radius (walk time = ceil(haversine / walkSpeed)). Real-time updates never
 mutate the graph; they become an overlay of per-trip time shifts consulted at
 query time, so concurrent queries may keep using the static view.
 
-Search is label-setting over (stop, boardings, arrived-by-walk) with Pareto
-dominance on (arrival time, boardings). Two walk moves never follow each
-other: access, footpath, and egress walks all count. Alternatives come from
-re-running the search while banning the trips used by earlier answers.
+Search is round-based, after RAPTOR: round k finds, for each (stop,
+arrived-by-walk) state, the earliest arrival with k boardings. It scans only
+the states the previous round improved, rides each trip once per round, and
+prunes on the best arrival found so far. Two walk moves never follow each
+other: access, footpath, and egress walks all count. At equal arrival and
+boardings a state keeps the label whose parent arrived first, the answer a
+label-setting search gives. Alternatives come from re-running the search
+while banning the trips used by earlier answers.
 """
 
-import heapq
-import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+import threading
+from bisect import bisect_left
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import Optional, Union
 from urllib.request import urlopen
@@ -49,14 +53,6 @@ def walk_seconds(meters: float, walk_speed: float) -> int:
     return int(math.ceil(meters / walk_speed))
 
 
-def _date_yyyymmdd(d: date) -> str:
-    return f"{d.year:04d}{d.month:02d}{d.day:02d}"
-
-
-def _day_start_epoch(d: date) -> int:
-    return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp())
-
-
 @dataclass(frozen=True)
 class TripStopTime:
     seq: int
@@ -74,11 +70,13 @@ class TransitGraph:
         self.walkSpeed = walk_speed
         self.maxTransferDistance = max_transfer_distance
         self.version = version
-        self.dayStart = _day_start_epoch(service_date)
+        self.dayStart = int(datetime(service_date.year, service_date.month, service_date.day,
+                                     tzinfo=timezone.utc).timestamp())
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
         self.tripStopTimes: dict[str, list[TripStopTime]] = {}
         self.tripRoute: dict[str, str] = {}
         self.departuresByStop: dict[str, list] = {}  # stopId -> [(dep, tripId, seq)]
+        self.seqIndex: dict[str, dict] = {}  # tripId -> {seq: position in its stop times}
         self.footpaths: dict[str, list] = {}  # stopId -> [(other, walkSeconds)]
 
     def trip_count(self) -> int:
@@ -90,10 +88,9 @@ class TransitGraph:
 
 
 def _service_active(service, d: date) -> bool:
-    stamp = _date_yyyymmdd(d)
-    if not (service.startDate <= stamp <= service.endDate):
-        return False
-    return bool(service.weekdayFlags[d.weekday()])
+    stamp = f"{d.year:04d}{d.month:02d}{d.day:02d}"
+    return (service.startDate <= stamp <= service.endDate
+            and bool(service.weekdayFlags[d.weekday()]))
 
 
 def build_graph(feeds: list[GtfsFeed], walk_speed: float = 1.25,
@@ -126,19 +123,17 @@ def build_graph(feeds: list[GtfsFeed], walk_speed: float = 1.25,
                 continue
             graph.tripRoute[trip.tripId] = trip.routeId
             graph.tripStopTimes[trip.tripId] = [
-                TripStopTime(st.stopSequence, st.stopId,
-                             graph.dayStart + st.arrival,
-                             graph.dayStart + st.departure)
-                for st in sts
-            ]
+                TripStopTime(st.stopSequence, st.stopId, graph.dayStart + st.arrival,
+                             graph.dayStart + st.departure) for st in sts]
     if not graph.tripStopTimes:
         logger.warning("no service active on %s; timetable is empty", service_date)
 
     for trip_id in sorted(graph.tripStopTimes):
-        for tst in graph.tripStopTimes[trip_id]:
+        times = graph.tripStopTimes[trip_id]
+        graph.seqIndex[trip_id] = {tst.seq: pos for pos, tst in enumerate(times)}
+        for tst in times:
             graph.departuresByStop.setdefault(tst.stopId, []).append(
-                (tst.departure, trip_id, tst.seq)
-            )
+                (tst.departure, trip_id, tst.seq))
     for events in graph.departuresByStop.values():
         events.sort()
 
@@ -220,12 +215,7 @@ class Leg:
     alightStopId: Optional[str] = None
 
     def to_doc(self) -> dict:
-        doc = {"mode": self.mode, "startTime": self.startTime, "endTime": self.endTime}
-        for key in ("routeId", "tripId", "boardStopId", "alightStopId"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -242,11 +232,8 @@ class Itinerary:
         return tuple(leg.tripId for leg in self.legs if leg.tripId)
 
     def to_doc(self) -> dict:
-        return {
-            "legs": [leg.to_doc() for leg in self.legs],
-            "transfers": self.transfers,
-            "totalSeconds": self.totalSeconds,
-        }
+        return {"legs": [leg.to_doc() for leg in self.legs], "transfers": self.transfers,
+                "totalSeconds": self.totalSeconds}
 
 
 @dataclass
@@ -264,16 +251,6 @@ class ItineraryQuery:
             raise ValueError(f"modes must be a non-empty subset of walk/transit: {self.modes}")
         if self.maxItineraries < 1:
             raise ValueError("maxItineraries must be positive")
-
-
-@dataclass
-class _Label:
-    arrival: int
-    boardings: int
-    by_walk: bool
-    stop: str
-    parent: Optional["_Label"]
-    move: Optional[tuple]  # ("walk", from, secs) | ("ride", tripId, routeId, board, dep, alight)
 
 
 def _resolve_endpoint(graph: TransitGraph, point, max_walk: float, label: str):
@@ -294,114 +271,125 @@ def _resolve_endpoint(graph: TransitGraph, point, max_walk: float, label: str):
     return None, near
 
 
-def _search(graph: TransitGraph, overlay: Optional[Overlay], query: ItineraryQuery,
-            banned: frozenset, max_transfers: Optional[int]) -> Optional[Itinerary]:
-    """One label-setting pass; returns the best itinerary or None."""
-    origin_stop, origin_access = _resolve_endpoint(
-        graph, query.origin, query.maxWalkMeters, "origin")
-    dest_stop, dest_egress = _resolve_endpoint(
-        graph, query.destination, query.maxWalkMeters, "destination")
-    egress_by_stop = dict(dest_egress)
-    max_boardings = (max_transfers + 1) if max_transfers is not None else None
+def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
+            origin: tuple, destination: tuple, banned: frozenset,
+            max_transfers: Optional[int]) -> Optional[Itinerary]:
+    """One round-based pass; returns the best itinerary or None.
 
-    counter = itertools.count()
-    pq: list = []
-    # Pareto frontiers: (stop, by_walk) -> list of (arrival, boardings)
-    frontier: dict[tuple, list] = {}
+    A label is (arrival, boardings, parent, scan, (stop, by_walk), move), and
+    labels compare as tuples in the order a label-setting search settles them.
+    ``scan`` orders one parent's moves: (static departure, tripId, seq, alight
+    position) for a ride, the target stop for a walk. ``move`` is (mode,
+    start, tripId, from stop) of the leg that ends at the label.
+    """
+    (origin_stop, access), (dest_stop, egress) = origin, destination
+    effective = overlay.effective if overlay else {}
+    best: dict = {}    # (stop, by_walk) -> earliest-arriving label so far
+    ridden: dict = {}  # tripId -> [(position, departure)] boarded in earlier rounds
+    answer = None      # (arrival, boardings, label, egress secs or None)
+    ends = ([((dest_stop, False), None), ((dest_stop, True), None)] if dest_stop is not None
+            else [((stop, False), secs) for stop, secs in egress])  # no walk after a walk
 
-    def dominated(stop, by_walk, arrival, boardings):
-        return any(a <= arrival and b <= boardings
-                   for a, b in frontier.get((stop, by_walk), ()))
+    def bound(k):  # labels of round k arriving at or after this cannot win
+        return math.inf if answer is None else answer[0] + (answer[1] == k)
 
-    def push(label: _Label):
-        if max_boardings is not None and label.boardings > max_boardings:
-            return
-        if dominated(label.stop, label.by_walk, label.arrival, label.boardings):
-            return
-        entry = frontier.setdefault((label.stop, label.by_walk), [])
-        entry[:] = [(a, b) for a, b in entry
-                    if not (label.arrival <= a and label.boardings <= b)]
-        entry.append((label.arrival, label.boardings))
-        heapq.heappush(pq, (label.arrival, label.boardings, next(counter), label))
+    def settle(improved, k):
+        nonlocal answer
+        for state, secs in ends:
+            lab = improved.get(state)
+            if lab and (answer is None or (lab[0] + (secs or 0), k, lab) < answer[:3]):
+                answer = (lab[0] + (secs or 0), k, lab, secs)
 
-    if origin_stop is not None:
-        push(_Label(query.departAfter, 0, False, origin_stop, None, None))
-    else:
-        for stop_id, secs in origin_access:
-            push(_Label(query.departAfter + secs, 0, True, stop_id, None,
-                        ("walk", None, secs)))
+    def offer(improved, state, arrival, k, parent, scan, move):
+        cur = best.get(state)
+        if cur is None or arrival < cur[0] or (
+                arrival == cur[0] and cur[1] == k and (parent, scan) < cur[2:4]):
+            best[state] = improved[state] = (arrival, k, parent, scan, state, move)
 
-    best: Optional[tuple] = None  # (arrival, boardings, label, egress_secs)
+    def walk(marked, k):
+        walked: dict = {}
+        limit = bound(k)
+        for label in marked.values():
+            stop, by_walk = label[4]
+            for other, secs in () if by_walk else graph.footpaths.get(stop, ()):
+                if label[0] + secs < limit:
+                    offer(walked, (other, True), label[0] + secs, k, label, other,
+                          ("walk", label[0], None, stop))
+        return walked
 
-    def consider_destination(label: _Label):
-        nonlocal best
-        if dest_stop is not None:
-            if label.stop != dest_stop:
-                return
-            arrival, egress = label.arrival, None
-        else:
-            if label.stop not in egress_by_stop or label.by_walk:
-                return  # egress walk cannot follow another walk
-            egress = egress_by_stop[label.stop]
-            arrival = label.arrival + egress
-        if best is None or (arrival, label.boardings) < (best[0], best[1]):
-            best = (arrival, label.boardings, label, egress)
+    def ride(marked, k):
+        limit = bound(k)
+        boardings: dict = {}  # tripId -> {position: [(departure, parent, static dep, seq)]}
+        for label in marked.values():
+            arrival = label[0]
+            events = graph.departuresByStop.get(label[4][0], ())
+            if not effective:  # departures are sorted: keep those in [arrival, limit)
+                events = events[bisect_left(events, (arrival,)):bisect_left(events, (limit,))]
+            for dep, trip_id, seq in events:
+                times = effective.get(trip_id)
+                pos = graph.seqIndex[trip_id][seq]
+                d = times[pos].departure if times else dep
+                if trip_id in banned or not arrival <= d < limit or (trip_id in ridden and any(
+                        p <= pos and t <= d for p, t in ridden[trip_id])):
+                    continue  # banned, missed, too late, or ridden from here before
+                boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
+                    (d, label, dep, seq))
+        rode: dict = {}
+        for trip_id, group in boardings.items():
+            times = effective.get(trip_id) or graph.tripStopTimes[trip_id]
+            ridden.setdefault(trip_id, []).extend(
+                (pos, b[0]) for pos, bs in group.items() for b in bs)
+            # Boardings so far, less those another outranks while departing no
+            # later. A stop is credited to the best one departing by its arrival.
+            active: list = []  # [((parent, static dep, seq), departure, board stop)]
+            for m in range(min(group), len(times)):
+                tst = times[m]
+                pick = None
+                for e in active:
+                    if e[1] <= tst.arrival and (pick is None or e[0] < pick[0]):
+                        pick = e
+                if pick and tst.arrival < limit:
+                    (parent, dep, seq), d, board = pick
+                    offer(rode, (tst.stopId, False), tst.arrival, k, parent,
+                          (dep, trip_id, seq, m), ("transit", d, trip_id, board))
+                for d, parent, dep, seq in group.get(m, ()):
+                    rank = (parent, dep, seq)
+                    if not any(e[1] <= d and e[0] < rank for e in active):
+                        active = [e for e in active if not (e[1] >= d and e[0] > rank)]
+                        active.append((rank, d, tst.stopId))
+        return rode
 
-    transit_ok = "transit" in query.modes
-    while pq:
-        _, _, _, label = heapq.heappop(pq)
-        if (label.arrival, label.boardings) not in frontier.get(
-                (label.stop, label.by_walk), ()):
-            continue  # superseded since it was queued
-        consider_destination(label)
-        if transit_ok:
-            for dep, trip_id, seq in graph.departuresByStop.get(label.stop, ()):
-                if trip_id in banned:
-                    continue
-                times = overlay.trip_times(graph, trip_id) if overlay \
-                    else graph.tripStopTimes[trip_id]
-                board = next((t for t in times if t.seq == seq), None)
-                if board is None or board.departure < label.arrival:
-                    continue
-                for alight in times:
-                    if alight.seq <= board.seq:
-                        continue
-                    if alight.arrival < board.departure:
-                        continue  # overlay made this segment non-causal
-                    push(_Label(alight.arrival, label.boardings + 1, False,
-                                alight.stopId, label,
-                                ("ride", trip_id, graph.tripRoute[trip_id],
-                                 board.stopId, board.departure, alight.stopId)))
-        if not label.by_walk:
-            for other, secs in graph.footpaths.get(label.stop, ()):
-                push(_Label(label.arrival + secs, label.boardings, True,
-                            other, label, ("walk", label.stop, secs)))
+    starts = ([((origin_stop, False), depart, None)] if origin_stop is not None else
+              [((stop, True), depart + secs, ("walk", depart, None, None))
+               for stop, secs in access])
+    marked = {state: (t, 0, (), i, state, move) for i, (state, t, move) in enumerate(starts)}
+    best.update(marked)
+    settle(marked, 0)
+    max_boardings = math.inf if max_transfers is None else max_transfers + 1
+    k = 0
+    while marked:
+        walked = walk(marked, k)
+        settle(walked, k)
+        marked.update(walked)
+        k += 1
+        marked = ride(marked, k) if k <= max_boardings else {}
+        settle(marked, k)
 
-    if best is None:
+    if answer is None:
         return None
-    arrival, _, label, egress = best
+    _, _, node, egress = answer
     legs: list[Leg] = []
-    node = label
-    while node is not None and node.move is not None:
-        kind = node.move[0]
-        if kind == "walk":
-            _, from_stop, secs = node.move
-            legs.append(Leg("walk", node.arrival - secs, node.arrival,
-                            boardStopId=from_stop,
-                            alightStopId=node.stop))
-        else:
-            _, trip_id, route_id, board_stop, dep, alight_stop = node.move
-            legs.append(Leg("transit", dep, node.arrival, routeId=route_id,
-                            tripId=trip_id, boardStopId=board_stop,
-                            alightStopId=alight_stop))
-        node = node.parent
+    while node and node[5]:
+        mode, start, trip_id, from_stop = node[5]
+        legs.append(Leg(mode, start, node[0], graph.tripRoute.get(trip_id), trip_id,
+                        from_stop, node[4][0]))
+        node = node[2]
     legs.reverse()
     if egress is not None:
-        last_stop = label.stop
-        legs.append(Leg("walk", label.arrival, label.arrival + egress,
-                        boardStopId=last_stop))
+        end = answer[2]
+        legs.append(Leg("walk", end[0], end[0] + egress, boardStopId=end[4][0]))
     transfers = max(0, sum(1 for leg in legs if leg.mode == "transit") - 1)
-    total = (legs[-1].endTime - query.departAfter) if legs else 0
+    total = (legs[-1].endTime - depart) if legs else 0
     return Itinerary(legs=legs, transfers=transfers, totalSeconds=total)
 
 
@@ -409,16 +397,11 @@ def _direct_walk(graph: TransitGraph, query: ItineraryQuery) -> Optional[Itinera
     """Single walk leg straight from origin to destination, when in range."""
     def position(point):
         if isinstance(point, str):
-            if point not in graph.stops:
-                return None
-            return graph.stop_position(point)
+            return graph.stop_position(point) if point in graph.stops else None
         return point
 
     a, b = position(query.origin), position(query.destination)
-    if a is None or b is None:
-        return None
-    dist = haversine_m(a[0], a[1], b[0], b[1])
-    if dist > query.maxWalkMeters:
+    if a is None or b is None or (dist := haversine_m(*a, *b)) > query.maxWalkMeters:
         return None
     secs = walk_seconds(dist, graph.walkSpeed)
     leg = Leg("walk", query.departAfter, query.departAfter + secs,
@@ -427,13 +410,7 @@ def _direct_walk(graph: TransitGraph, query: ItineraryQuery) -> Optional[Itinera
     return Itinerary(legs=[leg], transfers=0, totalSeconds=secs)
 
 
-def _sort_key(itinerary: Itinerary):
-    return (itinerary.arrival, itinerary.transfers, itinerary.totalSeconds,
-            itinerary.trip_ids())
-
-
-def plan(graph: TransitGraph, query: ItineraryQuery,
-         overlay: Optional[Overlay] = None,
+def plan(graph: TransitGraph, query: ItineraryQuery, overlay: Optional[Overlay] = None,
          max_transfers: Optional[int] = None) -> list[Itinerary]:
     """Up to maxItineraries itineraries, best arrival first.
 
@@ -451,9 +428,13 @@ def plan(graph: TransitGraph, query: ItineraryQuery,
         if direct is not None:
             candidates.append(direct)
     if "transit" in query.modes:
+        origin = _resolve_endpoint(graph, query.origin, query.maxWalkMeters, "origin")
+        destination = _resolve_endpoint(graph, query.destination, query.maxWalkMeters,
+                                        "destination")
         banned: set = set()
         for _ in range(query.maxItineraries):
-            found = _search(graph, overlay, query, frozenset(banned), max_transfers)
+            found = _search(graph, overlay, query.departAfter, origin, destination,
+                            frozenset(banned), max_transfers)
             if found is None:
                 break
             trips = found.trip_ids()
@@ -465,24 +446,22 @@ def plan(graph: TransitGraph, query: ItineraryQuery,
                 break
             candidates.append(found)
             banned.update(trips)
-    seen = set()
-    unique = []
-    for itin in sorted(candidates, key=_sort_key):
-        key = tuple((leg.mode, leg.tripId, leg.startTime, leg.endTime) for leg in itin.legs)
-        if key not in seen:
-            seen.add(key)
-            unique.append(itin)
+    unique: dict = {}  # first of each leg sequence, best first
+    for itin in sorted(candidates, key=lambda i: (i.arrival, i.transfers, i.totalSeconds,
+                                                  i.trip_ids())):
+        unique.setdefault(tuple((leg.mode, leg.tripId, leg.startTime, leg.endTime)
+                                for leg in itin.legs), itin)
     if not unique:
         raise PlanError("unreachable", "no itinerary satisfies the query")
-    return unique[:query.maxItineraries]
+    return list(unique.values())[:query.maxItineraries]
 
 
 class Router:
-    """Mutable holder pairing one current graph with its build settings.
+    """Holds the build settings and one (graph, overlay) snapshot, replaced whole.
 
-    ``load_feed`` swaps in a replacement graph atomically; queries running
-    against the previous graph finish undisturbed. A reload clears any
-    real-time overlay, since its trip references belong to the old feed.
+    A query always sees an overlay built on its own graph. ``load_feed``
+    installs a new graph with no overlay, since the old overlay's trips belong
+    to the old feed; queries on the previous snapshot finish undisturbed.
     """
 
     def __init__(self, walk_speed: float = 1.25, max_transfer_distance: float = 500.0,
@@ -490,17 +469,26 @@ class Router:
         self.walkSpeed = walk_speed
         self.maxTransferDistance = max_transfer_distance
         self.serviceDate = service_date
-        self.graph: Optional[TransitGraph] = None
-        self.overlay: Optional[Overlay] = None
+        self._snapshot: tuple = (None, None)  # (graph, overlay built on that graph)
+        self._swap = threading.Lock()
+
+    @property
+    def graph(self) -> Optional[TransitGraph]:
+        return self._snapshot[0]
+
+    @property
+    def overlay(self) -> Optional[Overlay]:
+        return self._snapshot[1]
 
     @property
     def version(self) -> int:
         return self.graph.version if self.graph else 0
 
     def load_feed(self, feed: GtfsFeed) -> int:
-        graph = build_graph([feed], self.walkSpeed, self.maxTransferDistance,
-                            self.serviceDate, version=self.version + 1)
-        self.graph, self.overlay = graph, None
+        graph = build_graph([feed], self.walkSpeed, self.maxTransferDistance, self.serviceDate)
+        with self._swap:
+            graph.version = self.version + 1  # numbered in the order of the swaps
+            self._snapshot = (graph, None)
         return graph.version
 
     def load_zip_bytes(self, data: bytes) -> int:
@@ -517,15 +505,22 @@ class Router:
         return self.load_zip_bytes(data)
 
     def set_realtime(self, rt) -> Overlay:
-        if self.graph is None:
-            raise PlanError("unreachable", "no graph loaded")
-        self.overlay = apply_realtime(self.graph, rt)
-        return self.overlay
+        """Overlay the current graph. If a reload lands meanwhile, the update
+        is applied again, to the new graph."""
+        while True:
+            graph = self.graph
+            if graph is None:
+                raise PlanError("unreachable", "no graph loaded")
+            overlay = apply_realtime(graph, rt)
+            with self._swap:
+                if self.graph is graph:
+                    self._snapshot = (graph, overlay)
+                    return overlay
 
     def plan(self, query: ItineraryQuery, max_transfers: Optional[int] = None):
-        if self.graph is None:
+        graph, overlay = self._snapshot
+        if graph is None:
             raise PlanError("unreachable", "no graph loaded")
-        graph, overlay = self.graph, self.overlay  # one consistent pair
         return plan(graph, query, overlay, max_transfers)
 
 
@@ -535,7 +530,8 @@ class RouterServer(HttpService):
     GET /plan?fromStop=&toStop=&departAfter=&maxWalk=&n=[&modes=] answers a
     JSON list of itineraries (404 when unreachable, 400 for bad queries);
     POST /graph/reload with {"url": ...} loads a feed zip and reports the new
-    graph version, leaving the old graph in place when the load fails.
+    graph version, leaving the old graph in place when the load fails: 502
+    when the archive cannot be fetched, 400 when it does not parse.
     """
 
     def __init__(self, router: Optional[Router] = None,
@@ -571,8 +567,10 @@ class RouterServer(HttpService):
             return 400, {"error": "bad-request", "detail": "body needs a feed url"}
         try:
             version = self.router.load_url(url)
-        except (FeedError, OSError) as exc:
+        except FeedError as exc:
             return 400, {"error": "reload-failed", "detail": str(exc)}
+        except (OSError, ValueError) as exc:  # the router could not read the archive
+            return 502, {"error": "fetch-failed", "detail": str(exc)}
         return 200, {"version": version}
 
     def _version(self, match, params, body):
@@ -586,9 +584,11 @@ class RouterClient:
         self.base_url = base_url.rstrip("/")
 
     def load_url(self, url: str) -> int:
-        """FeedError when the router rejects the feed, URLError when it is down."""
+        """FeedError if the router rejects the feed; OSError if it cannot fetch it or is down."""
         try:
             _, payload = post_json(f"{self.base_url}/graph/reload", {"url": url})
         except HttpError as exc:
+            if exc.status == 502:
+                raise OSError(f"router could not fetch {url}: {exc.payload}") from exc
             raise FeedError("reload-failed", str(exc.payload)) from exc
         return payload["version"]

@@ -425,3 +425,47 @@ def random_query(rng: Lcg64, graph, day_start: int):
         "departAfter": day_start + 6 * 3600 + rng.randrange(56) * 900,
         "maxWalkMeters": 300.0 + rng.randrange(8) * 100.0,
     }
+
+
+def random_grid_network(rng: Lcg64) -> GtfsFeed:
+    """A small grid city: rows x cols stops and a route each way along every
+    row and every column, with a few trips per route.
+
+    Neighbouring stops are 350-480 m apart, inside the transfer radius, while
+    stops two blocks apart are not. Each route draws its own first departure,
+    headway and hop time, so crossing trips meet at varied offsets. Stop
+    sequences step by 5, as GTFS allows. All services run every day of
+    2025-2026.
+    """
+    rows, cols = 3 + rng.randrange(2), 3 + rng.randrange(2)
+    step = (350 + rng.randrange(130)) / 111195.0  # degrees of latitude
+    stops = [Stop(stopId=f"G{r}{c}", name=f"Grid {r},{c}",
+                  lat=40.0 + r * step, lon=-3.0 + c * step / math.cos(math.radians(40.0)))
+             for r in range(rows) for c in range(cols)]
+    lines = ([[f"G{r}{c}" for c in range(cols)] for r in range(rows)]
+             + [[f"G{r}{c}" for r in range(rows)] for c in range(cols)])
+    agency = Agency(agencyId="A1", name="Grid Transit",
+                    url="https://transit.example", timezone="UTC")
+    service = Service(serviceId="ALL", weekdayFlags=(1,) * 7,
+                      startDate="20250101", endDate="20261231")
+    routes, trips, stop_times = [], [], []
+    for i, line in enumerate(lines):
+        for direction, pattern in (("a", line), ("b", line[::-1])):
+            route_id = f"L{i + 1}{direction}"
+            routes.append(Route(routeId=route_id, agencyId="A1",
+                                shortName=route_id, routeType=3))
+            first = 6 * 3600 + rng.randrange(120) * 60
+            headway = 1800 + rng.randrange(5) * 600
+            hop = 60 + rng.randrange(5) * 30
+            for k in range(4 + rng.randrange(4)):
+                trip_id = f"{route_id}-T{k + 1}"
+                trips.append(Trip(tripId=trip_id, routeId=route_id, serviceId="ALL"))
+                t = first + k * headway
+                for n, stop_id in enumerate(pattern):
+                    dwell = rng.randrange(2) * 30
+                    stop_times.append(StopTime(tripId=trip_id, stopSequence=1 + 5 * n,
+                                               stopId=stop_id, arrival=t,
+                                               departure=t + dwell))
+                    t += dwell + hop
+    return GtfsFeed(agencies=[agency], stops=stops, routes=routes,
+                    trips=trips, stopTimes=stop_times, services=[service])

@@ -248,9 +248,9 @@ class TestGtfsTools:
             assert rc == 1
             outcomes = {json.loads(line)["entityId"]: json.loads(line)["outcome"]
                         for line in capsys.readouterr().out.splitlines()}
-            # the router answered and rejected the pointer: a parse error,
-            # not a transport one
-            assert outcomes["feed-broken"] == "parse-error"
+            # the router could not read the archive: a fetch error, as an
+            # in-process Router reports it, not a parse error
+            assert outcomes["feed-broken"] == "fetch-error"
         finally:
             router_server.stop()
 

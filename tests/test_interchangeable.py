@@ -110,12 +110,23 @@ def test_fetcher_poll(open_broker, open_router, broker_kind, router_kind,
     assert router.version == 1  # the rejected feed left the graph in place
 
 
+@pytest.mark.parametrize("router_kind", KINDS)
+def test_fetcher_missing_archive_is_a_fetch_error(open_router, router_kind, tmp_path):
+    handle, router = open_router(router_kind)
+    fetcher = GtfsFetcher(handle)
+    pointer = make_entity("feed-gone", "GtfsTransitFeedFile",
+                          url=f"file://{tmp_path}/missing.zip", dateModified="x")
+    assert fetcher.consider(pointer) is False
+    assert [e["outcome"] for e in fetcher.events] == ["fetch-error"]
+    assert router.version == 0
+
+
 def test_query_entities(open_broker):
     def scenario(broker):
         for i in range(4):
             broker.upsert_entity(make_entity(f"s-{i}", "Sensor", level=i, name=f"n{i}"))
         broker.upsert_entity(make_entity("p-1", "ParkingSite", level=2))
-        return [[e.id for e in broker.query_entities(**filters)] for filters in (
+        ids = [[e.id for e in broker.query_entities(**filters)] for filters in (
             {},
             {"typeFilter": "Sensor"},
             {"idPattern": "^s-[12]"},
@@ -123,6 +134,11 @@ def test_query_entities(open_broker):
             {"attrFilter": [("name", "==", "n1")]},
             {"attrFilter": [("level", "==", 2.0)]},
         )]
+        # a `;` inside a string literal is not a clause separator
+        broker.upsert_entity(make_entity("k-1", "Kiosk", name='a;b "c;d"'))
+        ids.append([e.id for e in broker.query_entities(
+            attrFilter=[("name", "==", 'a;b "c;d"'), ("name", "!=", ";")])])
+        return ids
 
     assert on_every_broker(open_broker, scenario) == [
         ["p-1", "s-0", "s-1", "s-2", "s-3"],
@@ -131,6 +147,7 @@ def test_query_entities(open_broker):
         ["s-2"],
         ["s-1"],
         ["p-1", "s-2"],
+        ["k-1"],
     ]
 
 

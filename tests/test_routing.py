@@ -1,9 +1,13 @@
 """Journey planner: graph building, search, overlays, alternatives, HTTP."""
 
+import sys
+import threading
+import time
 from datetime import date
 
 import pytest
 
+import citykit.routing as routing
 from citykit.feedgen import Lcg64
 from citykit.gtfs import (
     Agency,
@@ -28,7 +32,13 @@ from citykit.routing import (
 )
 from citykit.httpd import HttpError, get_json, post_json
 
-from oracles import min_arrival, random_network, random_query, random_trip_updates
+from oracles import (
+    min_arrival,
+    random_grid_network,
+    random_network,
+    random_query,
+    random_trip_updates,
+)
 
 DAY = 1748822400  # 2025-06-02 00:00:00 UTC
 
@@ -289,6 +299,78 @@ class TestAgainstEnumerator:
                 got = None
             assert got == expected, f"seed {seed}"
 
+    def test_planner_matches_the_enumerator_on_grids(self):
+        checked = answered = transferred = 0
+        for seed in range(3):
+            rng = Lcg64(seed * 7001 + 29)
+            graph = build_graph([random_grid_network(rng)])
+            overlay = apply_realtime(graph, random_trip_updates(rng, graph))
+            for _ in range(30):
+                kwargs = random_query(rng, graph, graph.dayStart)
+                # while the grid's trips run, so that most answers ride
+                kwargs["departAfter"] = graph.dayStart + 6 * 3600 + rng.randrange(16) * 600
+                q = ItineraryQuery(**kwargs)
+                for ov in (None, overlay):
+                    for cap in (None, 0, 1, 2):
+                        expected = min_arrival(graph, q, ov, max_transfers=cap)
+                        try:
+                            best = plan(graph, q, ov, max_transfers=cap)[0]
+                        except PlanError:
+                            best = None
+                        got = best.arrival if best else None
+                        assert got == expected, (seed, q, ov is not None, cap)
+                        checked += 1
+                        answered += best is not None
+                        transferred += bool(best and best.transfers)
+        assert checked == 720 and answered > 600 and transferred > 10
+
+
+class TestRoundBoundaries:
+    """Cases a round-based search can get wrong while a label-setting one
+    cannot: a trip made non-causal by an overlay, and a tie between boarding
+    a bus at the origin and walking back to board it a stop earlier."""
+
+    @staticmethod
+    def line_feed(lats, times):
+        """Stops A, B, C on a north-south line and one trip T through them."""
+        return GtfsFeed(
+            agencies=[Agency("A1", "M", "https://m.example", "UTC")],
+            stops=[Stop(s, s, lat, -3.0) for s, lat in zip("ABC", lats)],
+            routes=[Route("R", "A1", "r", 3)],
+            trips=[Trip("T", "R", "ALL")],
+            stopTimes=[StopTime("T", 10 * (i + 1), s, t, t)
+                       for i, (s, t) in enumerate(zip("ABC", times))],
+            services=[Service("ALL", (1,) * 7, "20250101", "20261231")],
+        )
+
+    def test_a_later_boarding_reaches_what_an_earlier_one_cannot(self):
+        # A and B are 200 m apart (160 s on foot); C is far from both
+        graph = build_graph([self.line_feed((40.0, 40.0018, 40.05), (1000, 1300, 1600))])
+        overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
+            {"stopSequence": 10, "delaySeconds": 600},
+            {"stopSequence": 20, "arrivalOverride": graph.dayStart + 1100},
+        ]}]})
+        times = [(t.departure - graph.dayStart) for t in overlay.trip_times(graph, "T")]
+        assert times == [1600, 1100, 1400]  # T leaves A after it reaches C
+        q = ItineraryQuery("A", "C", graph.dayStart + 900, modes={"transit"})
+        (best,) = plan(graph, q, overlay, max_transfers=0)
+        assert [(leg.mode, leg.boardStopId, leg.alightStopId) for leg in best.legs] \
+            == [("walk", "A", "B"), ("transit", "B", "C")]
+        assert best.arrival == graph.dayStart + 1400
+        assert best.arrival == min_arrival(graph, q, overlay, max_transfers=0)
+
+    def test_boards_at_the_origin_rather_than_walking_back_a_stop(self):
+        # the bus calls at A, then at B (the origin, 300 m on), then at C;
+        # walking back to A in time to board there arrives at the same time
+        graph = build_graph([self.line_feed((40.0, 40.0027, 40.05), (1200, 1300, 1500))])
+        walk_back = dict(graph.footpaths["B"])["A"]
+        assert 900 + walk_back <= 1200
+        q = ItineraryQuery("B", "C", graph.dayStart + 900, modes={"transit"})
+        (best,) = plan(graph, q, max_transfers=0)
+        (leg,) = best.legs
+        assert (leg.mode, leg.boardStopId, leg.alightStopId) == ("transit", "B", "C")
+        assert (leg.startTime, leg.endTime) == (graph.dayStart + 1300, graph.dayStart + 1500)
+
 
 class TestRouter:
     def test_load_and_version_bumps(self, city_feed):
@@ -307,6 +389,112 @@ class TestRouter:
         assert router.plan(query())[0].trip_ids() == ("R2-T1",)
         router.load_feed(city_feed)
         assert router.plan(query())[0].trip_ids() == ("R1-T1",)
+
+    def test_realtime_never_pairs_an_overlay_with_another_graph(self, city_feed,
+                                                                monkeypatch):
+        router = Router(service_date=date(2025, 6, 2))
+        router.load_feed(city_feed)
+        built = []  # (overlay, the graph it was built on)
+        apply_realtime_now = routing.apply_realtime
+
+        def apply_during_a_reload(graph, rt):
+            overlay = apply_realtime_now(graph, rt)
+            built.append((overlay, graph))
+            if len(built) == 1:
+                router.load_feed(city_feed)  # a reload lands partway through
+            return overlay
+
+        seen = []
+        plan_now = routing.plan
+
+        def recording_plan(graph, query, overlay=None, max_transfers=None):
+            seen.append((graph, overlay))
+            return plan_now(graph, query, overlay, max_transfers)
+
+        monkeypatch.setattr(routing, "apply_realtime", apply_during_a_reload)
+        monkeypatch.setattr(routing, "plan", recording_plan)
+        router.set_realtime({"tripUpdates": [
+            {"tripId": "R1-T1",
+             "stopTimeUpdates": [{"stopSequence": 1, "delaySeconds": 600}]},
+        ]})
+        # the update was applied again, to the graph that replaced the old one
+        assert router.plan(query())[0].trip_ids() == ("R2-T1",)
+        assert router.version == 2
+        ((graph, overlay),) = seen
+        assert graph is router.graph
+        assert any(o is overlay and g is graph for o, g in built)
+
+    def test_reloads_are_numbered_in_the_order_they_land(self, city_feed, monkeypatch):
+        router = Router(service_date=date(2025, 6, 2))
+        router.load_feed(city_feed)
+        build_graph_now = routing.build_graph
+        inner = []
+
+        def build_during_a_reload(*args, **kwargs):
+            graph = build_graph_now(*args, **kwargs)
+            if not inner:
+                monkeypatch.setattr(routing, "build_graph", build_graph_now)
+                inner.append(router.load_feed(city_feed))  # lands while this one builds
+            return graph
+
+        monkeypatch.setattr(routing, "build_graph", build_during_a_reload)
+        outer = router.load_feed(city_feed)
+        assert (inner, outer, router.version) == ([2], 3, 3)
+
+    def test_reloads_realtime_and_plans_in_threads_stay_paired(self, city_feed,
+                                                               monkeypatch):
+        router = Router(service_date=date(2025, 6, 2))
+        router.load_feed(city_feed)
+        built_on = {}  # id(overlay) -> graph; `kept` holds the overlays so ids stay unique
+        kept = []
+        apply_realtime_now, plan_now = routing.apply_realtime, routing.plan
+
+        def recording_apply(graph, rt):
+            overlay = apply_realtime_now(graph, rt)
+            kept.append(overlay)
+            built_on[id(overlay)] = graph
+            time.sleep(0.0002)  # widens the window in which a reload can land
+            return overlay
+
+        mismatched = []
+
+        def checking_plan(graph, query, overlay=None, max_transfers=None):
+            if overlay is not None and built_on[id(overlay)] is not graph:
+                mismatched.append(graph.version)
+            return plan_now(graph, query, overlay, max_transfers)
+
+        monkeypatch.setattr(routing, "apply_realtime", recording_apply)
+        monkeypatch.setattr(routing, "plan", checking_plan)
+        rt = {"tripUpdates": [{"tripId": "R1-T1", "stopTimeUpdates": [
+            {"stopSequence": 1, "delaySeconds": 600}]}]}
+        errors = []
+
+        def repeat(times, call):
+            def run():
+                try:
+                    for _ in range(times):
+                        call()
+                except Exception as exc:  # reported below; a thread would swallow it
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        threads = [repeat(10, lambda: router.load_feed(city_feed)) for _ in range(4)] + [
+            repeat(300, lambda: router.set_realtime(rt)),
+            repeat(300, lambda: router.set_realtime(rt)),
+            repeat(300, lambda: router.plan(query())),
+            repeat(300, lambda: router.plan(query()))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatched == []
+        assert router.version == 41  # each reload got its own number
 
     def test_plan_before_load_fails(self):
         with pytest.raises(PlanError):
