@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Protocol, Union
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
-from citykit.ngsi import Attribute, NgsiEntity, NgsiError, is_number, iso_utc, validate_entity
+from citykit.ngsi import Attribute, NgsiEntity, NgsiError, check_entity, is_number, iso_utc
 
 logger = logging.getLogger(__name__)
 
@@ -242,7 +242,7 @@ class ContextBroker:
     def upsert_entity(self, entity: NgsiEntity) -> str:
         """Full replace; returns "created" or "updated"."""
         try:
-            validate_entity(entity)
+            check_entity(entity)
         except NgsiError as exc:
             raise InvalidEntity(str(exc)) from exc
         with self._lock:
@@ -310,7 +310,7 @@ class ContextBroker:
                     attr.value, attr.valueType, dict(attr.metadata)
                 )
             try:
-                validate_entity(candidate)
+                check_entity(candidate)
             except NgsiError as exc:
                 raise InvalidEntity(str(exc)) from exc
             self._entities[entity_id] = candidate

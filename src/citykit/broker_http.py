@@ -205,7 +205,7 @@ class BrokerClient:
 
     def unsubscribe(self, sub_id: str) -> bool:
         try:
-            request_json("DELETE", f"{self.base_url}/v2/subscriptions/{sub_id}",
+            request_json("DELETE", f"{self.base_url}/v2/subscriptions/{quote(sub_id, safe='')}",
                          timeout=self.timeout)
         except HttpError as exc:
             if exc.status == 404:

@@ -1,20 +1,28 @@
 """Real-time feed generation from arrival estimations, and its HTTP server.
 
-The real-time feed is canonical JSON (sorted keys, no protobuf): a header
-timestamp plus trip updates, each carrying stop-time updates with an absolute
-``arrivalOverride``. One update per (trip, stop); when several estimations
-land on the same pair, the last one in commit order wins.
+The real-time feed is one plain JSON document (no protobuf, no classes)::
+
+    {"headerTimestamp": now,
+     "tripUpdates": [{"tripId": ...,
+                      "stopTimeUpdates": [{"stopId": ..., "stopSequence": ...,
+                                           "arrivalOverride": epochSeconds}]}]}
+
+Trip updates are sorted by tripId and stop-time updates by stopSequence. The
+same document is what ``/gtfs-rt`` serves and what ``routing.apply_realtime``
+reads. One update per (trip, stop); when several estimations land on the
+same pair, the last one in commit order wins.
 
 Trip resolution works from the static timetable: the referenced line names a
 route, and the chosen trip is that route's next call at the referenced stop
 strictly after ``now`` (today, else the same timetable one day later), ties
-broken by smallest tripId.
+broken by smallest tripId, then smallest stopSequence.
 """
 
-import json
 import logging
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from citykit.clock import Clock, SystemClock
@@ -27,90 +35,36 @@ logger = logging.getLogger(__name__)
 DAY_SECONDS = 86400
 
 
-@dataclass
-class StopTimeUpdate:
-    stopId: str
-    stopSequence: int
-    arrivalOverride: Optional[int] = None
-    delaySeconds: Optional[int] = None
-
-    def to_doc(self) -> dict:
-        doc = {"stopId": self.stopId, "stopSequence": self.stopSequence}
-        if self.arrivalOverride is not None:
-            doc["arrivalOverride"] = self.arrivalOverride
-        if self.delaySeconds is not None:
-            doc["delaySeconds"] = self.delaySeconds
-        return doc
-
-
-@dataclass
-class TripUpdate:
-    tripId: str
-    stopTimeUpdates: list = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "tripId": self.tripId,
-            "stopTimeUpdates": [u.to_doc() for u in self.stopTimeUpdates],
-        }
-
-
-@dataclass
-class GtfsRtFeed:
-    headerTimestamp: int
-    tripUpdates: list = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "headerTimestamp": self.headerTimestamp,
-            "tripUpdates": [t.to_doc() for t in self.tripUpdates],
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-
-
 class TripResolver:
     """Maps (line, stop, now) to the next matching trip in a static feed."""
 
     def __init__(self, feed: GtfsFeed, day_start: int):
         self.day_start = day_start
-        self._calls: dict[str, list] = {}  # routeId -> [(arrivalSec, tripId, stopId, seq)]
+        self._calls: dict[tuple, list] = {}  # (routeId, stopId) -> [(arrivalSec, tripId, seq)]
         route_of = {t.tripId: t.routeId for t in feed.trips}
         for st in feed.stopTimes:
             route_id = route_of.get(st.tripId)
             if route_id is None:
                 continue
-            self._calls.setdefault(route_id, []).append(
-                (st.arrival, st.tripId, st.stopId, st.stopSequence)
-            )
+            self._calls.setdefault((route_id, st.stopId), []).append(
+                (st.arrival, st.tripId, st.stopSequence))
         for calls in self._calls.values():
             calls.sort()
 
     def resolve(self, ref_line: str, ref_stop: str, now: float):
         """Returns (tripId, stopId, stopSequence, scheduledArrivalEpoch) or None."""
-        calls = self._calls.get(ref_line)
-        if not calls:
-            return None
-        best = None
+        calls = self._calls.get((ref_line, ref_stop), ())
         for offset in (0, DAY_SECONDS):
-            for arrival_sec, trip_id, stop_id, seq in calls:
-                if stop_id != ref_stop:
-                    continue
-                arrival = self.day_start + arrival_sec + offset
-                if arrival <= now:
-                    continue
-                key = (arrival, trip_id)
-                if best is None or key < (best[3], best[0]):
-                    best = (trip_id, stop_id, seq, arrival)
-            if best is not None:
-                break
-        return best
+            i = bisect_right(calls, now - self.day_start - offset, key=itemgetter(0))
+            if i < len(calls):
+                arrival_sec, trip_id, seq = calls[i]
+                return trip_id, ref_stop, seq, self.day_start + arrival_sec + offset
+        return None
 
 
 @dataclass
 class RtBuildResult:
-    feed: GtfsRtFeed
+    feed: dict
     unresolved: list = field(default_factory=list)  # {entityId, reason}
 
 
@@ -145,16 +99,13 @@ def arrival_estimations_to_gtfsrt(entities: Iterable[NgsiEntity], now: int,
         trip_id, stop_id, seq, _ = hit
         overrides[(trip_id, stop_id, seq)] = int(now + remaining)
 
-    by_trip: dict[str, TripUpdate] = {}
-    for (trip_id, stop_id, seq) in sorted(overrides):
-        update = StopTimeUpdate(stopId=stop_id, stopSequence=seq,
-                                arrivalOverride=overrides[(trip_id, stop_id, seq)])
-        by_trip.setdefault(trip_id, TripUpdate(tripId=trip_id)) \
-            .stopTimeUpdates.append(update)
-    for tu in by_trip.values():
-        tu.stopTimeUpdates.sort(key=lambda u: u.stopSequence)
-    feed = GtfsRtFeed(headerTimestamp=int(now),
-                      tripUpdates=[by_trip[t] for t in sorted(by_trip)])
+    by_trip: dict[str, list] = {}
+    for (trip_id, stop_id, seq), arrival in sorted(overrides.items()):
+        by_trip.setdefault(trip_id, []).append(
+            {"stopId": stop_id, "stopSequence": seq, "arrivalOverride": arrival})
+    feed = {"headerTimestamp": int(now), "tripUpdates": [
+        {"tripId": trip_id, "stopTimeUpdates": sorted(updates, key=itemgetter("stopSequence"))}
+        for trip_id, updates in by_trip.items()]}
     return RtBuildResult(feed=feed, unresolved=unresolved)
 
 
@@ -163,7 +114,8 @@ class RtLoader:
 
     ``get_entities`` pulls the present ArrivalEstimation set (usually a
     broker query); ``refresh`` rebuilds the snapshot from it. Readers always
-    see a complete feed, and the header timestamp never moves backwards.
+    see a complete feed document, and the header timestamp never moves
+    backwards. The document is shared with readers, who must not modify it.
     """
 
     def __init__(self, get_entities: Callable[[], list], resolver: TripResolver,
@@ -172,7 +124,7 @@ class RtLoader:
         self.resolver = resolver
         self.clock = clock or SystemClock()
         self._lock = threading.Lock()
-        self._current: Optional[GtfsRtFeed] = None
+        self._current: Optional[dict] = None
         self.unresolved: list = []
         self.refresh_count = 0
 
@@ -186,26 +138,26 @@ class RtLoader:
             throttlingSeconds=throttling_seconds,
         ))
 
-    def refresh(self) -> GtfsRtFeed:
+    def refresh(self) -> dict:
         entities = self.get_entities()
         with self._lock:
             now = int(self.clock.now())
             if self._current is not None:
-                now = max(now, self._current.headerTimestamp)
+                now = max(now, self._current["headerTimestamp"])
             result = arrival_estimations_to_gtfsrt(entities, now, self.resolver)
             self._current = result.feed
             self.unresolved = result.unresolved
             self.refresh_count += 1
             return self._current
 
-    def current(self) -> Optional[GtfsRtFeed]:
+    def current(self) -> Optional[dict]:
         return self._current
 
 
 class RtServer(HttpService):
     """HTTP face of an RtLoader.
 
-    GET /gtfs-rt answers the current feed as canonical JSON, or 503 until
+    GET /gtfs-rt answers the current feed document, or 503 until
     the first refresh has built one. POST /notify accepts a notification
     document and triggers a refresh (used when the broker is remote).
     GET /status reports refresh count and unresolved estimations.
@@ -222,7 +174,7 @@ class RtServer(HttpService):
         feed = self.loader.current()
         if feed is None:
             return 503, {"error": "no-feed", "detail": "no estimations received yet"}
-        return 200, feed.to_doc()
+        return 200, feed
 
     def _notify(self, match, params, body):
         self.loader.refresh()
@@ -233,5 +185,5 @@ class RtServer(HttpService):
         return 200, {
             "refreshCount": self.loader.refresh_count,
             "unresolved": self.loader.unresolved,
-            "headerTimestamp": feed.headerTimestamp if feed else None,
+            "headerTimestamp": feed["headerTimestamp"] if feed else None,
         }

@@ -245,7 +245,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         if result.unresolved:
             raise StageFailure({"unresolved": result.unresolved})
         shared["rtFeed"] = result.feed
-        return {"tripUpdates": len(result.feed.tripUpdates),
+        return {"tripUpdates": len(result.feed["tripUpdates"]),
                 "estimations": len(estimations)}
 
     def apply_rt():

@@ -55,7 +55,13 @@ class JsonHttpServer:
                 parsed = urlparse(self.path)
                 params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
                 body = None
-                length = int(self.headers.get("Content-Length") or 0)
+                declared = (self.headers.get("Content-Length") or "0").strip()
+                if not (declared.isascii() and declared.isdigit()):
+                    self.close_connection = True  # where the body ends is unknown
+                    self._reply(400, {"error": "bad-request",
+                                      "detail": f"bad Content-Length {declared!r}"})
+                    return
+                length = int(declared)
                 if length:
                     raw = self.rfile.read(length)
                     try:

@@ -131,7 +131,7 @@ class NgsiEntity:
         return cls(id=doc["id"], entityType=doc["entityType"], attributes=attributes)
 
 
-def validate_entity(entity: NgsiEntity) -> None:
+def check_entity(entity: NgsiEntity) -> None:
     """Enforce the full entity invariants; raises ``NgsiError``.
 
     Construction is deliberately permissive (only non-empty strings are

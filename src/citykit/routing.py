@@ -158,46 +158,46 @@ class Overlay:
     def __init__(self):
         self.effective: dict[str, list[TripStopTime]] = {}
         self.unknownTrips: list[str] = []
+        self.shift: tuple = (0, 0)  # (earliest, latest) change to any stop time, seconds
 
     def trip_times(self, graph: TransitGraph, trip_id: str) -> list[TripStopTime]:
         return self.effective.get(trip_id) or graph.tripStopTimes[trip_id]
 
 
-def apply_realtime(graph: TransitGraph, rt) -> Overlay:
-    """Turn a real-time feed into an overlay; the graph itself is untouched.
+def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
+    """Turn a ``gtfs_realtime`` feed document into an overlay; the graph is untouched.
 
     An update pins its stop's arrival (absolute override or signed delay);
     later stops of the trip shift by the same delta until another update
     takes over. Updates for unknown trips are collected, not fatal.
     """
-    updates = rt.get("tripUpdates", []) if isinstance(rt, dict) else rt.tripUpdates
     overlay = Overlay()
-    for tu in updates:
-        trip_id = tu["tripId"] if isinstance(tu, dict) else tu.tripId
-        stus = tu["stopTimeUpdates"] if isinstance(tu, dict) else tu.stopTimeUpdates
+    for tu in rt.get("tripUpdates", []):
+        trip_id = tu["tripId"]
         static = graph.tripStopTimes.get(trip_id)
         if static is None:
             overlay.unknownTrips.append(trip_id)
             continue
         by_seq: dict[int, dict] = {}
-        for stu in stus:
-            doc = stu if isinstance(stu, dict) else stu.__dict__
-            seq = doc.get("stopSequence")
+        for stu in tu["stopTimeUpdates"]:
+            seq = stu.get("stopSequence")
             if seq is None:
-                sid = doc.get("stopId")
+                sid = stu.get("stopId")
                 seq = next((t.seq for t in static if t.stopId == sid), None)
                 if seq is None:
                     continue
-            by_seq[seq] = doc  # last write wins per (trip, stop)
+            by_seq[seq] = stu  # last write wins per (trip, stop)
         delta = 0
         shifted = []
         for tst in static:
-            doc = by_seq.get(tst.seq)
-            if doc is not None:
-                if doc.get("arrivalOverride") is not None:
-                    delta = int(doc["arrivalOverride"]) - tst.arrival
+            stu = by_seq.get(tst.seq)
+            if stu is not None:
+                if stu.get("arrivalOverride") is not None:
+                    delta = int(stu["arrivalOverride"]) - tst.arrival
                 else:
-                    delta = int(doc.get("delaySeconds") or 0)
+                    delta = int(stu.get("delaySeconds") or 0)
+                early, late = overlay.shift
+                overlay.shift = (min(early, delta), max(late, delta))
             shifted.append(TripStopTime(tst.seq, tst.stopId,
                                         tst.arrival + delta, tst.departure + delta))
         overlay.effective[trip_id] = shifted
@@ -283,7 +283,7 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
     start, tripId, from stop) of the leg that ends at the label.
     """
     (origin_stop, access), (dest_stop, egress) = origin, destination
-    effective = overlay.effective if overlay else {}
+    effective, (early, late) = (overlay.effective, overlay.shift) if overlay else ({}, (0, 0))
     best: dict = {}    # (stop, by_walk) -> earliest-arriving label so far
     ridden: dict = {}  # tripId -> [(position, departure)] boarded in earlier rounds
     answer = None      # (arrival, boardings, label, egress secs or None)
@@ -322,10 +322,10 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
         boardings: dict = {}  # tripId -> {position: [(departure, parent, static dep, seq)]}
         for label in marked.values():
             arrival = label[0]
-            events = graph.departuresByStop.get(label[4][0], ())
-            if not effective:  # departures are sorted: keep those in [arrival, limit)
-                events = events[bisect_left(events, (arrival,)):bisect_left(events, (limit,))]
-            for dep, trip_id, seq in events:
+            events = graph.departuresByStop.get(label[4][0], ())  # sorted by static time
+            # keep those the overlay's shift can move into [arrival, limit)
+            for dep, trip_id, seq in events[bisect_left(events, (arrival - late,)):
+                                            bisect_left(events, (limit - early,))]:
                 times = effective.get(trip_id)
                 pos = graph.seqIndex[trip_id][seq]
                 d = times[pos].departure if times else dep
@@ -504,7 +504,7 @@ class Router:
             data = resp.read()
         return self.load_zip_bytes(data)
 
-    def set_realtime(self, rt) -> Overlay:
+    def set_realtime(self, rt: dict) -> Overlay:
         """Overlay the current graph. If a reload lands meanwhile, the update
         is applied again, to the new graph."""
         while True:

@@ -165,8 +165,8 @@ def test_routing_pipeline_end_to_end():
                      refLine=Attribute("R1", "Reference"),
                      remainingTime=120)],
         now, TripResolver(feed, day))
-    update = result.feed.tripUpdates[0].stopTimeUpdates[0]
-    override_ok = not result.unresolved and update.arrivalOverride == now + 120
+    update = result.feed["tripUpdates"][0]["stopTimeUpdates"][0]
+    override_ok = not result.unresolved and update["arrivalOverride"] == now + 120
 
     # the reported shift equals what the enumerator predicts for the delay
     graph = build_graph([feed], service_date=date(2025, 6, 2))

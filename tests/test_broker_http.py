@@ -1,9 +1,11 @@
 """HTTP binding of the broker: /v2 routes, client wrapper, webhooks."""
 
+import socket
 import threading
 
 import pytest
 
+from citykit.broker import NotFound
 from citykit.broker_http import BrokerClient, BrokerServer
 from citykit.httpd import HttpError, JsonHttpServer, get_json, request_json
 from citykit.ngsi import Attribute, make_entity
@@ -109,6 +111,16 @@ def test_webhook_subscription_delivers_commits(served):
         target.stop()
 
 
+@pytest.mark.parametrize("sub_id", ["a/b", "a b", "50%"])
+def test_client_chosen_subscription_ids_survive_the_url(served, sub_id):
+    server, client = served
+    assert client.subscribe({"id": sub_id, "target": "http://127.0.0.1:1/hook"}) == sub_id
+    assert client.unsubscribe(sub_id) is True
+    assert client.unsubscribe(sub_id) is False
+    with pytest.raises(NotFound):
+        server.broker.subscription_status(sub_id)
+
+
 def test_subscribe_rejects_unknown_fields(served):
     _, client = served
     with pytest.raises(HttpError) as err:
@@ -127,3 +139,17 @@ def test_http_layer_details(served):
     with pytest.raises(HttpError) as err:
         get_json(f"{client.base_url}/no/such/route")
     assert err.value.status == 404
+
+
+@pytest.mark.parametrize("declared", ["abc", "-1", "1_0"])
+def test_bad_content_length_is_400_and_closes(served, declared):
+    server, _ = served
+    with socket.create_connection((server.server.host, server.server.port), timeout=2.0) as sock:
+        sock.sendall(f"POST /v2/entities HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {declared}\r\n\r\n{{}}".encode())
+        reply = b""
+        while chunk := sock.recv(4096):  # the server closes: the body's end is unknown
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b'"bad-request"' in body

@@ -60,21 +60,21 @@ class TestFeedBuild:
         result = arrival_estimations_to_gtfsrt([arrival("a1", "S5", "R1", 120)],
                                                now, resolver)
         assert result.unresolved == []
-        (tu,) = result.feed.tripUpdates
-        assert tu.tripId == "R1-T1"
-        (stu,) = tu.stopTimeUpdates
-        assert stu.stopId == "S5"
-        assert stu.stopSequence == 5
-        assert stu.arrivalOverride == now + 120
-        assert result.feed.headerTimestamp == now
+        (tu,) = result.feed["tripUpdates"]
+        assert tu["tripId"] == "R1-T1"
+        (stu,) = tu["stopTimeUpdates"]
+        assert stu["stopId"] == "S5"
+        assert stu["stopSequence"] == 5
+        assert stu["arrivalOverride"] == now + 120
+        assert result.feed["headerTimestamp"] == now
 
     def test_last_estimation_wins_per_trip_stop(self, resolver):
         now = DAY + 29000
         result = arrival_estimations_to_gtfsrt(
             [arrival("a1", "S5", "R1", 100), arrival("a2", "S5", "R1", 300)],
             now, resolver)
-        (tu,) = result.feed.tripUpdates
-        assert tu.stopTimeUpdates[0].arrivalOverride == now + 300
+        (tu,) = result.feed["tripUpdates"]
+        assert tu["stopTimeUpdates"][0]["arrivalOverride"] == now + 300
 
     def test_updates_are_sorted_and_grouped(self, resolver):
         now = DAY + 28900
@@ -82,8 +82,8 @@ class TestFeedBuild:
             [arrival("a1", "S5", "R2", 500), arrival("a2", "S3", "R1", 130),
              arrival("a3", "S5", "R1", 380)],
             now, resolver)
-        assert [tu.tripId for tu in result.feed.tripUpdates] == ["R1-T1", "R2-T1"]
-        seqs = [stu.stopSequence for stu in result.feed.tripUpdates[0].stopTimeUpdates]
+        assert [tu["tripId"] for tu in result.feed["tripUpdates"]] == ["R1-T1", "R2-T1"]
+        seqs = [stu["stopSequence"] for stu in result.feed["tripUpdates"][0]["stopTimeUpdates"]]
         assert seqs == sorted(seqs)
 
     def test_unresolvable_estimations_are_reported(self, resolver):
@@ -92,16 +92,8 @@ class TestFeedBuild:
              arrival("a2", "S5", "R1", -5),           # negative countdown
              make_entity("a3", "ArrivalEstimation")],  # missing refs
             DAY + 29000, resolver)
-        assert result.feed.tripUpdates == []
+        assert result.feed["tripUpdates"] == []
         assert sorted(u["entityId"] for u in result.unresolved) == ["a1", "a2", "a3"]
-
-    def test_canonical_json_is_stable(self, resolver):
-        result = arrival_estimations_to_gtfsrt([arrival("a1", "S5", "R1", 120)],
-                                               DAY + 29000, resolver)
-        a = result.feed.canonical_json()
-        b = result.feed.canonical_json()
-        assert a == b
-        assert a.startswith('{"headerTimestamp":')
 
 
 class TestRtLoader:
@@ -116,7 +108,7 @@ class TestRtLoader:
         loader, _ = self.make_loader(broker, resolver)
         broker.upsert_entity(arrival("a1", "S5", "R1", 120))
         feed = loader.refresh()
-        assert feed.tripUpdates[0].tripId == "R1-T1"
+        assert feed["tripUpdates"][0]["tripId"] == "R1-T1"
         assert loader.refresh_count == 1
 
     def test_attach_refreshes_on_every_commit(self, broker, resolver):
@@ -125,7 +117,7 @@ class TestRtLoader:
         broker.upsert_entity(arrival("a1", "S5", "R1", 120))
         broker.upsert_entity(arrival("a2", "S3", "R1", 60))
         assert loader.refresh_count == 2
-        assert len(loader.current().tripUpdates) == 1  # both ride R1-T1
+        assert len(loader.current()["tripUpdates"]) == 1  # both ride R1-T1
 
     def test_non_estimation_commits_do_not_refresh(self, broker, resolver):
         loader, _ = self.make_loader(broker, resolver)
@@ -145,9 +137,9 @@ class TestRtLoader:
             lambda: broker.query_entities(typeFilter="ArrivalEstimation"),
             resolver, clock=clock)
         broker.upsert_entity(arrival("a1", "S5", "R1", 120))
-        first = loader.refresh().headerTimestamp
+        first = loader.refresh()["headerTimestamp"]
         clock.t = DAY + 29000  # wall clock stepped backwards
-        second = loader.refresh().headerTimestamp
+        second = loader.refresh()["headerTimestamp"]
         assert first == DAY + 29050
         assert second == first
 

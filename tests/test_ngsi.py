@@ -6,11 +6,11 @@ from citykit.ngsi import (
     Attribute,
     NgsiEntity,
     NgsiError,
+    check_entity,
     infer_value_type,
     iso_utc,
     make_entity,
     parse_iso,
-    validate_entity,
 )
 
 
@@ -85,41 +85,41 @@ def test_infer_value_type_covers_json_kinds():
 
 class TestValidation:
     def test_accepts_well_formed_entity(self):
-        validate_entity(make_entity("e1", "T", level=3, when="2025-06-02T08:00:00Z"))
+        check_entity(make_entity("e1", "T", level=3, when="2025-06-02T08:00:00Z"))
 
     def test_rejects_whitespace_in_id(self):
         with pytest.raises(NgsiError):
-            validate_entity(NgsiEntity(id="has space", entityType="T"))
+            check_entity(NgsiEntity(id="has space", entityType="T"))
 
     def test_rejects_reserved_attribute_names(self):
         entity = NgsiEntity(id="e1", entityType="T",
                             attributes={"type": Attribute(1, "Number")})
         with pytest.raises(NgsiError):
-            validate_entity(entity)
+            check_entity(entity)
 
     def test_rejects_bad_attribute_characters(self):
         entity = NgsiEntity(id="e1", entityType="T",
                             attributes={"a b": Attribute(1, "Number")})
         with pytest.raises(NgsiError):
-            validate_entity(entity)
+            check_entity(entity)
 
     def test_number_tag_must_hold_a_number(self):
         entity = make_entity("e1", "T", level=Attribute("3", "Number"))
         with pytest.raises(NgsiError):
-            validate_entity(entity)
+            check_entity(entity)
 
     def test_number_tag_rejects_bool(self):
         entity = make_entity("e1", "T", level=Attribute(True, "Number"))
         with pytest.raises(NgsiError):
-            validate_entity(entity)
+            check_entity(entity)
 
     def test_datetime_tag_must_hold_iso_text(self):
         entity = make_entity("e1", "T", when=Attribute("yesterday", "DateTime"))
         with pytest.raises(NgsiError):
-            validate_entity(entity)
+            check_entity(entity)
 
     def test_unknown_value_type_tags_pass_through(self):
-        validate_entity(make_entity("e1", "T", x=Attribute(1, "CustomTag")))
+        check_entity(make_entity("e1", "T", x=Attribute(1, "CustomTag")))
 
 
 def test_iso_utc_and_parse_iso_invert():

@@ -372,6 +372,48 @@ class TestRoundBoundaries:
         assert (leg.startTime, leg.endTime) == (graph.dayStart + 1300, graph.dayStart + 1500)
 
 
+class TestScanWindow:
+    """The search bisects a stop's static departures over a window widened
+    by the overlay's shift. One case per edge of that window."""
+
+    def test_a_delay_makes_an_already_departed_trip_catchable(self):
+        # no footpaths: the stops are kilometres apart
+        line_feed = TestRoundBoundaries.line_feed
+        graph = build_graph([line_feed((40.0, 40.05, 40.10), (1000, 1300, 1600))])
+        overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
+            {"stopSequence": 10, "delaySeconds": 300}]}]})
+        assert overlay.shift == (0, 300)
+        q = ItineraryQuery("A", "C", graph.dayStart + 1300, modes={"transit"})
+        # statically T left A at 1000: at the lower edge, arrival - late
+        assert graph.departuresByStop["A"][0][0] == q.departAfter - overlay.shift[1]
+        with pytest.raises(PlanError):
+            plan(graph, q)
+        (best,) = plan(graph, q, overlay, max_transfers=0)
+        (leg,) = best.legs
+        assert (leg.tripId, leg.startTime, leg.endTime) \
+            == ("T", graph.dayStart + 1300, graph.dayStart + 1900)
+        assert best.arrival == min_arrival(graph, q, overlay, max_transfers=0)
+
+    def test_an_override_pulls_a_trip_ahead_of_the_walk(self):
+        # A and B are 400 m apart, so the walk sets the bound of round 1
+        line_feed = TestRoundBoundaries.line_feed
+        graph = build_graph([line_feed((40.0, 40.0036, 40.10), (1500, 1600, 1900))])
+        overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
+            {"stopSequence": 10, "arrivalOverride": graph.dayStart + 1100}]}]})
+        assert overlay.shift == (-400, 0)
+        q = ItineraryQuery("A", "B", graph.dayStart + 1000, modes={"transit"})
+        walked = q.departAfter + dict(graph.footpaths["A"])["B"]
+        (static,) = plan(graph, q)
+        assert static.arrival == walked and not static.trip_ids()
+        # statically T leaves A after the walk arrives: past the bound, before limit - early
+        assert walked <= graph.departuresByStop["A"][0][0] < walked - overlay.shift[0]
+        best = plan(graph, q, overlay, max_transfers=0)[0]
+        (leg,) = best.legs
+        assert (leg.tripId, leg.startTime, leg.endTime) \
+            == ("T", graph.dayStart + 1100, graph.dayStart + 1200)
+        assert best.arrival == min_arrival(graph, q, overlay, max_transfers=0)
+
+
 class TestRouter:
     def test_load_and_version_bumps(self, city_feed):
         router = Router(service_date=date(2025, 6, 2))
