@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 COMPARATORS = ("==", "!=", "<=", ">=", "<", ">")
 
 FAIL_LIMIT = 3  # consecutive sink failures before a subscription is failed
+POLL_SECONDS = 0.05  # how often background delivery looks for queued notifications
+SINK_TIMEOUT_SECONDS = 5.0  # how long a webhook POST may take
 
 
 class BrokerError(Exception):
@@ -88,12 +90,11 @@ class CallbackSink:
 class HttpSink:
     """POSTs each notification document to a callback URL."""
 
-    def __init__(self, url: str, timeout: float = 5.0):
+    def __init__(self, url: str):
         self.url = url
-        self.timeout = timeout
 
     def deliver(self, doc: dict) -> None:
-        post_json(self.url, doc, timeout=self.timeout)
+        post_json(self.url, doc, timeout=SINK_TIMEOUT_SECONDS)
 
 
 def _as_sink(target):
@@ -209,11 +210,11 @@ class ContextBroker:
 
     ``delivery`` selects when the pump runs: ``inline`` (after every commit,
     synchronously), ``manual`` (only on explicit ``deliver_notifications``),
-    or ``background`` (daemon thread polling every ``poll_seconds``).
+    or ``background`` (daemon thread polling every ``POLL_SECONDS``).
     """
 
     def __init__(self, clock: Optional[Clock] = None, journal_path=None,
-                 delivery: str = "inline", poll_seconds: float = 0.05):
+                 delivery: str = "inline"):
         if delivery not in ("inline", "manual", "background"):
             raise ValueError(f"unknown delivery mode {delivery!r}")
         self.clock = clock or SystemClock()
@@ -233,7 +234,7 @@ class ContextBroker:
             self._journal_fh = open(self._journal_path, "a", encoding="utf-8")
         if delivery == "background":
             self._poll_thread = threading.Thread(
-                target=self._poll_loop, args=(poll_seconds,), daemon=True
+                target=self._poll_loop, daemon=True
             )
             self._poll_thread.start()
 
@@ -464,8 +465,8 @@ class ContextBroker:
             if throttle:
                 return delivered
 
-    def _poll_loop(self, poll_seconds: float):
-        while not self._stop_poll.wait(poll_seconds):
+    def _poll_loop(self):
+        while not self._stop_poll.wait(POLL_SECONDS):
             try:
                 self.deliver_notifications()
             except Exception:

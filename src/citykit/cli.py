@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from citykit.ngsi import NgsiEntity
+from citykit.textio import read_jsonl, write_jsonl
 
 
 def _parse_listen(text: str) -> tuple:
@@ -22,14 +23,6 @@ def _parse_listen(text: str) -> tuple:
     if not host:
         host = "127.0.0.1"
     return host, int(port)
-
-
-def _read_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def _print(doc) -> None:
@@ -57,7 +50,7 @@ def cmd_validate(args) -> int:
 
     registry = SchemaRegistry()
     registry.load_dir(args.schemas)
-    entities = (NgsiEntity.from_wire(doc) for doc in _read_jsonl(args.input))
+    entities = (NgsiEntity.from_wire(doc) for doc in read_jsonl(args.input))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as sink_fh:
             summary = validate_batch(
@@ -92,7 +85,7 @@ def cmd_json2ngsi(args) -> int:
 def cmd_ngsi2ld(args) -> int:
     from citykit.transforms import ngsi_to_ngsild
 
-    for doc in _read_jsonl(args.input):
+    for doc in read_jsonl(args.input):
         entity = NgsiEntity.from_wire(doc)
         _print(ngsi_to_ngsild(entity, args.context).to_wire())
     return 0
@@ -159,7 +152,6 @@ def cmd_feedgen(args) -> int:
         generate_static_network,
         load_fixture_file,
         seed_defects,
-        write_ground_truth,
     )
     from citykit.gtfs import ngsi_to_gtfs
 
@@ -190,19 +182,13 @@ def cmd_feedgen(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "entities.jsonl", "w", encoding="utf-8") as fh:
-        for entity in city:
-            fh.write(json.dumps(entity.to_wire(), sort_keys=True) + "\n")
+    write_jsonl(out / "entities.jsonl", (entity.to_wire() for entity in city))
     if defect_entities is not None:
-        with open(out / "defects.jsonl", "w", encoding="utf-8") as fh:
-            for entity in defect_entities:
-                fh.write(json.dumps(entity.to_wire(), sort_keys=True) + "\n")
-    with open(out / "streams.jsonl", "w", encoding="utf-8") as fh:
-        for event in generator.events(duration):
-            fh.write(json.dumps(event.to_doc(), sort_keys=True) + "\n")
+        write_jsonl(out / "defects.jsonl", (entity.to_wire() for entity in defect_entities))
+    write_jsonl(out / "streams.jsonl", (event.to_doc() for event in generator.events(duration)))
     _, zip_bytes = ngsi_to_gtfs(generate_static_network(fixture))
     (out / "feed.zip").write_bytes(zip_bytes)
-    write_ground_truth(out / "ground_truth.jsonl", truth)
+    write_jsonl(out / "ground_truth.jsonl", truth)
     _print({"outDir": str(out), "entities": len(city),
             "defects": len(defect_entities) if defect_entities else 0,
             "groundTruthRecords": len(truth)})

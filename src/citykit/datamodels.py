@@ -30,6 +30,7 @@ from citykit.ngsi import (
     REFERENCE,
     STRUCTURED,
     TEXT,
+    KindError,
     NgsiEntity,
     is_number,
 )
@@ -43,12 +44,8 @@ RULE_KINDS = (
     "unknown-entity-type",
 )
 
-class SchemaError(Exception):
+class SchemaError(KindError):
     """Schema document problems; ``kind`` is parse-error or inconsistent-rule."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 @dataclass

@@ -7,7 +7,6 @@ attribute's ``observedAt`` metadata, the entity's ``dateObserved`` or
 counted and skipped, never stored.
 """
 
-import json
 import logging
 from pathlib import Path
 from typing import Optional
@@ -16,6 +15,7 @@ from citykit.broker import Broker, Subscription
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.store import TimeSeriesStore
 from citykit.ngsi import NgsiEntity, NgsiError, is_number, parse_iso
+from citykit.textio import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -79,11 +79,8 @@ def ingest_snapshot(store: TimeSeriesStore, broker: Broker, mapping: dict[str, s
 def ingest_historical(store: TimeSeriesStore, source) -> IngestStats:
     """Bulk-append records {entityId, attr, t, value}; source is a path or iterable."""
     stats = IngestStats()
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    else:
-        records = list(source)
+    # read every record first, so a malformed one appends nothing
+    records = list(read_jsonl(source) if isinstance(source, (str, Path)) else source)
     for record in records:
         value = record.get("value")
         if not is_number(value):

@@ -23,18 +23,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from citykit.estimator.store import Sample, TimeSeriesStore
+from citykit.ngsi import KindError
 
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("autoregressive", "seasonal-naive")
 
 
-class EstimatorError(Exception):
+class EstimatorError(KindError):
     """``kind`` is insufficient-context, singular-fit, or invalid-config."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 @dataclass

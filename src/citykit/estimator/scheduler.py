@@ -121,15 +121,20 @@ class EstimatorScheduler:
             except EstimatorError as exc:
                 logger.warning("inference skipped for %s: %s", key, exc)
                 continue
-            self.predictions.append(prediction)
             self.infers_by_key[key] = self.infers_by_key.get(key, 0) + 1
-            self.store.append(model.entityId, model.attributeName + ".predicted",
-                              prediction.horizonEnd, prediction.value)
-            if self.on_prediction is not None:
-                try:
-                    self.on_prediction(prediction)
-                except Exception:
-                    logger.exception("prediction hook failed for %s", key)
+            self._publish(prediction)
+
+    def _publish(self, prediction: Prediction) -> None:
+        """Keep the prediction, store it as a ``.predicted`` sample, run the hook."""
+        self.predictions.append(prediction)
+        self.store.append(prediction.entityId, prediction.attributeName + ".predicted",
+                          prediction.horizonEnd, prediction.value)
+        if self.on_prediction is not None:
+            try:
+                self.on_prediction(prediction)
+            except Exception:
+                logger.exception("prediction hook failed for %s/%s",
+                                  prediction.entityId, prediction.attributeName)
 
     # -- on-demand -------------------------------------------------------------
 
@@ -143,12 +148,5 @@ class EstimatorScheduler:
             if now is None:
                 now = self.clock.now()
             prediction = infer(model, self.store, now, self.config.horizonSeconds)
-            self.predictions.append(prediction)
-            self.store.append(entity_id, attribute + ".predicted",
-                              prediction.horizonEnd, prediction.value)
-            if self.on_prediction is not None:
-                try:
-                    self.on_prediction(prediction)
-                except Exception:
-                    logger.exception("prediction hook failed")
+            self._publish(prediction)
             return prediction

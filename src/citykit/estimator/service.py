@@ -28,8 +28,9 @@ from citykit.estimator.ingest import (
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
-from citykit.httpd import HttpService, JsonHttpServer
+from citykit.httpd import HttpError, HttpService, JsonHttpServer
 from citykit.ngsi import Attribute
+from citykit.textio import field_types, read_settings
 
 logger = logging.getLogger(__name__)
 
@@ -60,29 +61,11 @@ def writeback(prediction: Prediction, broker: Broker) -> bool:
     return True
 
 
-_CONFIG_INTS = {"lags", "period", "windowSize", "minSamples",
-                "retrainPeriodSeconds", "inferencePeriodSeconds", "horizonSeconds"}
-_CONFIG_FLOATS = {"ridgeLambda", "trainTestRatio"}
-
-
 def parse_config_text(text: str) -> dict:
-    """`key = value` lines; # starts a comment; typed fields are converted."""
-    settings: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise EstimatorError("invalid-config", f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _CONFIG_INTS:
-            settings[key] = int(value)
-        elif key in _CONFIG_FLOATS:
-            settings[key] = float(value)
-        else:
-            settings[key] = value
-    return settings
+    """`key = value` lines; # starts a comment; TrainingConfig fields are typed."""
+    types = field_types(TrainingConfig)
+    fail = lambda lineno, message: EstimatorError("invalid-config", f"line {lineno}: {message}")
+    return {key: types.get(key, str)(value) for _, key, value in read_settings(text, fail)}
 
 
 def load_config_file(path) -> tuple[TrainingConfig, dict]:
@@ -154,27 +137,26 @@ class EstimatorServer(HttpService):
                               self._predict)
         self.server.add_route("GET", r"/models", self._models)
 
+    def _series_key(self, match) -> tuple:
+        """The route's (entityId, attribute); 404 when that series was never ingested."""
+        key = (unquote(match.group("id")), unquote(match.group("attr")))
+        if key not in self.service.store.keys():
+            raise HttpError(404, {"error": "unknown-series",
+                                  "detail": f"{key[0]}/{key[1]} never ingested"})
+        return key
+
     def _series(self, match, params, body):
-        entity_id = unquote(match.group("id"))
-        attribute = unquote(match.group("attr"))
-        store = self.service.store
-        if (entity_id, attribute) not in store.keys():
-            return 404, {"error": "unknown-series",
-                         "detail": f"{entity_id}/{attribute} never ingested"}
-        t_from = float(params["from"]) if "from" in params else None
-        t_to = float(params["to"]) if "to" in params else None
-        samples = store.get(entity_id, attribute, t_from, t_to)
+        entity_id, attribute = self._series_key(match)
+        try:
+            bounds = [float(params[k]) if k in params else None for k in ("from", "to")]
+        except ValueError as exc:
+            return 400, {"error": "bad-query", "detail": str(exc)}
+        samples = self.service.store.get(entity_id, attribute, *bounds)
         return 200, [{"t": s.t, "value": s.value} for s in samples]
 
     def _predict(self, match, params, body):
-        entity_id = unquote(match.group("id"))
-        attribute = unquote(match.group("attr"))
-        store = self.service.store
-        if (entity_id, attribute) not in store.keys():
-            return 404, {"error": "unknown-series",
-                         "detail": f"{entity_id}/{attribute} never ingested"}
         try:
-            prediction = self.service.scheduler.predict_now(entity_id, attribute)
+            prediction = self.service.scheduler.predict_now(*self._series_key(match))
         except EstimatorError as exc:
             if exc.kind == "model-not-trained":
                 return 409, {"error": "model-not-trained", "detail": str(exc)}

@@ -19,7 +19,6 @@ generated data so downstream checks never have to guess.
 
 import calendar
 import copy
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,6 +28,7 @@ from citykit.broker import Broker
 from citykit.clock import SimulatedClock
 from citykit.datamodels import SchemaRegistry, bundled_registry
 from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
+from citykit.textio import field_types, read_jsonl, read_settings, write_jsonl
 
 DAY_SECONDS = 86400
 
@@ -140,43 +140,27 @@ def parse_fixture_text(text: str) -> CityFixture:
     series.<attr>.<field>, delay.<tripId>, defect.<kind>; everything else
     must name a CityFixture field.
     """
-    fixture = CityFixture()
-    series = dict(fixture.seriesSpecs)
+    series = _default_series()
     delays: dict = {}
     defects: dict = {}
-    scalar_fields = {f: t for f, t in (
-        ("seed", int), ("stopCount", int), ("routeCount", int),
-        ("tripsPerRoute", int), ("serviceStartSeconds", int),
-        ("localHopSeconds", int), ("expressHopSeconds", int),
-        ("headwaySeconds", int), ("routeOffsetSeconds", int),
-        ("serviceDate", str), ("parkingSites", int), ("parkingSpots", int),
-        ("trafficSites", int), ("noiseSites", int), ("delayStd", float),
-        ("arrivalLeadSeconds", int), ("arrivalEmitIntervalSeconds", int),
-    )}
     overrides: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"fixture line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    scalars, series_fields = field_types(CityFixture), field_types(SeriesSpec)
+    fail = lambda lineno, message: ValueError(f"fixture line {lineno}: {message}")
+    for lineno, key, value in read_settings(text, fail):
         if key.startswith("series."):
             _, attr, fld = key.split(".", 2)
-            spec = series.get(attr, SeriesSpec(0, 0))
-            if fld not in SeriesSpec.__dataclass_fields__:
-                raise ValueError(f"fixture line {lineno}: unknown series field {fld!r}")
-            cast = int if fld == "samplingIntervalSeconds" else float
-            series[attr] = replace(spec, **{fld: cast(value)})
+            if fld not in series_fields:
+                raise fail(lineno, f"unknown series field {fld!r}")
+            series[attr] = replace(series.get(attr, SeriesSpec(0, 0)),
+                                   **{fld: series_fields[fld](value)})
         elif key.startswith("delay."):
             delays[key.split(".", 1)[1]] = int(value)
         elif key.startswith("defect."):
             defects[key.split(".", 1)[1]] = int(value)
-        elif key in scalar_fields:
-            overrides[key] = scalar_fields[key](value)
+        elif key in scalars:
+            overrides[key] = scalars[key](value)
         else:
-            raise ValueError(f"fixture line {lineno}: unknown key {key!r}")
+            raise fail(lineno, f"unknown key {key!r}")
     return CityFixture(seriesSpecs=series, tripDelays=delays,
                        defectPlan=defects, **overrides)
 
@@ -313,7 +297,8 @@ def _day_fraction(t: float) -> float:
     return (t % DAY_SECONDS) / DAY_SECONDS
 
 
-def parking_profile(spec: SeriesSpec, t: float) -> float:
+def sine_profile(spec: SeriesSpec, t: float) -> float:
+    """One daily sine wave: parking occupancy and noise level."""
     return spec.baseline + spec.dailyAmplitude * math.sin(2 * math.pi * _day_fraction(t))
 
 
@@ -324,32 +309,21 @@ def traffic_profile(spec: SeriesSpec, t: float) -> float:
     return spec.baseline + spec.dailyAmplitude * (bump(8.5) + bump(18.0))
 
 
-def noise_profile(spec: SeriesSpec, t: float) -> float:
-    return spec.baseline + spec.dailyAmplitude * math.sin(2 * math.pi * _day_fraction(t))
+def _series_value(attribute: str, spec: SeriesSpec, t: float, noise: float):
+    """The profile plus ``noise``, clamped and rounded as the attribute is emitted."""
+    if attribute == "availableSpotNumber":
+        total = int(round(spec.baseline + spec.dailyAmplitude))
+        return min(max(int(round(sine_profile(spec, t) + noise)), 0), total)
+    if attribute == "intensity":
+        return max(int(round(traffic_profile(spec, t) + noise)), 0)
+    if attribute == "LAeq":
+        return min(max(round(sine_profile(spec, t) + noise, 1), 0.0), 140.0)
+    raise ValueError(f"no profile for attribute {attribute!r}")
 
 
 def closed_form(attribute: str, spec: SeriesSpec, t: float):
     """The exact value emitted at noiseStd = 0, clamping and rounding included."""
-    if attribute == "availableSpotNumber":
-        total = int(round(spec.baseline + spec.dailyAmplitude))
-        return min(max(int(round(parking_profile(spec, t))), 0), total)
-    if attribute == "intensity":
-        return max(int(round(traffic_profile(spec, t))), 0)
-    if attribute == "LAeq":
-        return min(max(round(noise_profile(spec, t), 1), 0.0), 140.0)
-    raise ValueError(f"no profile for attribute {attribute!r}")
-
-
-def _noisy_value(attribute: str, spec: SeriesSpec, t: float, rng: Lcg64):
-    noise = rng.gauss(spec.noiseStd) if spec.noiseStd > 0 else 0.0
-    if attribute == "availableSpotNumber":
-        total = int(round(spec.baseline + spec.dailyAmplitude))
-        return min(max(int(round(parking_profile(spec, t) + noise)), 0), total)
-    if attribute == "intensity":
-        return max(int(round(traffic_profile(spec, t) + noise)), 0)
-    if attribute == "LAeq":
-        return min(max(round(noise_profile(spec, t) + noise, 1), 0.0), 140.0)
-    raise ValueError(f"no profile for attribute {attribute!r}")
+    return _series_value(attribute, spec, t, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +379,8 @@ class StreamGenerator:
                 steps = int(duration // spec.samplingIntervalSeconds)
                 for k in range(1, steps + 1):
                     t = self.t0 + k * spec.samplingIntervalSeconds
-                    value = _noisy_value(attribute, spec, t, self._series_rng)
+                    noise = self._series_rng.gauss(spec.noiseStd) if spec.noiseStd > 0 else 0.0
+                    value = _series_value(attribute, spec, t, noise)
                     events.append(StreamEvent(t, entity_id, entity_type, {
                         attribute: Attribute(value, "Number"),
                         "dateObserved": Attribute(iso_utc(t), "DateTime"),
@@ -500,26 +475,23 @@ class DefectSeedResult:
     groundTruth: list
 
 
-def _rules_for(registry: SchemaRegistry, entity: NgsiEntity):
-    schema = registry.get(entity.entityType)
-    return schema.attributeRules if schema else {}
+def _attrs_where(test):
+    """Eligibility: the entity's attributes whose schema rule passes ``test``."""
+    return lambda schema, entity: sorted(
+        name for name, rule in schema.attributeRules.items()
+        if name in entity.attributes and test(rule))
 
 
-def _eligible_attrs(registry, entity, predicate) -> list[str]:
-    rules = _rules_for(registry, entity)
-    return sorted(name for name, rule in rules.items()
-                  if name in entity.attributes and predicate(rule))
+def _required_attrs(schema, entity: NgsiEntity) -> list[str]:
+    return sorted(r for r in schema.requiredAttributes if r in entity.attributes)
 
 
-def _range_attrs(registry: SchemaRegistry, entity: NgsiEntity) -> list[str]:
+def _range_attrs(schema, entity: NgsiEntity) -> list[str]:
     """Attributes where a just-out-of-bounds value trips the range rule alone.
 
     Lowering the upper partner of a lessOrEqual pair (or raising the lower
     one) would add a second violation, so those attributes are skipped.
     """
-    schema = registry.get(entity.entityType)
-    if schema is None:
-        return []
     names = []
     for name, rule in schema.attributeRules.items():
         if name not in entity.attributes or rule.numericRange is None:
@@ -537,6 +509,25 @@ def _range_attrs(registry: SchemaRegistry, entity: NgsiEntity) -> list[str]:
         if safe:
             names.append(name)
     return sorted(names)
+
+
+def _out_of_range(rule) -> float:
+    lo, hi = rule.numericRange
+    return (lo - 1) if lo is not None else (hi + 1)
+
+
+# kind -> (eligible attributes of an entity under its schema, planted value
+# from the attribute's rule); a None value deletes the attribute
+_PLANTED = {
+    "missing-required": (_required_attrs, None),
+    "wrong-type": (_attrs_where(lambda r: r.expectedValueType == "Number"),
+                   lambda rule: "broken"),
+    "out-of-range": (_range_attrs, _out_of_range),
+    "not-in-enum": (_attrs_where(lambda r: r.enumValues is not None),
+                    lambda rule: "__bogus__"),
+    "pattern-mismatch": (_attrs_where(lambda r: r.pattern is not None),
+                         lambda rule: "!!"),
+}
 
 
 def seed_defects(entities: Iterable[NgsiEntity], plan: dict,
@@ -561,57 +552,26 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict,
         used.add(out[i].id)
         return i
 
+    # taken before any type is changed; a host whose type changes is used up
+    schemas = [registry.get(e.entityType) for e in out]
     for kind in sorted(plan):
         if kind not in DEFECT_KINDS:
             raise ValueError(f"unknown defect kind {kind!r}")
         for _ in range(plan[kind]):
-            if kind == "missing-required":
-                pool = [i for i, e in enumerate(out)
-                        if (s := registry.get(e.entityType))
-                        and any(r in e.attributes for r in s.requiredAttributes)]
-                i = pick(pool, kind)
-                schema = registry.get(out[i].entityType)
-                present = sorted(r for r in schema.requiredAttributes
-                                 if r in out[i].attributes)
-                attr = present[rng.randrange(len(present))]
-                del out[i].attributes[attr]
-            elif kind == "wrong-type":
-                pool = [i for i, e in enumerate(out) if _eligible_attrs(
-                    registry, e, lambda r: r.expectedValueType == "Number")]
-                i = pick(pool, kind)
-                names = _eligible_attrs(registry, out[i],
-                                        lambda r: r.expectedValueType == "Number")
-                attr = names[rng.randrange(len(names))]
-                out[i].attributes[attr].value = "broken"
-            elif kind == "out-of-range":
-                pool = [i for i, e in enumerate(out) if _range_attrs(registry, e)]
-                i = pick(pool, kind)
-                names = _range_attrs(registry, out[i])
-                attr = names[rng.randrange(len(names))]
-                lo, hi = registry.get(out[i].entityType).attributeRules[attr].numericRange
-                out[i].attributes[attr].value = (lo - 1) if lo is not None else (hi + 1)
-            elif kind == "not-in-enum":
-                pool = [i for i, e in enumerate(out) if _eligible_attrs(
-                    registry, e, lambda r: r.enumValues is not None)]
-                i = pick(pool, kind)
-                names = _eligible_attrs(registry, out[i],
-                                        lambda r: r.enumValues is not None)
-                attr = names[rng.randrange(len(names))]
-                out[i].attributes[attr].value = "__bogus__"
-            elif kind == "pattern-mismatch":
-                pool = [i for i, e in enumerate(out) if _eligible_attrs(
-                    registry, e, lambda r: r.pattern is not None)]
-                i = pick(pool, kind)
-                names = _eligible_attrs(registry, out[i],
-                                        lambda r: r.pattern is not None)
-                attr = names[rng.randrange(len(names))]
-                out[i].attributes[attr].value = "!!"
-            else:  # unknown-entity-type
-                pool = [i for i, e in enumerate(out)
-                        if registry.get(e.entityType) is not None]
-                i = pick(pool, kind)
+            if kind == "unknown-entity-type":
+                i = pick([i for i, schema in enumerate(schemas) if schema], kind)
                 out[i].entityType = f"Unknown{out[i].entityType}"
                 attr = ""
+            else:
+                eligible, planted = _PLANTED[kind]
+                i = pick([i for i, schema in enumerate(schemas)
+                          if schema and eligible(schema, out[i])], kind)
+                names = eligible(schemas[i], out[i])
+                attr = names[rng.randrange(len(names))]
+                if planted is None:
+                    del out[i].attributes[attr]
+                else:
+                    out[i].attributes[attr].value = planted(schemas[i].attributeRules[attr])
             truth.append({"kind": kind, "entityId": out[i].id, "attributeName": attr})
     return DefectSeedResult(out, truth)
 
@@ -621,19 +581,8 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict,
 
 def write_ground_truth(path, records: Iterable[dict]) -> int:
     """JSON-lines sidecar; returns the record count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            n += 1
-    return n
+    return write_jsonl(path, records)
 
 
 def read_ground_truth(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return list(read_jsonl(path))

@@ -24,7 +24,7 @@ from urllib.parse import urlparse
 from urllib.request import url2pathname
 
 from citykit.broker import Broker
-from citykit.ngsi import NgsiEntity, iso_utc, make_entity
+from citykit.ngsi import KindError, NgsiEntity, iso_utc, make_entity
 
 logger = logging.getLogger(__name__)
 
@@ -35,13 +35,12 @@ FEED_FILES = ("agency.txt", "stops.txt", "routes.txt", "trips.txt",
 _ZIP_STAMP = (2020, 1, 1, 0, 0, 0)
 
 
-class FeedError(Exception):
+class FeedError(KindError):
     """Feed construction/IO failures; ``kind`` names the failure class."""
 
     def __init__(self, kind: str, message: str, details: Optional[list] = None):
-        self.kind = kind
+        super().__init__(kind, message)
         self.details = details or []
-        super().__init__(f"{kind}: {message}")
 
 
 @dataclass(frozen=True)

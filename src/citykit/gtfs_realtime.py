@@ -128,14 +128,13 @@ class RtLoader:
         self.unresolved: list = []
         self.refresh_count = 0
 
-    def attach(self, broker, throttling_seconds: int = 0) -> str:
+    def attach(self, broker) -> str:
         """Subscribe in-process so every estimation commit triggers a refresh."""
         from citykit.broker import Subscription
         return broker.subscribe(Subscription(
             id="",
             entityTypeFilter="ArrivalEstimation",
             target=lambda doc: self.refresh(),
-            throttlingSeconds=throttling_seconds,
         ))
 
     def refresh(self) -> dict:

@@ -2,7 +2,8 @@
 
 Servers are stdlib ``ThreadingHTTPServer`` instances with regex-dispatched
 routes; handlers receive the path match, parsed query parameters, and the
-decoded JSON body, and return ``(status, payload)``. Payloads are serialized
+decoded JSON body, and return ``(status, payload)`` or raise ``HttpError``
+to reply with its status and payload. Payloads are serialized
 with sorted keys so responses are byte-deterministic.
 """
 
@@ -47,6 +48,9 @@ class JsonHttpServer:
 
         class _RequestHandler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # a reply is two writes, head then body; with Nagle's algorithm the
+            # body waits for a keep-alive client's delayed ACK of the head
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):  # quiet by default
                 logger.debug("http %s", fmt % args)
@@ -76,6 +80,8 @@ class JsonHttpServer:
                         continue
                     try:
                         status, payload = handler(match, params, body)
+                    except HttpError as exc:  # a handler's own error reply
+                        status, payload = exc.status, exc.payload
                     except Exception as exc:  # surfaced as 500, not a crash
                         logger.exception("handler error for %s %s", self.command, parsed.path)
                         status, payload = 500, {"error": "internal", "detail": str(exc)}

@@ -38,6 +38,14 @@ class NgsiError(ValueError):
     """Malformed entity, attribute, or wire document."""
 
 
+class KindError(Exception):
+    """A service failure whose ``kind`` names its class for callers and wire replies."""
+
+    def __init__(self, kind: str, message: str):
+        self.kind = kind
+        super().__init__(f"{kind}: {message}")
+
+
 @dataclass
 class Attribute:
     """One named value on an entity."""

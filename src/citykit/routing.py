@@ -27,18 +27,15 @@ from urllib.request import urlopen
 
 from citykit.gtfs import FeedError, GtfsFeed, file_url
 from citykit.httpd import HttpError, HttpService, JsonHttpServer, post_json
+from citykit.ngsi import KindError
 
 logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6371000.0
 
 
-class PlanError(Exception):
+class PlanError(KindError):
     """Planning failures; ``kind`` is unreachable or origin-isolated."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Optional
 
-from citykit.ngsi import GEOJSON, REFERENCE, Attribute, NgsiEntity, is_number
+from citykit.ngsi import GEOJSON, REFERENCE, Attribute, KindError, NgsiEntity, is_number
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 _PATH_STEP_RE = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
@@ -31,12 +31,8 @@ _URN_RE = re.compile(r"^urn:[A-Za-z0-9][A-Za-z0-9-]*:.+")
 TRANSFORM_NAMES = ("identity", "scale", "enumMap", "parseTimestamp")
 
 
-class TransformError(Exception):
+class TransformError(KindError):
     """Mapper failures; ``kind`` names the failure class."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 def resolve_path(doc: Any, path: str):

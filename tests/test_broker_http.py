@@ -1,7 +1,9 @@
 """HTTP binding of the broker: /v2 routes, client wrapper, webhooks."""
 
+import http.client
 import socket
 import threading
+import time
 
 import pytest
 
@@ -153,3 +155,21 @@ def test_bad_content_length_is_400_and_closes(served, declared):
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b'"bad-request"' in body
+
+
+def test_keep_alive_round_trips_do_not_wait_for_delayed_acks(served):
+    # a reply sent as two writes (head, then body) on a socket with Nagle's
+    # algorithm on waits for the client's delayed ACK, about 40 ms per request
+    server, client = served
+    client.upsert(make_entity("k-1", "T", x=1))
+    conn = http.client.HTTPConnection(server.server.host, server.server.port, timeout=5.0)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            conn.request("GET", "/v2/entities/k-1")
+            reply = conn.getresponse()
+            assert reply.status == 200 and reply.read()
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.5

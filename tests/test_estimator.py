@@ -600,6 +600,14 @@ class TestEstimatorServer:
         assert err.value.status == 404
         assert err.value.payload["error"] == "unknown-series"
 
+    @pytest.mark.parametrize("query", ["from=abc", "to=abc"])
+    def test_non_numeric_window_is_400(self, served, query):
+        url, _ = served
+        with pytest.raises(HttpError) as err:
+            get_json(f"{url}/series/p-1/availableSpotNumber?{query}")
+        assert err.value.status == 400
+        assert err.value.payload["error"] == "bad-query"
+
     def test_predict_before_training_is_409(self, served):
         url, _ = served
         with pytest.raises(HttpError) as err:

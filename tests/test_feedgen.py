@@ -1,5 +1,7 @@
 """Synthetic city: seeded RNG, timetable, streams, defect corpora."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -325,3 +327,47 @@ def test_ground_truth_file_round_trip(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n")  # stray blank line is ignored on read
     assert read_ground_truth(path) == records
+
+
+def _digest(docs) -> str:
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Digests of generated data, fixed when these tests were written.
+
+    Equal seeds must keep giving equal bytes across versions, not just
+    within one: a change to the RNG draw order, the series formula or the
+    defect planting shows up here.
+    """
+
+    def test_defect_corpora(self):
+        corpus = generate_city(CityFixture(stopCount=12, parkingSites=3, parkingSpots=3,
+                                           trafficSites=2, noiseSites=2))
+        plans = [{kind: 1 for kind in DEFECT_KINDS},
+                 {"not-in-enum": 2, "pattern-mismatch": 2, "out-of-range": 3,
+                  "wrong-type": 3},
+                 {"missing-required": 4, "unknown-entity-type": 3, "out-of-range": 5,
+                  "wrong-type": 3}]
+        docs = []
+        for seed in (1, 2, 3, 42):
+            for plan in plans:
+                result = seed_defects(corpus, plan, seed)
+                docs += [e.to_wire() for e in result.entities] + result.groundTruth
+        assert _digest(docs) == \
+            "b1010446909a92f8b928d81566bd0e2771bac902295343aedb7fef66ed1d0919"
+
+    def test_noisy_delayed_streams(self):
+        specs = {"availableSpotNumber": SeriesSpec(30, 12, 4.0, 900),
+                 "intensity": SeriesSpec(180, 120, 25.0, 600),
+                 "LAeq": SeriesSpec(55.0, 6.0, 1.5, 900)}
+        docs = []
+        for seed in (1, 2, 42):
+            gen = StreamGenerator(CityFixture(seed=seed, seriesSpecs=specs, delayStd=90.0,
+                                              trafficSites=2, noiseSites=2))
+            docs += [e.to_doc() for e in gen.events(2 * 86400)] + gen.ground_truth()
+        assert _digest(docs) == \
+            "66c5e50e6a0a7775630438a75c5870636cde84a6e480ddb0792626151799f6dc"
