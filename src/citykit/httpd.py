@@ -5,17 +5,26 @@ routes; handlers receive the path match, parsed query parameters, and the
 decoded JSON body, and return ``(status, payload)`` or raise ``HttpError``
 to reply with its status and payload. Payloads are serialized
 with sorted keys so responses are byte-deterministic.
+
+Connections are persistent (HTTP/1.1 keep-alive) on both sides. The server
+runs one thread per connection, drops a connection idle or stalled for
+``IDLE_TIMEOUT_SECONDS``, refuses a body over ``MAX_BODY_BYTES`` and closes
+every open connection on ``stop()``. ``request_json`` keeps up to
+``POOL_SIZE`` open connections per thread and reuses them.
 """
 
+import atexit
+import http.client
 import json
 import logging
 import re
+import select
+import socket
 import threading
-import urllib.error
-import urllib.request
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlparse, urlsplit
 
 logger = logging.getLogger(__name__)
 
@@ -23,6 +32,52 @@ Handler = Callable[[re.Match, dict, Any], tuple]
 
 # How often serve_forever checks for shutdown; stop() waits up to this long.
 POLL_SECONDS = 0.02
+# A server connection that sends nothing for this long, idle between requests
+# or stalled inside one, is closed, so a keep-alive client cannot hold its
+# thread forever.
+IDLE_TIMEOUT_SECONDS = 30.0
+# A request declaring a larger body is answered 413 and closed unread.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+# Open client connections each thread keeps; the least recently used goes first.
+POOL_SIZE = 4
+# Methods that may be resent after their bytes may have reached the server
+# (RFC 9112 section 9.3.1): POST and PATCH are not idempotent.
+IDEMPOTENT = frozenset({"GET", "PUT", "DELETE"})
+
+
+class _ConnectionServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that knows its open connections, to close them."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler_class):
+        super().__init__(address, handler_class)
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # a transport failure (a reset, a broken pipe); handler errors are 500s
+        logger.debug("connection from %s failed", client_address, exc_info=True)
+
+    def close_connections(self) -> None:
+        """End every open connection; its handler thread then sees EOF and exits."""
+        with self._open_lock:
+            requests = list(self._open)
+        for request in requests:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
 
 
 class JsonHttpServer:
@@ -48,6 +103,7 @@ class JsonHttpServer:
 
         class _RequestHandler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            timeout = IDLE_TIMEOUT_SECONDS  # each socket read; a timeout closes
             # a reply is two writes, head then body; with Nagle's algorithm the
             # body waits for a keep-alive client's delayed ACK of the head
             disable_nagle_algorithm = True
@@ -66,6 +122,12 @@ class JsonHttpServer:
                                       "detail": f"bad Content-Length {declared!r}"})
                     return
                 length = int(declared)
+                if length > MAX_BODY_BYTES:
+                    self.close_connection = True  # the body is never read
+                    self._reply(413, {"error": "payload-too-large",
+                                      "detail": f"body of {length} bytes, "
+                                                f"at most {MAX_BODY_BYTES}"})
+                    return
                 if length:
                     raw = self.rfile.read(length)
                     try:
@@ -96,6 +158,8 @@ class JsonHttpServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 if data:
                     self.wfile.write(data)
@@ -106,8 +170,7 @@ class JsonHttpServer:
             do_DELETE = _dispatch
             do_PUT = _dispatch
 
-        self._httpd = ThreadingHTTPServer((self.host, self.port), _RequestHandler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ConnectionServer((self.host, self.port), _RequestHandler)
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         args=(POLL_SECONDS,), daemon=True)
@@ -115,9 +178,11 @@ class JsonHttpServer:
         return self.port
 
     def stop(self) -> None:
+        """Stop accepting and close every open connection."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
             self._httpd = None
 
 
@@ -142,30 +207,121 @@ class HttpError(Exception):
         super().__init__(f"HTTP {status}: {payload}")
 
 
+class _ConnectionPool(OrderedDict):
+    """One thread's open connections by (scheme, host, port), least recently used first."""
+
+    def __del__(self):  # the thread has ended
+        self.close()
+
+    def close(self) -> None:
+        while self:
+            self.popitem()[1].close()
+
+    def take(self, key) -> Optional[http.client.HTTPConnection]:
+        """The pooled connection for ``key`` if the server has not closed it."""
+        conn = self.pop(key, None)
+        if conn is not None and not _idle_alive(conn):
+            conn.close()
+            conn = None
+        return conn
+
+    def give(self, key, conn: http.client.HTTPConnection) -> None:
+        """Keep ``conn`` for reuse, closing dead connections and then the oldest."""
+        if conn.sock is None:  # the server asked to close it
+            return
+        self[key] = conn
+        if len(self) > POOL_SIZE:
+            for dead in [k for k, c in self.items() if not _idle_alive(c)]:
+                self.pop(dead).close()
+        while len(self) > POOL_SIZE:
+            self.popitem(last=False)[1].close()
+
+
+def _idle_alive(conn: http.client.HTTPConnection) -> bool:
+    """An idle connection is usable while it has nothing to read: a readable
+    one was closed by the server (EOF) or holds bytes nobody asked for."""
+    try:
+        readable, _, _ = select.select([conn.sock], [], [], 0)
+    except (OSError, ValueError):
+        return False
+    return not readable
+
+
+_local = threading.local()
+
+
+def _pool() -> _ConnectionPool:
+    pool = getattr(_local, "pool", None)
+    if pool is None:
+        pool = _local.pool = _ConnectionPool()
+    return pool
+
+
+def close_connections() -> None:
+    """Close the calling thread's pooled connections."""
+    _pool().close()
+
+
+atexit.register(close_connections)
+
+
+def _connect(scheme: str, host: str, port: Optional[int],
+             timeout: float) -> http.client.HTTPConnection:
+    kind = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(scheme)
+    if kind is None:
+        raise ValueError(f"unsupported URL scheme {scheme!r}")
+    # an explicit port: http.client would read a bare IPv6 host's last group as one
+    conn = kind(host, port or kind.default_port, timeout=timeout)
+    conn.connect()  # an unreachable host raises OSError here, before any retry
+    return conn
+
+
 def request_json(method: str, url: str, body=None, timeout: float = 10.0):
     """Issue a JSON request; returns (status, decoded payload).
 
-    Raises ``HttpError`` for non-2xx statuses and ``URLError`` when the
-    host is unreachable.
+    Raises ``HttpError`` for non-2xx statuses and ``OSError`` when the host
+    is unreachable or the connection fails. The request goes over the
+    calling thread's open connection to the same (scheme, host, port) when
+    the server has kept it open. If the connection fails after the request
+    may have reached the server, a GET, PUT or DELETE is sent once more on
+    a fresh connection; a POST or PATCH is never resent.
     """
+    method = method.upper()
+    parts = urlsplit(url)
+    key = (parts.scheme, parts.hostname, parts.port)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     data = None
     headers = {}
     if body is not None:
         data = json.dumps(body).encode("utf-8")
         headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers, method=method.upper())
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            raw = resp.read()
-            payload = json.loads(raw) if raw else None
-            return resp.status, payload
-    except urllib.error.HTTPError as exc:
-        raw = exc.read()
+    pool = _pool()
+    conn = pool.take(key) or _connect(*key, timeout)
+    retries = 1 if method in IDEMPOTENT else 0
+    while True:
+        conn.sock.settimeout(timeout)
         try:
-            payload = json.loads(raw) if raw else None
-        except json.JSONDecodeError:
-            payload = raw.decode("utf-8", errors="replace")
-        raise HttpError(exc.code, payload) from exc
+            conn.request(method, target, body=data, headers=headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+            break
+        except (ConnectionError, http.client.HTTPException):
+            conn.close()
+            if not retries:
+                raise
+            retries -= 1
+            conn = _connect(*key, timeout)
+        except BaseException:
+            conn.close()
+            raise
+    pool.give(key, conn)
+    if 200 <= resp.status < 300:
+        return resp.status, json.loads(raw) if raw else None
+    try:
+        payload = json.loads(raw) if raw else None
+    except json.JSONDecodeError:
+        payload = raw.decode("utf-8", errors="replace")
+    raise HttpError(resp.status, payload)
 
 
 def get_json(url: str, timeout: float = 10.0):
