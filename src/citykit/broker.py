@@ -18,7 +18,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Union
+from typing import Any, Callable, Optional, Protocol
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
@@ -128,6 +128,25 @@ class Subscription:
             raise MalformedSubscription(f"idPattern does not compile: {exc}") from exc
         self.watchedAttributes = frozenset(self.watchedAttributes or ())
         self._sink = _as_sink(self.target)
+
+    @classmethod
+    def from_wire(cls, doc: dict) -> "Subscription":
+        known = {"id", "entityTypeFilter", "idPattern", "watchedAttributes",
+                 "target", "throttlingSeconds"}
+        extra = set(doc) - known
+        if extra:
+            raise MalformedSubscription(f"unknown subscription fields {sorted(extra)}")
+        try:
+            return cls(
+                id=doc.get("id") or "",
+                entityTypeFilter=doc.get("entityTypeFilter", "*"),
+                idPattern=doc.get("idPattern", ".*"),
+                watchedAttributes=frozenset(doc.get("watchedAttributes") or ()),
+                target=doc.get("target"),
+                throttlingSeconds=int(doc.get("throttlingSeconds") or 0),
+            )
+        except (TypeError, ValueError) as exc:
+            raise MalformedSubscription(str(exc)) from exc
 
     def matches(self, entity: NgsiEntity, changed: set) -> bool:
         if self.entityTypeFilter != "*" and self.entityTypeFilter != entity.entityType:
@@ -331,9 +350,7 @@ class ContextBroker:
 
     # -- subscriptions ------------------------------------------------------
 
-    def subscribe(self, subscription: Union[Subscription, dict]) -> str:
-        if isinstance(subscription, dict):
-            subscription = self._subscription_from_wire(subscription)
+    def subscribe(self, subscription: Subscription) -> str:
         with self._lock:
             if not subscription.id:
                 self._sub_seq += 1
@@ -342,24 +359,6 @@ class ContextBroker:
                 raise MalformedSubscription(f"duplicate subscription id {subscription.id!r}")
             self._subs[subscription.id] = _SubState(sub=subscription)
             return subscription.id
-
-    def _subscription_from_wire(self, doc: dict) -> Subscription:
-        known = {"id", "entityTypeFilter", "idPattern", "watchedAttributes",
-                 "target", "throttlingSeconds"}
-        extra = set(doc) - known
-        if extra:
-            raise MalformedSubscription(f"unknown subscription fields {sorted(extra)}")
-        try:
-            return Subscription(
-                id=doc.get("id") or "",
-                entityTypeFilter=doc.get("entityTypeFilter", "*"),
-                idPattern=doc.get("idPattern", ".*"),
-                watchedAttributes=frozenset(doc.get("watchedAttributes") or ()),
-                target=doc.get("target"),
-                throttlingSeconds=int(doc.get("throttlingSeconds") or 0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedSubscription(str(exc)) from exc
 
     def unsubscribe(self, sub_id: str) -> bool:
         """Immediate: commits that start after this returns never match."""

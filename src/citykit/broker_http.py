@@ -27,6 +27,7 @@ from citykit.broker import (
     MalformedPattern,
     MalformedSubscription,
     NotFound,
+    Subscription,
     TypeMismatch,
     parse_q,
 )
@@ -121,7 +122,7 @@ class BrokerServer(HttpService):
     def _subscribe(self, match, params, body):
         if not isinstance(body, dict):
             raise MalformedSubscription("body must be an object")
-        return 201, {"id": self.broker.subscribe(body)}
+        return 201, {"id": self.broker.subscribe(Subscription.from_wire(body))}
 
     def _unsubscribe(self, match, params, body):
         self.broker.unsubscribe(unquote(match.group("id")))

@@ -7,14 +7,16 @@ estimator. All output is JSON so runs can be piped and diffed.
 """
 
 import argparse
+import calendar
 import json
 import signal
 import sys
 import time
 from dataclasses import replace
+from datetime import date, datetime, timezone
 from pathlib import Path
 
-from citykit.ngsi import NgsiEntity
+from citykit.ngsi import KindError, NgsiEntity
 from citykit.textio import read_jsonl, write_jsonl
 
 
@@ -23,6 +25,15 @@ def _parse_listen(text: str) -> tuple:
     if not host:
         host = "127.0.0.1"
     return host, int(port)
+
+
+def _service_day(args) -> date:
+    """``--service-date`` (YYYYMMDD), else today's UTC date."""
+    from citykit.gtfs import parse_service_date
+
+    if args.service_date:
+        return parse_service_date(args.service_date)
+    return datetime.now(timezone.utc).date()
 
 
 def _print(doc) -> None:
@@ -66,7 +77,7 @@ def cmd_validate(args) -> int:
 def cmd_json2ngsi(args) -> int:
     from citykit.transforms import MappingRuleSet, json_to_ngsi
 
-    rules = MappingRuleSet.from_doc(json.loads(Path(args.rules).read_text(encoding="utf-8")))
+    rules = MappingRuleSet.from_doc(Path(args.rules).read_text(encoding="utf-8"))
     document = json.loads(Path(args.input).read_text(encoding="utf-8"))
     outcome = json_to_ngsi(document, rules)
     if args.post:
@@ -106,18 +117,12 @@ def cmd_gtfs_build(args) -> int:
 
 
 def cmd_gtfsrt_serve(args) -> int:
-    import calendar
-
     from citykit.broker_http import BrokerClient
     from citykit.gtfs import load_feed
     from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
 
     feed = load_feed(args.static)
-    if args.service_date:
-        sd = args.service_date
-        day_start = calendar.timegm((int(sd[:4]), int(sd[4:6]), int(sd[6:8]), 0, 0, 0))
-    else:
-        day_start = int(time.time() // 86400 * 86400)
+    day_start = calendar.timegm(_service_day(args).timetuple())
     client = BrokerClient(args.broker)
     loader = RtLoader(lambda: client.query(entity_type="ArrivalEstimation"),
                       TripResolver(feed, day_start))
@@ -235,15 +240,9 @@ def cmd_broker_serve(args) -> int:
 
 
 def cmd_router_serve(args) -> int:
-    from datetime import date
-
     from citykit.routing import Router, RouterServer
 
-    service_date = None
-    if args.service_date:
-        sd = args.service_date
-        service_date = date(int(sd[:4]), int(sd[4:6]), int(sd[6:8]))
-    router = Router(service_date=service_date)
+    router = Router(service_date=_service_day(args))
     if args.feed:
         version = router.load_url(args.feed)
         print(f"loaded graph v{version} from {args.feed}", file=sys.stderr)
@@ -256,20 +255,26 @@ def cmd_router_serve(args) -> int:
 
 def cmd_estimator_serve(args) -> int:
     from citykit.broker_http import BrokerClient
-    from citykit.estimator import EstimatorServer, EstimatorService, load_config_file
+    from citykit.estimator import (
+        EstimatorError,
+        EstimatorServer,
+        EstimatorService,
+        load_config_file,
+    )
 
     config, extras = load_config_file(args.config)
     profile = extras.get("profile", "parking")
-    broker = BrokerClient(extras["broker"]) if "broker" in extras else None
+    if "broker" not in extras:
+        # nothing else feeds the store, so the service would never hold data
+        raise EstimatorError("invalid-config", "estimator-serve needs a broker setting")
+    broker = BrokerClient(extras["broker"])
     write_back = str(extras.get("writeback", "false")).lower() == "true"
     service = EstimatorService(profile, config, broker=broker, write_back=write_back)
     host, port = _parse_listen(args.listen)
     server = EstimatorServer(service, host=host, port=port)
     url = server.start()
     print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
-    if broker is None:
-        return _wait_forever(server)
-    # remote broker: poll snapshots at the inference cadence
+    # poll broker snapshots at the inference cadence
     service.snapshot()
     service.start()
     try:
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("router-serve", help="run the trip planner HTTP service")
     p.add_argument("--listen", required=True, help="host:port to listen on")
     p.add_argument("--feed", help="initial GTFS zip (path or URL)")
-    p.add_argument("--service-date", help="YYYYMMDD service day for the timetable")
+    p.add_argument("--service-date", help="YYYYMMDD; default: today (UTC)")
     p.set_defaults(fn=cmd_router_serve)
 
     p = sub.add_parser("estimator-serve", help="run a forecasting service instance")
@@ -364,6 +369,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except KindError as exc:
+        print(json.dumps({"error": exc.kind, "detail": str(exc)}, sort_keys=True),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

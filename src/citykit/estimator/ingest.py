@@ -8,14 +8,12 @@ counted and skipped, never stored.
 """
 
 import logging
-from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from citykit.broker import Broker, Subscription
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.store import TimeSeriesStore
 from citykit.ngsi import NgsiEntity, NgsiError, is_number, parse_iso
-from citykit.textio import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -76,11 +74,11 @@ def ingest_snapshot(store: TimeSeriesStore, broker: Broker, mapping: dict[str, s
     return stats
 
 
-def ingest_historical(store: TimeSeriesStore, source) -> IngestStats:
-    """Bulk-append records {entityId, attr, t, value}; source is a path or iterable."""
+def ingest_historical(store: TimeSeriesStore, records: Iterable[dict]) -> IngestStats:
+    """Bulk-append records {entityId, attr, t, value}, e.g. ``read_jsonl(path)``."""
     stats = IngestStats()
     # read every record first, so a malformed one appends nothing
-    records = list(read_jsonl(source) if isinstance(source, (str, Path)) else source)
+    records = list(records)
     for record in records:
         value = record.get("value")
         if not is_number(value):
@@ -93,12 +91,9 @@ def ingest_historical(store: TimeSeriesStore, source) -> IngestStats:
 
 
 def ingest_subscription(store: TimeSeriesStore, broker, mapping: dict[str, str],
-                        clock: Optional[Clock] = None,
-                        stats: Optional[IngestStats] = None) -> list[str]:
+                        clock: Optional[Clock] = None) -> list[str]:
     """Broker subscriptions that keep appending as commits arrive (in-process)."""
     clock = clock or SystemClock()
-    stats = stats if stats is not None else IngestStats()
-
     sub_ids = []
     for entity_type in sorted(mapping):
         attribute = mapping[entity_type]
@@ -110,7 +105,7 @@ def ingest_subscription(store: TimeSeriesStore, broker, mapping: dict[str, str],
                 except NgsiError:
                     logger.warning("ignoring malformed entity in notification")
                     continue
-                ingest_entity(store, entity, attribute, clock.now(), stats)
+                ingest_entity(store, entity, attribute, clock.now())
 
         sub_ids.append(broker.subscribe(Subscription(
             id="", entityTypeFilter=entity_type,

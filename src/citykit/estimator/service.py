@@ -19,12 +19,7 @@ from urllib.parse import unquote
 
 from citykit.broker import Broker, NotFound
 from citykit.clock import Clock, SystemClock
-from citykit.estimator.ingest import (
-    IngestStats,
-    ingest_historical,
-    ingest_snapshot,
-    ingest_subscription,
-)
+from citykit.estimator.ingest import IngestStats, ingest_historical, ingest_snapshot
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
@@ -92,7 +87,6 @@ class EstimatorService:
         self.broker = broker
         self.clock = clock or SystemClock()
         self.store = TimeSeriesStore()
-        self.ingest_stats = IngestStats()
         hook = None
         if write_back:
             if broker is None:
@@ -108,12 +102,8 @@ class EstimatorService:
     def snapshot(self) -> IngestStats:
         return ingest_snapshot(self.store, self.broker, self.mapping, self.clock)
 
-    def subscribe(self) -> list[str]:
-        return ingest_subscription(self.store, self.broker, self.mapping,
-                                   self.clock, self.ingest_stats)
-
-    def historical(self, source) -> IngestStats:
-        return ingest_historical(self.store, source)
+    def historical(self, records) -> IngestStats:
+        return ingest_historical(self.store, records)
 
     def start(self, now: Optional[float] = None) -> None:
         self.scheduler.start(now)

@@ -61,8 +61,3 @@ class TimeSeriesStore:
     def keys(self) -> list[tuple]:
         with self._lock:
             return sorted(self._series)
-
-    def latest(self, entity_id: str, attribute: str) -> Optional[Sample]:
-        with self._lock:
-            series = self._series.get((entity_id, attribute))
-            return series[-1] if series else None

@@ -26,7 +26,9 @@ from typing import Iterable, Optional
 
 from citykit.broker import Broker
 from citykit.clock import SimulatedClock
-from citykit.datamodels import SchemaRegistry, bundled_registry
+from citykit.datamodels import RULE_KINDS as DEFECT_KINDS
+from citykit.datamodels import bundled_registry
+from citykit.gtfs import parse_service_date
 from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
 from citykit.textio import field_types, read_jsonl, read_settings, write_jsonl
 
@@ -126,8 +128,7 @@ class CityFixture:
 
     def day_start(self) -> float:
         """Epoch of the service day's UTC midnight."""
-        y, m, d = int(self.serviceDate[:4]), int(self.serviceDate[4:6]), int(self.serviceDate[6:8])
-        return float(calendar.timegm((y, m, d, 0, 0, 0)))
+        return float(calendar.timegm(parse_service_date(self.serviceDate).timetuple()))
 
 
 def default_fixture(seed: int = 42) -> CityFixture:
@@ -434,7 +435,7 @@ class StreamGenerator:
                 for trip_id, delay in sorted(self.trip_delays.items())]
 
     def emit(self, broker: Broker, clock: Optional[SimulatedClock] = None,
-             duration: float = DAY_SECONDS, include_arrivals: bool = True) -> int:
+             duration: float = DAY_SECONDS) -> int:
         """Replay events into a broker (in-process or HTTP client) in time order.
 
         Site entities must already exist (patches carry only the changing
@@ -442,7 +443,7 @@ class StreamGenerator:
         A simulated ``clock`` is moved to each event's time.
         """
         count = 0
-        for event in self.events(duration, include_arrivals):
+        for event in self.events(duration):
             if clock is not None and event.t > clock.now():
                 clock.set(event.t)
             if event.entityType == "ArrivalEstimation":
@@ -454,20 +455,8 @@ class StreamGenerator:
         return count
 
 
-def generate_streams(fixture: CityFixture, t0: Optional[float] = None,
-                     duration: float = DAY_SECONDS,
-                     include_arrivals: bool = True) -> tuple:
-    """Convenience: (events, ground truth records) for one run."""
-    gen = StreamGenerator(fixture, t0)
-    return gen.events(duration, include_arrivals), gen.ground_truth()
-
-
 # ---------------------------------------------------------------------------
 # defect seeding
-
-DEFECT_KINDS = ("missing-required", "wrong-type", "out-of-range",
-                "not-in-enum", "pattern-mismatch", "unknown-entity-type")
-
 
 @dataclass
 class DefectSeedResult:
@@ -530,15 +519,14 @@ _PLANTED = {
 }
 
 
-def seed_defects(entities: Iterable[NgsiEntity], plan: dict,
-                 seed: int, registry: Optional[SchemaRegistry] = None) -> DefectSeedResult:
+def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> DefectSeedResult:
     """Plant schema violations, one per chosen entity, and say where.
 
     Each seeded defect yields exactly one violation of its kind when the
-    corpus runs through schema validation. Raises ValueError when the plan
+    corpus runs through the bundled schemas. Raises ValueError when the plan
     asks for more defects of a kind than there are untouched eligible hosts.
     """
-    registry = registry or bundled_registry()
+    registry = bundled_registry()
     rng = Lcg64(seed ^ _DEFECT_SALT)
     out = [copy.deepcopy(e) for e in entities]
     used: set = set()

@@ -18,6 +18,7 @@ import os
 import time
 import zipfile
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import urlparse
@@ -89,6 +90,11 @@ class Service:
     weekdayFlags: tuple  # 7 ints, Monday first
     startDate: str  # YYYYMMDD
     endDate: str
+
+
+def parse_service_date(stamp: str) -> date:
+    """The day a YYYYMMDD calendar stamp names."""
+    return date(int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]))
 
 
 @dataclass
@@ -336,15 +342,8 @@ def file_url(path) -> str:
     return Path(path).absolute().as_uri()
 
 
-def path_from_url(url: str) -> str:
-    parsed = urlparse(url)
-    if parsed.scheme != "file":
-        raise FeedError("invalid-url", f"not a file URL: {url!r}")
-    return url2pathname(parsed.path)
-
-
-def publish_feed_entity(zip_url: str, broker: Broker, feed_id: Optional[str] = None,
-                        name: Optional[str] = None) -> NgsiEntity:
+def publish_feed_entity(zip_url: str, broker: Broker,
+                        feed_id: Optional[str] = None) -> NgsiEntity:
     """Point a GtfsTransitFeedFile entity at a feed archive.
 
     ``zip_url`` may be a file/http(s) URL or a bare filesystem path.
@@ -368,7 +367,7 @@ def publish_feed_entity(zip_url: str, broker: Broker, feed_id: Optional[str] = N
         "GtfsTransitFeedFile",
         url=zip_url,
         dateModified=modified,
-        name=name or stem,
+        name=stem,
     )
     try:
         broker.upsert_entity(entity)

@@ -83,6 +83,3 @@ class GtfsFetcher:
             logger.warning("could not fetch %s: %s", url, exc)
             return {"outcome": "fetch-error", "detail": str(exc)}
         return {"outcome": "reloaded", "version": version}
-
-    def reload_count(self) -> int:
-        return sum(1 for e in self.events if e["outcome"] == "reloaded")

@@ -20,9 +20,8 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from datetime import date
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from citykit.broker import ContextBroker
 from citykit.clock import SimulatedClock
@@ -39,7 +38,7 @@ from citykit.feedgen import (
     generate_service_entities,
     generate_static_network,
 )
-from citykit.gtfs import ngsi_to_gtfs, publish_feed_entity
+from citykit.gtfs import ngsi_to_gtfs, parse_service_date, publish_feed_entity
 from citykit.gtfs_fetcher import GtfsFetcher
 from citykit.gtfs_realtime import TripResolver, arrival_estimations_to_gtfsrt
 from citykit.ngsi import NgsiEntity, iso_utc
@@ -101,11 +100,12 @@ class ScenarioReport:
                 "stages": [s.to_doc() for s in self.stages]}
 
 
-def _run_stages(scenario: str, steps: list) -> ScenarioReport:
-    """steps: (name, fn, continue_on_fail). fn returns the pass detail."""
+def _run_stages(scenario: str, steps: dict, keep_going: tuple = ()) -> ScenarioReport:
+    """steps: stage name -> fn returning the pass detail, in run order. A
+    failed stage skips the rest unless it is named in ``keep_going``."""
     report = ScenarioReport(scenario=scenario, generatedAt=iso_utc(time.time()))
     skipping = False
-    for name, fn, continue_on_fail in steps:
+    for name, fn in steps.items():
         if skipping:
             report.stages.append(StageResult(name, "skipped"))
             continue
@@ -119,16 +119,9 @@ def _run_stages(scenario: str, steps: list) -> ScenarioReport:
             detail, status = f"{type(exc).__name__}: {exc}", "fail"
         report.stages.append(
             StageResult(name, status, detail, time.perf_counter() - t0))
-        if status == "fail" and not continue_on_fail:
+        if status == "fail" and name not in keep_going:
             skipping = True
-    failed = [s.name for s in report.stages if s.status == "fail"]
-    if not failed:
-        report.outcome = "pass"
-    elif (scenario == "routing" and failed == ["update-feed"]
-          and report.stage("plan-realtime").status == "pass"):
-        report.outcome = "fail-safe"
-    else:
-        report.outcome = "fail"
+    report.outcome = "fail" if any(s.status == "fail" for s in report.stages) else "pass"
     return report
 
 
@@ -140,19 +133,20 @@ class RoutingScenarioConfig:
     seed: int = 42
     fixture: Optional[CityFixture] = None
     origin: str = "S1"
-    destination: str = "S5"
-    delayedTrip: str = "R1-T1"
-    delaySeconds: int = 600
     corruptUpdate: bool = False
     workDir: Optional[str] = None
+
+
+DESTINATION = "S5"
+DELAYED_TRIP = "R1-T1"
+DELAY_SECONDS = 600
 
 
 def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> ScenarioReport:
     cfg = config or RoutingScenarioConfig()
     fixture = cfg.fixture or default_fixture(cfg.seed)
     day_start = fixture.day_start()
-    sd = fixture.serviceDate
-    service_date = date(int(sd[:4]), int(sd[4:6]), int(sd[6:8]))
+    service_date = parse_service_date(fixture.serviceDate)
     work_dir = Path(cfg.workDir) if cfg.workDir else Path(tempfile.mkdtemp(prefix="scenario-"))
     own_dir = cfg.workDir is None
     registry = bundled_registry()
@@ -191,7 +185,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         return {"applied": applied, "graphVersion": router.version}
 
     def plan_static():
-        query = ItineraryQuery(cfg.origin, cfg.destination,
+        query = ItineraryQuery(cfg.origin, DESTINATION,
                                departAfter=int(day_start + fixture.serviceStartSeconds - 60))
         shared["query"] = query
         itineraries = router.plan(query)
@@ -220,8 +214,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         return detail
 
     def commit_arrivals():
-        stream_fixture = replace(fixture,
-                                 tripDelays={cfg.delayedTrip: cfg.delaySeconds})
+        stream_fixture = replace(fixture, tripDelays={DELAYED_TRIP: DELAY_SECONDS})
         generator = StreamGenerator(stream_fixture)
         shared["generator"] = generator
         interval = fixture.arrivalEmitIntervalSeconds
@@ -263,20 +256,15 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
             detail["note"] = f"served stale graph v{router.version}"
         return detail
 
-    steps = [
-        ("generate-city", generate_city, False),
-        ("publish-entities", publish_entities, False),
-        ("build-feed", build_feed, False),
-        ("fetch-feed", fetch_feed, False),
-        ("plan-static", plan_static, False),
-        ("update-feed", update_feed, True),
-        ("commit-arrivals", commit_arrivals, False),
-        ("build-rt", build_rt, False),
-        ("apply-rt", apply_rt, False),
-        ("plan-realtime", plan_realtime, False),
-    ]
+    steps = dict(zip(ROUTING_STAGES, (
+        generate_city, publish_entities, build_feed, fetch_feed, plan_static,
+        update_feed, commit_arrivals, build_rt, apply_rt, plan_realtime), strict=True))
     try:
-        return _run_stages("routing", steps)
+        report = _run_stages("routing", steps, keep_going=("update-feed",))
+        # every later stage passed on the old graph, so the router failed safe
+        if [s.name for s in report.stages if s.status == "fail"] == ["update-feed"]:
+            report.outcome = "fail-safe"
+        return report
     finally:
         broker.close()
         if own_dir:
@@ -291,10 +279,11 @@ class EstimationScenarioConfig:
     seed: int = 42
     fixture: Optional[CityFixture] = None
     backfillDays: int = 20
-    liveDays: int = 1
-    noiseStd: float = 2.0
     rmseThreshold: float = 3.0
-    trainingConfig: Optional[TrainingConfig] = None
+
+
+LIVE_DAYS = 1
+PARKING_NOISE_STD = 2.0
 
 
 _LIVE_MAPPING = {
@@ -309,11 +298,11 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
     base = cfg.fixture or default_fixture(cfg.seed)
     specs = dict(base.seriesSpecs)
     specs["availableSpotNumber"] = replace(specs["availableSpotNumber"],
-                                           noiseStd=cfg.noiseStd)
+                                           noiseStd=PARKING_NOISE_STD)
     fixture = replace(base, seriesSpecs=specs)
-    tcfg = cfg.trainingConfig or TrainingConfig()
+    tcfg = TrainingConfig()
     day_start = fixture.day_start()
-    live_end = day_start + cfg.liveDays * 86400
+    live_end = day_start + LIVE_DAYS * 86400
     clock = SimulatedClock(day_start)
     broker = ContextBroker(clock=clock)
     store = TimeSeriesStore()
@@ -360,7 +349,7 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
         ingest_subscription(store, broker, _LIVE_MAPPING, clock)
         scheduler = shared["scheduler"]
         generator = StreamGenerator(fixture, t0=day_start)
-        events = generator.events(cfg.liveDays * 86400, include_arrivals=False)
+        events = generator.events(LIVE_DAYS * 86400, include_arrivals=False)
         for event in events:
             if event.t > clock.now():
                 clock.set(event.t)
@@ -390,8 +379,8 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
 
     def invocation_counts():
         scheduler = shared["scheduler"]
-        expected_infers = cfg.liveDays * 86400 // tcfg.inferencePeriodSeconds
-        expected_trains = cfg.liveDays * 86400 // tcfg.retrainPeriodSeconds
+        expected_infers = LIVE_DAYS * 86400 // tcfg.inferencePeriodSeconds
+        expected_trains = LIVE_DAYS * 86400 // tcfg.retrainPeriodSeconds
         detail = {"expectedInfersPerSeries": expected_infers,
                   "expectedTrainsPerSeries": expected_trains,
                   "infers": {f"{a}/{b}": n for (a, b), n in sorted(scheduler.infers_by_key.items())},
@@ -414,7 +403,7 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
                   "threshold": cfg.rmseThreshold}
         if model.testError > cfg.rmseThreshold:
             raise StageFailure(detail)
-        if cfg.noiseStd > 0 and naive is not None and model.testError > naive.testError:
+        if naive is not None and model.testError > naive.testError:
             raise StageFailure(detail)
         return detail
 
@@ -430,17 +419,9 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
         return {"attribute": name, "value": attr.value, "metadata": attr.metadata,
                 "predictions": len(shared["scheduler"].predictions)}
 
-    steps = [
-        ("generate-city", generate_city, False),
-        ("publish-entities", publish_entities, False),
-        ("backfill", backfill, False),
-        ("start-scheduler", start_scheduler, False),
-        ("live-stream", live_stream, False),
-        ("train-gate", train_gate, False),
-        ("invocation-counts", invocation_counts, False),
-        ("forecast-quality", forecast_quality, False),
-        ("writeback", check_writeback, False),
-    ]
+    steps = dict(zip(ESTIMATION_STAGES, (
+        generate_city, publish_entities, backfill, start_scheduler, live_stream,
+        train_gate, invocation_counts, forecast_quality, check_writeback), strict=True))
     try:
         return _run_stages("estimation", steps)
     finally:

@@ -20,10 +20,6 @@ GEOJSON = "geo:json"
 STRUCTURED = "StructuredValue"
 REFERENCE = "Reference"
 
-KNOWN_VALUE_TYPES = frozenset(
-    {TEXT, NUMBER, BOOLEAN, DATETIME, GEOJSON, STRUCTURED, REFERENCE}
-)
-
 ISO_RE = re.compile(
     r"(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})"
     r"[T ](?P<H>\d{2}):(?P<M>\d{2}):(?P<S>\d{2}(?:\.\d+)?)"

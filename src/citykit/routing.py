@@ -1,10 +1,11 @@
 """Earliest-arrival journey planner over static feeds plus real-time overlays.
 
 The graph is immutable once built: indexed stops, per-trip stop times for the
-service date, and symmetric footpaths between stops within the transfer
-radius (walk time = ceil(haversine / walkSpeed)). Real-time updates never
-mutate the graph; they become an overlay of per-trip time shifts consulted at
-query time, so concurrent queries may keep using the static view.
+service date, and symmetric footpaths between stops at most
+MAX_TRANSFER_METERS apart (walk time = ceil(haversine / WALK_SPEED)).
+Real-time updates never mutate the graph; they become an overlay of per-trip
+time shifts consulted at query time, so concurrent queries may keep using the
+static view.
 
 Search is round-based, after RAPTOR: round k finds, for each (stop,
 arrived-by-walk) state, the earliest arrival with k boardings. It scans only
@@ -32,6 +33,8 @@ from citykit.ngsi import KindError
 logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6371000.0
+WALK_SPEED = 1.25  # m/s
+MAX_TRANSFER_METERS = 500.0  # longest footpath between two stops
 
 
 class PlanError(KindError):
@@ -61,12 +64,10 @@ class TripStopTime:
 class TransitGraph:
     """Stops, per-trip timetables for one service date, and footpaths."""
 
-    def __init__(self, service_date: date, walk_speed: float,
-                 max_transfer_distance: float, version: int = 1):
+    def __init__(self, service_date: date):
         self.serviceDate = service_date
-        self.walkSpeed = walk_speed
-        self.maxTransferDistance = max_transfer_distance
-        self.version = version
+        self.walkSpeed = WALK_SPEED
+        self.version = 1
         self.dayStart = int(datetime(service_date.year, service_date.month, service_date.day,
                                      tzinfo=timezone.utc).timestamp())
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
@@ -75,9 +76,6 @@ class TransitGraph:
         self.departuresByStop: dict[str, list] = {}  # stopId -> [(dep, tripId, seq)]
         self.seqIndex: dict[str, dict] = {}  # tripId -> {seq: position in its stop times}
         self.footpaths: dict[str, list] = {}  # stopId -> [(other, walkSeconds)]
-
-    def trip_count(self) -> int:
-        return len(self.tripStopTimes)
 
     def stop_position(self, stop_id: str) -> tuple:
         lat, lon, _ = self.stops[stop_id]
@@ -90,20 +88,15 @@ def _service_active(service, d: date) -> bool:
             and bool(service.weekdayFlags[d.weekday()]))
 
 
-def build_graph(feeds: list[GtfsFeed], walk_speed: float = 1.25,
-                max_transfer_distance: float = 500.0,
-                service_date: Optional[date] = None,
-                version: int = 1) -> TransitGraph:
+def build_graph(feeds: list[GtfsFeed], service_date: Optional[date] = None) -> TransitGraph:
     """Union the feeds into a graph for one service date.
 
     Deterministic: the same feeds in any order produce a structurally equal
     graph. A date with no active service leaves the timetable empty (warned).
     """
-    if walk_speed <= 0:
-        raise ValueError("walk_speed must be positive")
     if service_date is None:
         service_date = date(2025, 6, 2)
-    graph = TransitGraph(service_date, walk_speed, max_transfer_distance, version)
+    graph = TransitGraph(service_date)
 
     for feed in feeds:
         for stop in feed.stops:
@@ -140,8 +133,8 @@ def build_graph(feeds: list[GtfsFeed], walk_speed: float = 1.25,
         for b in stop_ids[i + 1:]:
             lat_b, lon_b, _ = graph.stops[b]
             dist = haversine_m(lat_a, lon_a, lat_b, lon_b)
-            if dist <= max_transfer_distance:
-                secs = walk_seconds(dist, walk_speed)
+            if dist <= MAX_TRANSFER_METERS:
+                secs = walk_seconds(dist, WALK_SPEED)
                 graph.footpaths.setdefault(a, []).append((b, secs))
                 graph.footpaths.setdefault(b, []).append((a, secs))
     for paths in graph.footpaths.values():
@@ -262,7 +255,7 @@ def _resolve_endpoint(graph: TransitGraph, point, max_walk: float, label: str):
         s_lat, s_lon, _ = graph.stops[stop_id]
         dist = haversine_m(lat, lon, s_lat, s_lon)
         if dist <= max_walk:
-            near.append((stop_id, walk_seconds(dist, graph.walkSpeed)))
+            near.append((stop_id, walk_seconds(dist, WALK_SPEED)))
     if not near:
         raise PlanError("origin-isolated", f"no stop within {max_walk} m of {label}")
     return None, near
@@ -400,7 +393,7 @@ def _direct_walk(graph: TransitGraph, query: ItineraryQuery) -> Optional[Itinera
     a, b = position(query.origin), position(query.destination)
     if a is None or b is None or (dist := haversine_m(*a, *b)) > query.maxWalkMeters:
         return None
-    secs = walk_seconds(dist, graph.walkSpeed)
+    secs = walk_seconds(dist, WALK_SPEED)
     leg = Leg("walk", query.departAfter, query.departAfter + secs,
               boardStopId=query.origin if isinstance(query.origin, str) else None,
               alightStopId=query.destination if isinstance(query.destination, str) else None)
@@ -454,17 +447,14 @@ def plan(graph: TransitGraph, query: ItineraryQuery, overlay: Optional[Overlay] 
 
 
 class Router:
-    """Holds the build settings and one (graph, overlay) snapshot, replaced whole.
+    """Holds the service date and one (graph, overlay) snapshot, replaced whole.
 
     A query always sees an overlay built on its own graph. ``load_feed``
     installs a new graph with no overlay, since the old overlay's trips belong
     to the old feed; queries on the previous snapshot finish undisturbed.
     """
 
-    def __init__(self, walk_speed: float = 1.25, max_transfer_distance: float = 500.0,
-                 service_date: Optional[date] = None):
-        self.walkSpeed = walk_speed
-        self.maxTransferDistance = max_transfer_distance
+    def __init__(self, service_date: Optional[date] = None):
         self.serviceDate = service_date
         self._snapshot: tuple = (None, None)  # (graph, overlay built on that graph)
         self._swap = threading.Lock()
@@ -482,7 +472,7 @@ class Router:
         return self.graph.version if self.graph else 0
 
     def load_feed(self, feed: GtfsFeed) -> int:
-        graph = build_graph([feed], self.walkSpeed, self.maxTransferDistance, self.serviceDate)
+        graph = build_graph([feed], self.serviceDate)
         with self._swap:
             graph.version = self.version + 1  # numbered in the order of the swaps
             self._snapshot = (graph, None)

@@ -115,11 +115,15 @@ class MappingRuleSet:
                 doc = json.loads(doc)
             except json.JSONDecodeError as exc:
                 raise TransformError("invalid-rules", f"ruleset does not parse: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise TransformError("invalid-rules", "ruleset must be a JSON object")
         missing = {"entityTypeTemplate", "idTemplate"} - set(doc)
         if missing:
             raise TransformError("invalid-rules", f"ruleset missing {sorted(missing)}")
         mappings = []
         for m in doc.get("attributeMappings") or []:
+            if not isinstance(m, dict):
+                raise TransformError("invalid-rules", f"mapping must be an object: {m!r}")
             need = {"sourcePath", "targetAttribute", "valueType"} - set(m)
             if need:
                 raise TransformError("invalid-rules", f"mapping missing {sorted(need)}: {m!r}")

@@ -269,10 +269,10 @@ def test_failing_sink_is_retired_after_three_strikes(broker):
 
 def test_callable_target_and_wire_subscription(broker):
     seen = []
-    sub_id = broker.subscribe({
+    sub_id = broker.subscribe(Subscription.from_wire({
         "entityTypeFilter": "ParkingSite",
         "target": seen.append,
-    })
+    }))
     assert isinstance(sub_id, str) and sub_id
     broker.upsert_entity(make_parking())
     assert len(seen) == 1
@@ -280,7 +280,8 @@ def test_callable_target_and_wire_subscription(broker):
 
 def test_wire_subscription_rejects_unknown_fields(broker):
     with pytest.raises(MalformedSubscription):
-        broker.subscribe({"target": lambda d: None, "entityType": "Oops"})
+        broker.subscribe(Subscription.from_wire({"target": lambda d: None,
+                                                 "entityType": "Oops"}))
 
 
 def test_subscription_rejects_bad_pattern_and_negative_throttle(broker):

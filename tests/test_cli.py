@@ -2,12 +2,13 @@
 
 import json
 import os
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import citykit
+from citykit import cli
 from citykit.broker import ContextBroker
 from citykit.broker_http import BrokerServer
 from citykit.cli import _parse_listen, build_parser, main
@@ -115,6 +116,18 @@ class TestJsonMapping:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert broker.get_entity("parking-A7").value("status") == "open"
+
+    @pytest.mark.parametrize("text", [
+        "{not json", json.dumps({"idTemplate": "x"}), "5",
+        json.dumps({**RULES_DOC, "attributeMappings": [5]}),
+    ])
+    def test_bad_rules_print_one_error_line(self, tmp_path, capsys, text):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text, encoding="utf-8")
+        source = write_json(tmp_path / "in.json", RECORD)
+        assert main(["json2ngsi", "--rules", str(rules), "--input", source]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "invalid-rules"
 
     def test_ngsi2ld_renders_each_line(self, tmp_path, capsys):
         source = tmp_path / "in.jsonl"
@@ -253,6 +266,34 @@ class TestGtfsTools:
             assert outcomes["feed-broken"] == "fetch-error"
         finally:
             router_server.stop()
+
+
+class TestServe:
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Servers a command hands to ``_wait_forever``, stopped at teardown."""
+        servers = []
+        monkeypatch.setattr(cli, "_wait_forever", lambda *s: servers.extend(s) or 0)
+        yield servers
+        for server in servers:
+            server.stop()
+
+    def test_router_serve_defaults_to_today_utc(self, served):
+        before = datetime.now(timezone.utc).date()
+        assert main(["router-serve", "--listen", "127.0.0.1:0"]) == 0
+        after = datetime.now(timezone.utc).date()
+        (server,) = served
+        assert server.router.serviceDate in (before, after)
+
+    def test_estimator_serve_refuses_a_config_without_broker(self, tmp_path, served,
+                                                             capsys):
+        config = tmp_path / "estimator.conf"
+        config.write_text("profile = parking\n", encoding="utf-8")
+        rc = main(["estimator-serve", "--config", str(config), "--listen", "127.0.0.1:0"])
+        assert rc == 2
+        assert served == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "broker" in json.loads(line)["detail"]
 
 
 class TestParser:

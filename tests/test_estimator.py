@@ -32,6 +32,7 @@ from citykit.estimator.models import ar_step
 from citykit.feedgen import Lcg64
 from citykit.httpd import HttpError, get_json, post_json
 from citykit.ngsi import Attribute, make_entity
+from citykit.textio import read_jsonl
 
 from oracles import ridge_residual
 
@@ -68,7 +69,7 @@ class TestStore:
         store.append("e", "a", 10.0, 1.0)
         store.append("e", "a", 10.0, 9.0)
         assert store.length("e", "a") == 1
-        assert store.latest("e", "a").value == 9.0
+        assert store.get("e", "a")[-1].value == 9.0
 
     def test_get_returns_an_isolated_copy(self):
         store = TimeSeriesStore()
@@ -87,8 +88,8 @@ class TestStore:
         store.append("b", "y", 1.0, 1.0)
         store.append("a", "x", 2.0, 2.0)
         assert store.keys() == [("a", "x"), ("b", "y")]
-        assert store.latest("a", "x").t == 2.0
-        assert store.latest("nope", "x") is None
+        assert store.get("a", "x")[-1].t == 2.0
+        assert store.get("nope", "x") == []
 
     def test_extend_counts_records(self):
         store = TimeSeriesStore()
@@ -411,7 +412,7 @@ class TestIngest:
         assert store.keys() == [("p-1", "availableSpotNumber"),
                                 ("p-2", "availableSpotNumber"),
                                 ("t-1", "intensity")]
-        assert store.latest("t-1", "intensity").t == DAY
+        assert store.get("t-1", "intensity")[-1].t == DAY
 
     def test_historical_from_iterable_and_file(self, tmp_path):
         records = [
@@ -428,7 +429,7 @@ class TestIngest:
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n",
                         encoding="utf-8")
         store2 = TimeSeriesStore()
-        assert ingest_historical(store2, path).appended == 2
+        assert ingest_historical(store2, read_jsonl(path)).appended == 2
         assert [s.value for s in store2.get("p-1", "availableSpotNumber")] == [
             5.0, 7.0]
 

@@ -20,7 +20,6 @@ from citykit.feedgen import (
     generate_city,
     generate_service_entities,
     generate_static_network,
-    generate_streams,
     load_fixture_file,
     network_timetable,
     parse_fixture_text,
@@ -248,11 +247,6 @@ class TestStreams:
         # countdown entity holds its final pre-arrival value
         arrival = broker.get_entity("arrival-R1-T1-S1")
         assert arrival.value("remainingTime") == 300
-
-    def test_generate_streams_convenience(self):
-        events, truth = generate_streams(default_fixture(), duration=3600)
-        assert len(events) == 16  # 4 sites x 4 samples, no arrivals due yet
-        assert {r["tripId"] for r in truth} == {"R1-T1", "R1-T2", "R2-T1", "R2-T2"}
 
 
 class TestDefectSeeding:

@@ -35,7 +35,7 @@ def test_poll_applies_each_pointer_once(broker, router, feed_zip):
     assert router.version == 1
     assert fetcher.poll(broker) == 0  # unchanged pointer, no second reload
     assert router.version == 1
-    assert fetcher.reload_count() == 1
+    assert sum(1 for e in fetcher.events if e["outcome"] == "reloaded") == 1
 
 
 def test_date_modified_bump_triggers_reload(broker, router, feed_zip):
@@ -108,7 +108,7 @@ def test_attach_reloads_on_pointer_commits(broker, router, feed_zip):
     publish_feed_entity(str(feed_zip), broker)
     assert router.version == 1  # applied from the notification, no poll needed
     publish_feed_entity(str(feed_zip), broker)  # same mtime, same pointer
-    assert fetcher.reload_count() == 1
+    assert sum(1 for e in fetcher.events if e["outcome"] == "reloaded") == 1
 
 
 def test_attach_ignores_unrelated_commits(broker, router):

@@ -21,7 +21,6 @@ from citykit.gtfs import (
     ngsi_to_gtfs,
     parse_feed,
     parse_time,
-    path_from_url,
     publish_feed_entity,
     serialize_feed,
 )
@@ -195,9 +194,6 @@ def test_file_url_round_trip(tmp_path):
     target = tmp_path / "feed.zip"
     url = file_url(target)
     assert url.startswith("file://")
-    assert path_from_url(url) == str(target)
-    with pytest.raises(FeedError):
-        path_from_url("https://example.com/feed.zip")
 
 
 def test_publish_feed_entity_points_at_archive(tmp_path, broker):

@@ -85,9 +85,9 @@ class TestGraphBuild:
 
     def test_out_of_range_service_dates_empty_the_timetable(self, city_feed):
         before = build_graph([city_feed], service_date=date(2024, 12, 31))
-        assert before.trip_count() == 0
+        assert len(before.tripStopTimes) == 0
         inside = build_graph([city_feed], service_date=date(2025, 6, 2))
-        assert inside.trip_count() == 4
+        assert len(inside.tripStopTimes) == 4
 
     def test_weekday_flags_gate_the_service(self):
         feed = two_leg_feed()
@@ -95,8 +95,8 @@ class TestGraphBuild:
                                    "20250101", "20261231")
         weekday = build_graph([feed], service_date=date(2025, 6, 2))
         sunday = build_graph([feed], service_date=date(2025, 6, 1))
-        assert weekday.trip_count() == 2
-        assert sunday.trip_count() == 0
+        assert len(weekday.tripStopTimes) == 2
+        assert len(sunday.tripStopTimes) == 0
 
     def test_feed_order_does_not_matter(self, city_feed):
         other = GtfsFeed(
@@ -112,10 +112,6 @@ class TestGraphBuild:
         assert a.tripStopTimes == b.tripStopTimes
         assert a.departuresByStop == b.departuresByStop
         assert a.footpaths == b.footpaths
-
-    def test_rejects_nonpositive_walk_speed(self, city_feed):
-        with pytest.raises(ValueError):
-            build_graph([city_feed], walk_speed=0)
 
 
 class TestPlanStatic:
