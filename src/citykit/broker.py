@@ -2,7 +2,12 @@
 
 The store keeps one entity per id. Writes go through ``upsert_entity`` (full
 replace) and ``update_attributes`` (partial patch); both validate invariants
-before touching state and both feed the subscription machinery. Notification
+before touching state and both feed the subscription machinery. A committed
+entity version is never mutated: an upsert copies the entity in and checks
+all of it; a patch copies in and checks only the attributes it changes, and
+its new version shares the rest with the previous one. Subscription queues
+hold the committed versions; reads (``get_entity``, ``query_entities``, the
+result of ``update_attributes``) hand out copies. Notification
 delivery is FIFO per subscription and at-least-once; a positive
 ``throttlingSeconds`` coalesces queued changes into the latest snapshot per
 entity and spaces deliveries at least that far apart. Three consecutive sink
@@ -22,7 +27,8 @@ from typing import Any, Callable, Optional, Protocol
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
-from citykit.ngsi import Attribute, NgsiEntity, NgsiError, check_entity, is_number, iso_utc
+from citykit.ngsi import (Attribute, NgsiEntity, NgsiError, check_attributes, check_entity,
+                          is_number, iso_utc)
 
 logger = logging.getLogger(__name__)
 
@@ -269,7 +275,8 @@ class ContextBroker:
             created = entity.id not in self._entities
             stored = entity.copy()
             self._entities[entity.id] = stored
-            self._journal({"op": "upsert", "entity": stored.to_wire()})
+            if self._journal_fh is not None:
+                self._journal({"op": "upsert", "entity": stored.to_wire()})
             self._enqueue_matches(stored, set(stored.attributes))
         self._after_commit()
         return "created" if created else "updated"
@@ -322,24 +329,25 @@ class ContextBroker:
                 raise NotFound(f"no entity with id {entity_id!r}")
             if not patch:
                 return current.copy()
-            candidate = current.copy()
+            changed = {}
             for name, attr in patch.items():
                 if not isinstance(attr, Attribute):
                     raise InvalidEntity(f"patch value for {name!r} is not an attribute")
-                candidate.attributes[name] = Attribute(
-                    attr.value, attr.valueType, dict(attr.metadata)
-                )
+                changed[name] = Attribute(attr.value, attr.valueType, dict(attr.metadata))
             try:
-                check_entity(candidate)
+                check_attributes(changed)  # the rest of ``current`` passed when committed
             except NgsiError as exc:
                 raise InvalidEntity(str(exc)) from exc
+            candidate = NgsiEntity(entity_id, current.entityType,
+                                   {**current.attributes, **changed})
             self._entities[entity_id] = candidate
-            self._journal({
-                "op": "patch",
-                "id": entity_id,
-                "attrs": {n: a.to_wire() for n, a in patch.items()},
-            })
-            self._enqueue_matches(candidate, set(patch))
+            if self._journal_fh is not None:
+                self._journal({
+                    "op": "patch",
+                    "id": entity_id,
+                    "attrs": {n: a.to_wire() for n, a in changed.items()},
+                })
+            self._enqueue_matches(candidate, set(changed))
             result = candidate.copy()
         self._after_commit()
         return result
@@ -383,11 +391,14 @@ class ContextBroker:
             if state.sub.status != "active":
                 continue
             if state.sub.matches(entity, changed):
-                state.queue.append(entity.copy())
+                state.queue.append(entity)  # a committed version is never mutated
 
     def _after_commit(self):
         if self._delivery == "inline":
-            self.deliver_notifications()
+            with self._lock:
+                queued = any(state.queue for state in self._subs.values())
+            if queued:
+                self.deliver_notifications()
 
     def deliver_notifications(self, now: Optional[float] = None) -> int:
         """Run the pump; returns how many notifications this call delivered.
@@ -406,7 +417,7 @@ class ContextBroker:
             try:
                 with self._lock:
                     self._pump_dirty = False
-                    states = list(self._subs.values())
+                    states = [state for state in self._subs.values() if state.queue]
                 cycle_now = now if now is not None else self.clock.now()
                 for state in states:
                     delivered += self._pump_one(state, cycle_now)
@@ -474,8 +485,6 @@ class ContextBroker:
     # -- journal --------------------------------------------------------------
 
     def _journal(self, record: dict) -> None:
-        if self._journal_fh is None:
-            return
         self._journal_fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._journal_fh.flush()
 
@@ -502,18 +511,29 @@ class ContextBroker:
                     return
                 if record is None:
                     continue
-                if record["op"] == "upsert":
-                    entity = NgsiEntity.from_wire(record["entity"])
-                    self._entities[entity.id] = entity
-                elif record["op"] == "patch":
-                    entity = self._entities.get(record["id"])
-                    if entity is None:
-                        logger.warning("journal patch for unknown id %s", record["id"])
-                        continue
-                    for name, attr_doc in record["attrs"].items():
-                        entity.attributes[name] = Attribute.from_wire(attr_doc)
-                else:
-                    logger.warning("skipping unknown journal op %r", record["op"])
+                try:
+                    self._replay(record)
+                except (NgsiError, KeyError, TypeError, AttributeError) as exc:
+                    raise BrokerError(f"journal {self._journal_path} line {lineno} "
+                                      f"is invalid: {exc!r}") from exc
+
+    def _replay(self, record: dict) -> None:
+        """Apply one journal record, checked as its commit was."""
+        if record["op"] == "upsert":
+            entity = NgsiEntity.from_wire(record["entity"])
+            check_entity(entity)
+            self._entities[entity.id] = entity
+        elif record["op"] == "patch":
+            entity = self._entities.get(record["id"])
+            if entity is None:
+                logger.warning("journal patch for unknown id %s", record["id"])
+                return
+            changed = {n: Attribute.from_wire(doc) for n, doc in record["attrs"].items()}
+            check_attributes(changed)
+            self._entities[entity.id] = NgsiEntity(entity.id, entity.entityType,
+                                                   {**entity.attributes, **changed})
+        else:
+            logger.warning("skipping unknown journal op %r", record["op"])
 
     def close(self) -> None:
         self._stop_poll.set()

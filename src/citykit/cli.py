@@ -9,6 +9,7 @@ estimator. All output is JSON so runs can be piped and diffed.
 import argparse
 import calendar
 import json
+import logging
 import signal
 import sys
 import time
@@ -18,6 +19,8 @@ from pathlib import Path
 
 from citykit.ngsi import KindError, NgsiEntity
 from citykit.textio import read_jsonl, write_jsonl
+
+logger = logging.getLogger(__name__)
 
 
 def _parse_listen(text: str) -> tuple:
@@ -275,12 +278,19 @@ def cmd_estimator_serve(args) -> int:
     url = server.start()
     print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
     # poll broker snapshots at the inference cadence
-    service.snapshot()
+    try:
+        service.snapshot()
+    except OSError as exc:
+        server.stop()
+        raise KindError("broker-unreachable", f"{extras['broker']}: {exc}") from exc
     service.start()
     try:
         while True:
             time.sleep(config.inferencePeriodSeconds)
-            service.snapshot()
+            try:
+                service.snapshot()
+            except OSError as exc:
+                logger.warning("broker snapshot failed, polling on: %s", exc)
             service.scheduler.run_pending()
     except KeyboardInterrupt:
         server.stop()

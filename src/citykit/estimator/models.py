@@ -208,17 +208,16 @@ def train(store: TimeSeriesStore, entity_id: str, attribute: str,
 def infer(model: ForecastModel, store: TimeSeriesStore, now: float,
           horizon_seconds: int) -> Prediction:
     """Predict one point for the window [now, now + horizon]."""
-    samples = store.get(model.entityId, model.attributeName)
-    if model.algorithm == "seasonal-naive":
-        if len(samples) < model.period:
-            raise EstimatorError("insufficient-context",
-                                 f"need {model.period} samples, have {len(samples)}")
-        value = samples[-model.period].value
+    seasonal = model.algorithm == "seasonal-naive"
+    need = model.period if seasonal else model.lags
+    samples = store.get(model.entityId, model.attributeName, last=need)
+    if len(samples) < need:
+        raise EstimatorError("insufficient-context",
+                             f"need {need} samples, have {len(samples)}")
+    if seasonal:
+        value = samples[0].value
     else:
-        if len(samples) < model.lags:
-            raise EstimatorError("insufficient-context",
-                                 f"need {model.lags} samples, have {len(samples)}")
-        history = [s.value for s in samples[-model.lags:]]
+        history = [s.value for s in samples]
         steps = max(1, math.ceil(horizon_seconds / model.samplingInterval))
         for _ in range(steps):
             history.append(ar_step(model.coefficients, history))

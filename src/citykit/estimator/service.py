@@ -154,5 +154,6 @@ class EstimatorServer(HttpService):
         return 200, prediction.to_doc()
 
     def _models(self, match, params, body):
-        models = self.service.scheduler.models
-        return 200, [models[k].to_doc() for k in sorted(models)]
+        with self.service.scheduler._lock:  # a train pass inserts models under it
+            models = sorted(self.service.scheduler.models.items())
+        return 200, [model.to_doc() for _, model in models]

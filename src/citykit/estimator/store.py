@@ -3,9 +3,11 @@
 Samples are kept sorted with strictly increasing timestamps; re-ingesting a
 timestamp replaces that sample's value. Readers get list copies, so training
 and inference work on immutable snapshots while ingestion keeps appending.
+``get`` copies only what it returns: it bisects to the ``from``/``to`` bounds
+(inclusive), and ``last=n`` keeps the newest ``n`` samples of that range.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +32,7 @@ class TimeSeriesStore:
             if not series or series[-1].t < sample.t:
                 series.append(sample)
                 return
-            idx = bisect.bisect_left(series, sample.t, key=lambda s: s.t)
+            idx = bisect_left(series, sample.t, key=lambda s: s.t)
             if idx < len(series) and series[idx].t == sample.t:
                 series[idx] = sample  # same timestamp: last write wins
             else:
@@ -45,14 +47,15 @@ class TimeSeriesStore:
 
     def get(self, entity_id: str, attribute: str,
             t_from: Optional[float] = None,
-            t_to: Optional[float] = None) -> list[Sample]:
+            t_to: Optional[float] = None,
+            last: Optional[int] = None) -> list[Sample]:
+        if t_from != t_from or t_to != t_to:
+            return []  # a NaN bound compares false with every time
         with self._lock:
-            series = list(self._series.get((entity_id, attribute), ()))
-        if t_from is not None:
-            series = [s for s in series if s.t >= t_from]
-        if t_to is not None:
-            series = [s for s in series if s.t <= t_to]
-        return series
+            series = self._series.get((entity_id, attribute), [])
+            lo = 0 if t_from is None else bisect_left(series, t_from, key=lambda s: s.t)
+            hi = len(series) if t_to is None else bisect_right(series, t_to, key=lambda s: s.t)
+            return series[max(lo, hi - last) if last else lo:hi]
 
     def length(self, entity_id: str, attribute: str) -> int:
         with self._lock:

@@ -27,6 +27,7 @@ ISO_RE = re.compile(
 )
 
 _ATTR_NAME_RE = re.compile(r"[A-Za-z0-9_:\-]+$")
+_SPACE_RE = re.compile(r"\s")  # exactly the characters str.isspace accepts
 _RESERVED_ATTR_NAMES = frozenset({"id", "type"})
 
 
@@ -143,9 +144,14 @@ def check_entity(entity: NgsiEntity) -> None:
     of the caller being unable to even build the value under test.
     """
     for text, label in ((entity.id, "id"), (entity.entityType, "entityType")):
-        if not isinstance(text, str) or not text or any(c.isspace() for c in text):
+        if not isinstance(text, str) or not text or _SPACE_RE.search(text):
             raise NgsiError(f"entity {label} must be non-empty without whitespace: {text!r}")
-    for name, attr in entity.attributes.items():
+    check_attributes(entity.attributes)
+
+
+def check_attributes(attributes: dict) -> None:
+    """Enforce the name and value rules on each attribute; raises ``NgsiError``."""
+    for name, attr in attributes.items():
         if name in _RESERVED_ATTR_NAMES:
             raise NgsiError(f"attribute name {name!r} is reserved")
         if not isinstance(name, str) or not _ATTR_NAME_RE.match(name):

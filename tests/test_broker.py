@@ -1,6 +1,11 @@
 """Context broker: store semantics, filtering, notifications, journal."""
 
+import copy
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citykit.broker import (
     BrokerError,
@@ -17,7 +22,7 @@ from citykit.broker import (
 )
 from citykit.clock import SimulatedClock
 from citykit.feedgen import Lcg64
-from citykit.ngsi import Attribute, make_entity
+from citykit.ngsi import Attribute, NgsiEntity, NgsiError, check_entity, make_entity
 
 from oracles import OrderingMismatch, random_filters, random_store, scan_query
 
@@ -366,3 +371,150 @@ def test_corrupt_record_inside_the_journal_fails_loudly(tmp_path):
     path.write_bytes(lines[0] + b'{"op": "ups\n' + lines[1])
     with pytest.raises(BrokerError, match="line 2"):
         ContextBroker(journal_path=path)
+
+
+@pytest.mark.parametrize("record", [
+    {"op": "upsert", "entity": {"id": "q-1", "entityType": "Sensor", "attributes": {
+        "level": {"value": "high", "valueType": "Number"}}}},
+    {"op": "upsert", "entity": {"id": "q 1", "entityType": "Sensor"}},
+    {"op": "upsert"},
+    {"op": "patch", "id": "p-1", "attrs": {"type": {"value": "Lot", "valueType": "Text"}}},
+    {"op": "patch", "id": "p-1", "attrs": {
+        "opened": {"value": "yesterday", "valueType": "DateTime"}}},
+    ["op", "upsert"],
+])
+def test_invalid_record_inside_the_journal_fails_loudly(tmp_path, record):
+    """Replay checks each record as its commit was checked."""
+    path = tmp_path / "journal.jsonl"
+    first = ContextBroker(journal_path=path)
+    first.upsert_entity(make_parking())
+    first.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(BrokerError, match=f"journal {path} line 2 is invalid"):
+        ContextBroker(journal_path=path)
+
+
+# -- committed versions -------------------------------------------------------
+
+def test_queued_notification_keeps_the_version_it_committed():
+    broker = ContextBroker(delivery="manual")
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(make_parking(spots=9))
+    broker.update_attributes("p-1", {"availableSpotNumber": Attribute(6, "Number")})
+    broker.update_attributes("p-1", {"name": Attribute("Lot B", "Text"),
+                                     "availableSpotNumber": Attribute(3, "Number")})
+    broker.deliver_notifications()
+    seen = [(doc["data"][0]["attributes"]["availableSpotNumber"]["value"],
+             doc["data"][0]["attributes"]["name"]["value"]) for doc in sink.notifications]
+    assert seen == [(9, "Lot"), (6, "Lot"), (3, "Lot B")]
+    broker.close()
+
+
+def test_patch_result_and_notification_docs_are_the_callers_to_mutate(broker):
+    def vandal(doc):
+        attrs = doc["data"][0]["attributes"]
+        attrs["availableSpotNumber"]["value"] = -1
+        attrs["name"]["metadata"] = {"scribbled": True}
+        attrs.pop("name")
+
+    broker.subscribe(Subscription(id="", target=vandal))
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(make_parking(spots=9))
+    result = broker.update_attributes("p-1", {"availableSpotNumber": Attribute(
+        6, "Number", {"unit": "spots"})})
+    result.set("availableSpotNumber", 0)
+    result.attributes["name"].metadata["scribbled"] = True
+    result.attributes.pop("name")
+
+    stored = broker.get_entity("p-1")
+    assert stored.value("availableSpotNumber") == 6
+    assert stored.attributes["availableSpotNumber"].metadata == {"unit": "spots"}
+    assert stored.attributes["name"].metadata == {}
+    assert [doc["data"][0]["attributes"]["availableSpotNumber"]["value"]
+            for doc in sink.notifications] == [9, 6]
+    assert all("name" in doc["data"][0]["attributes"] for doc in sink.notifications)
+
+
+def test_patch_copies_the_callers_attributes_in(broker):
+    broker.upsert_entity(make_parking())
+    mine = Attribute(7, "Number", {"unit": "spots"})
+    broker.update_attributes("p-1", {"availableSpotNumber": mine})
+    mine.value = "seven"
+    mine.metadata["unit"] = "cars"
+    stored = broker.get_entity("p-1").attributes["availableSpotNumber"]
+    assert (stored.value, stored.metadata) == (7, {"unit": "spots"})
+
+
+class ReferenceStore:
+    """Every candidate deep-copied and run through the full entity check."""
+
+    def __init__(self):
+        self.entities = {}
+        self.commits = []  # the wire form of every accepted version, in order
+
+    def upsert(self, entity):
+        return self._commit(copy.deepcopy(entity))
+
+    def patch(self, entity_id, patch):
+        if entity_id not in self.entities:
+            return "not-found"
+        if not patch:
+            return "ok"
+        candidate = copy.deepcopy(self.entities[entity_id])
+        for name, attr in patch.items():
+            candidate.attributes[name] = copy.deepcopy(attr)
+        return self._commit(candidate)
+
+    def _commit(self, candidate):
+        try:
+            check_entity(candidate)
+        except NgsiError:
+            return "invalid"
+        self.entities[candidate.id] = candidate
+        self.commits.append(candidate.to_wire())
+        return "ok"
+
+
+ATTR_NAMES = st.sampled_from(["level", "name", "when", "note", "id", "type", "bad name"])
+ATTRIBUTES = st.builds(
+    Attribute,
+    st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, width=32), st.booleans(),
+              st.sampled_from(["", "Lot", "2025-06-02T08:00:00Z", "yesterday"])),
+    st.sampled_from(["Number", "Text", "DateTime", "Boolean"]),
+    st.dictionaries(st.sampled_from(["unit", "observedAt"]), st.integers(0, 3), max_size=1),
+)
+OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(["upsert", "patch"]),
+    st.sampled_from(["p-1", "p-2", "p 3"]),
+    st.dictionaries(ATTR_NAMES, ATTRIBUTES, max_size=3),
+), max_size=25)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(OPERATIONS)
+def test_commits_match_a_deep_copying_full_check_reference(operations):
+    broker = ContextBroker(delivery="manual")
+    _, sink = collect_sub(broker)
+    reference = ReferenceStore()
+    for op, entity_id, attrs in operations:
+        if op == "upsert":
+            entity = NgsiEntity(entity_id, "Sensor", attributes=attrs)
+            want = reference.upsert(entity)
+            call = lambda: broker.upsert_entity(entity)
+        else:
+            want = reference.patch(entity_id, attrs)
+            call = lambda: broker.update_attributes(entity_id, attrs)
+        try:
+            call()
+            got = "ok"
+        except InvalidEntity:
+            got = "invalid"
+        except NotFound:
+            got = "not-found"
+        assert got == want, (op, entity_id, attrs)
+    broker.deliver_notifications()
+    assert [e.to_wire() for e in broker.query_entities()] == \
+        [reference.entities[k].to_wire() for k in sorted(reference.entities)]
+    assert [doc["data"][0] for doc in sink.notifications] == reference.commits
+    broker.close()

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, printed documents, parser wiring."""
 
 import json
+import logging
 import os
 from datetime import date, datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from citykit.broker_http import BrokerServer
 from citykit.cli import _parse_listen, build_parser, main
 from citykit.feedgen import default_fixture, generate_city, seed_defects
 from citykit.gtfs import parse_feed, publish_feed_entity, serialize_feed
+from citykit.httpd import get_json
 from citykit.ngsi import make_entity
 from citykit.routing import Router, RouterServer
 
@@ -294,6 +297,45 @@ class TestServe:
         assert served == []
         (line,) = capsys.readouterr().err.splitlines()
         assert "broker" in json.loads(line)["detail"]
+
+    def test_estimator_serve_exits_two_when_the_broker_is_unreachable(self, tmp_path,
+                                                                      capsys):
+        config = tmp_path / "estimator.conf"
+        config.write_text("profile = parking\nbroker = http://127.0.0.1:1\n",
+                          encoding="utf-8")
+        rc = main(["estimator-serve", "--config", str(config), "--listen", "127.0.0.1:0"])
+        assert rc == 2
+        listening, line = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "broker-unreachable"
+        with pytest.raises(OSError):  # the server it had started is stopped
+            get_json(listening.rsplit(" ", 1)[1] + "/models")
+
+    def test_estimator_serve_polls_on_when_a_later_snapshot_fails(self, tmp_path,
+                                                                  monkeypatch, caplog):
+        broker = BrokerServer(ContextBroker(delivery="inline"))
+        config = tmp_path / "estimator.conf"
+        config.write_text(f"profile = parking\nbroker = {broker.start()}\n",
+                          encoding="utf-8")
+        naps = []
+
+        def nap(seconds):
+            naps.append(seconds)
+            if len(naps) == 1:
+                broker.stop()  # the broker goes away between two polls
+            elif len(naps) == 3:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=nap))
+        try:
+            with caplog.at_level(logging.WARNING, logger="citykit.cli"):
+                rc = main(["estimator-serve", "--config", str(config),
+                           "--listen", "127.0.0.1:0"])
+        finally:
+            broker.stop()
+            broker.broker.close()
+        assert rc == 0
+        assert len(naps) == 3
+        assert caplog.text.count("broker snapshot failed") == 2
 
 
 class TestParser:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -82,6 +84,22 @@ class TestStore:
         store.extend("e", "a", [(float(t), float(t)) for t in range(5)])
         assert [s.t for s in store.get("e", "a", t_from=1.0, t_to=3.0)] == [
             1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("t_from,t_to", [(None, None), (2.5, None), (None, 60.0),
+                                             (0.0, 45.0), (30.0, 30.0), (50.0, 10.0),
+                                             (float("nan"), None), (None, float("nan"))])
+    def test_get_last_is_the_tail_of_the_bounded_range(self, t_from, t_to):
+        store = TimeSeriesStore()
+        times = [0.0, 5.0, 10.0, 20.0, 30.0, 45.0, 46.0, 90.0]
+        store.extend("e", "a", [(t, t / 5.0) for t in times])
+        bounded = [(t, t / 5.0) for t in times
+                   if (t_from is None or t >= t_from) and (t_to is None or t <= t_to)]
+        assert [(s.t, s.value) for s in store.get("e", "a", t_from, t_to)] == bounded
+        for last in (1, 3, 7, 8, 9, 50):
+            got = store.get("e", "a", t_from, t_to, last=last)
+            assert [(s.t, s.value) for s in got] == bounded[-last:], last
+            got.clear()
+        assert store.length("e", "a") == len(times)
 
     def test_keys_sorted_and_latest(self):
         store = TimeSeriesStore()
@@ -229,6 +247,32 @@ class TestInfer:
             entityId="e", attributeName="a", algorithm="seasonal-naive",
             trainedAt=0.0, testError=0.0, samplingInterval=900.0, period=4)
         assert infer(model, store, DAY, 3600).value == 16.0
+
+    @pytest.mark.parametrize("algorithm,lags,period,reads", [
+        ("autoregressive", 3, 0, 3), ("seasonal-naive", 0, 4, 4)])
+    def test_reads_only_the_tail_it_needs(self, algorithm, lags, period, reads):
+        class SpyStore(TimeSeriesStore):
+            def get(self, *args, **kwargs):
+                samples = super().get(*args, **kwargs)
+                self.read.append(len(samples))
+                return samples
+
+        store = SpyStore()
+        store.extend("e", "a", [(i * 900.0, math.sin(i)) for i in range(50)])
+        store.read = []
+        model = ForecastModel(
+            entityId="e", attributeName="a", algorithm=algorithm, trainedAt=0.0,
+            testError=0.0, samplingInterval=900.0, coefficients=[0.5, 0.3, -0.2, 0.1],
+            lags=lags, period=period)
+        prediction = infer(model, store, DAY, 3600)
+        assert store.read == [reads]
+        values = [math.sin(i) for i in range(50)]
+        if algorithm == "seasonal-naive":
+            assert prediction.value == values[-period]
+        else:
+            for _ in range(4):
+                values.append(ar_step(model.coefficients, values))
+            assert prediction.value == values[-1]
 
     def test_thin_history_is_insufficient_context(self):
         store = TimeSeriesStore()
@@ -625,6 +669,43 @@ class TestEstimatorServer:
         assert doc["horizonEnd"] - doc["horizonStart"] == 3600
         _, models = get_json(f"{url}/models")
         assert [m["entityId"] for m in models] == ["p-1"]
+
+    def test_models_never_mix_two_train_passes(self):
+        """GET /models during train passes sees whole passes only."""
+        cfg = TrainingConfig(lags=2, minSamples=30, windowSize=40,
+                             retrainPeriodSeconds=900, inferencePeriodSeconds=10 * 86400)
+        service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
+        sites = 40
+        service.historical(
+            {"entityId": f"p-{k}", "attr": "availableSpotNumber",
+             "t": DAY - (40 - i) * 900.0, "value": 20.0 + k + math.sin(i / 3.0)}
+            for k in range(sites) for i in range(40))
+        server = EstimatorServer(service)
+        url = server.start()
+        passes = 25
+
+        def train_passes():
+            service.start(DAY)
+            service.scheduler.advance(DAY + passes * 900)
+
+        trainer = threading.Thread(target=train_passes)
+        seen = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            trainer.start()
+            while trainer.is_alive():
+                _, docs = get_json(f"{url}/models")
+                seen.append((len(docs), {doc["trainedAt"] for doc in docs}))
+            trainer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+            server.stop()
+        assert not trainer.is_alive()
+        assert service.scheduler.train_passes == passes
+        assert seen
+        torn = [(n, stamps) for n, stamps in seen if n not in (0, sites) or len(stamps) > 1]
+        assert torn == []
 
     def test_predict_unknown_series_is_404(self, served):
         url, _ = served
