@@ -23,12 +23,12 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Iterator, Optional, Protocol
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
-from citykit.ngsi import (Attribute, NgsiEntity, NgsiError, check_attributes, check_entity,
-                          is_number, iso_utc)
+from citykit.ngsi import (Attribute, KindError, NgsiEntity, NgsiError, check_attributes,
+                          check_entity, is_number, iso_utc)
 
 logger = logging.getLogger(__name__)
 
@@ -39,28 +39,33 @@ POLL_SECONDS = 0.05  # how often background delivery looks for queued notificati
 SINK_TIMEOUT_SECONDS = 5.0  # how long a webhook POST may take
 
 
-class BrokerError(Exception):
-    """Base class for broker-level failures."""
+class BrokerError(KindError):
+    """Base class for broker-level failures; each subclass names its ``kind``."""
+
+    kind = "broker-error"
+
+    def __init__(self, message: str):
+        super().__init__(self.kind, message)
 
 
 class InvalidEntity(BrokerError):
-    pass
+    kind = "invalid-entity"
 
 
 class NotFound(BrokerError):
-    pass
+    kind = "not-found"
 
 
 class MalformedPattern(BrokerError):
-    pass
+    kind = "malformed-pattern"
 
 
 class TypeMismatch(BrokerError):
-    pass
+    kind = "type-mismatch"
 
 
 class MalformedSubscription(BrokerError):
-    pass
+    kind = "malformed-subscription"
 
 
 class Broker(Protocol):
@@ -101,6 +106,17 @@ class HttpSink:
 
     def deliver(self, doc: dict) -> None:
         post_json(self.url, doc, timeout=SINK_TIMEOUT_SECONDS)
+
+
+def notified_entities(doc: dict) -> Iterator[NgsiEntity]:
+    """The entities a notification document carries; a malformed one is logged and skipped."""
+    for entity_doc in doc.get("data", []):
+        try:
+            entity = NgsiEntity.from_wire(entity_doc)
+        except NgsiError:
+            logger.warning("ignoring malformed entity in notification")
+            continue
+        yield entity
 
 
 def _as_sink(target):
@@ -270,7 +286,7 @@ class ContextBroker:
         try:
             check_entity(entity)
         except NgsiError as exc:
-            raise InvalidEntity(str(exc)) from exc
+            raise InvalidEntity(exc.message) from exc
         with self._lock:
             created = entity.id not in self._entities
             stored = entity.copy()
@@ -337,7 +353,7 @@ class ContextBroker:
             try:
                 check_attributes(changed)  # the rest of ``current`` passed when committed
             except NgsiError as exc:
-                raise InvalidEntity(str(exc)) from exc
+                raise InvalidEntity(exc.message) from exc
             candidate = NgsiEntity(entity_id, current.entityType,
                                    {**current.attributes, **changed})
             self._entities[entity_id] = candidate

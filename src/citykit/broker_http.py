@@ -8,10 +8,11 @@ Routes:
   POST   /v2/subscriptions             subscribe (target is a callback URL)
   DELETE /v2/subscriptions/{id}        unsubscribe
 
-Error mapping: invalid input and malformed filters are 400, unknown ids are
-404, and the body's ``error`` slug names the broker exception class.
-Notifications go out as POSTs of the notification document to the
-subscription's callback URL.
+A failure is answered as every server answers a ``KindError``: the body's
+``error`` is the broker exception's ``kind``, with 404 for ``not-found`` and
+400 for invalid input and malformed filters; ``BrokerClient`` raises the
+exception class that kind names. Notifications go out as POSTs of the
+notification document to the subscription's callback URL.
 """
 
 import json
@@ -21,7 +22,6 @@ from typing import Optional
 from urllib.parse import quote, unquote, urlencode
 
 from citykit.broker import (
-    BrokerError,
     ContextBroker,
     InvalidEntity,
     MalformedPattern,
@@ -32,44 +32,24 @@ from citykit.broker import (
     parse_q,
 )
 from citykit.httpd import HttpError, HttpService, JsonHttpServer, request_json
-from citykit.ngsi import Attribute, NgsiEntity, NgsiError
+from citykit.ngsi import Attribute, NgsiEntity
 
 logger = logging.getLogger(__name__)
 
-
-_STATUS = {NotFound: 404, InvalidEntity: 400, MalformedPattern: 400,
-           TypeMismatch: 400, MalformedSubscription: 400}
-
-
-def _slug(kind: type) -> str:
-    """Wire name of a broker exception class: NotFound -> not-found."""
-    return "".join("-" + c.lower() if c.isupper() else c for c in kind.__name__).lstrip("-")
-
-
-_BY_SLUG = {_slug(kind): kind for kind in _STATUS}
+_BY_KIND = {cls.kind: cls for cls in (NotFound, InvalidEntity, MalformedPattern,
+                                      TypeMismatch, MalformedSubscription)}
 
 
 @contextmanager
 def _broker_errors():
-    """Re-raise an HTTP error reply as the broker exception its slug names."""
+    """Re-raise an HTTP error reply as the broker exception its kind names."""
     try:
         yield
     except HttpError as exc:
-        slug = exc.payload.get("error") if isinstance(exc.payload, dict) else None
-        if slug not in _BY_SLUG:
+        kind = exc.payload.get("error") if isinstance(exc.payload, dict) else None
+        if kind not in _BY_KIND:
             raise
-        raise _BY_SLUG[slug](exc.payload.get("detail", "")) from exc
-
-
-def _replying_errors(handler):
-    """Route handler that answers a broker or entity error with its slug."""
-    def run(match, params, body):
-        try:
-            return handler(match, params, body)
-        except (NgsiError, BrokerError) as exc:
-            kind = InvalidEntity if isinstance(exc, NgsiError) else type(exc)
-            return _STATUS.get(kind, 500), {"error": _slug(kind), "detail": str(exc)}
-    return run
+        raise _BY_KIND[kind](exc.payload.get("detail", "")) from exc
 
 
 class BrokerServer(HttpService):
@@ -86,7 +66,7 @@ class BrokerServer(HttpService):
                 ("PATCH", r"/v2/entities/(?P<id>[^/]+)/attrs", self._patch),
                 ("POST", r"/v2/subscriptions", self._subscribe),
                 ("DELETE", r"/v2/subscriptions/(?P<id>[^/]+)", self._unsubscribe)):
-            self.server.add_route(method, pattern, _replying_errors(handler))
+            self.server.add_route(method, pattern, handler)
 
     def stop(self) -> None:
         super().stop()

@@ -87,7 +87,7 @@ def cmd_json2ngsi(args) -> int:
         from citykit.broker_http import BrokerClient
         client = BrokerClient(args.post)
         for entity in outcome.entities:
-            client.upsert(entity)
+            client.upsert_entity(entity)
     else:
         for entity in outcome.entities:
             _print(entity.to_wire())
@@ -110,7 +110,7 @@ def cmd_gtfs_build(args) -> int:
     from citykit.gtfs import ngsi_to_gtfs
 
     client = BrokerClient(args.broker)
-    feed, zip_bytes = ngsi_to_gtfs(client.query())
+    feed, zip_bytes = ngsi_to_gtfs(client.query_entities())
     Path(args.out).write_bytes(zip_bytes)
     _print({"out": args.out, "bytes": len(zip_bytes),
             "agencies": len(feed.agencies), "stops": len(feed.stops),
@@ -127,7 +127,7 @@ def cmd_gtfsrt_serve(args) -> int:
     feed = load_feed(args.static)
     day_start = calendar.timegm(_service_day(args).timetuple())
     client = BrokerClient(args.broker)
-    loader = RtLoader(lambda: client.query(entity_type="ArrivalEstimation"),
+    loader = RtLoader(lambda: client.query_entities(typeFilter="ArrivalEstimation"),
                       TripResolver(feed, day_start))
     host, port = _parse_listen(args.listen)
     server = RtServer(loader, host=host, port=port)
@@ -180,7 +180,7 @@ def cmd_feedgen(args) -> int:
         from citykit.broker_http import BrokerClient
         client = BrokerClient(args.emit)
         for entity in city:
-            client.upsert(entity)
+            client.upsert_entity(entity)
         emitted = generator.emit(client, duration=duration)
         for record in truth:
             _print(record)
@@ -379,9 +379,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except KindError as exc:
-        print(json.dumps({"error": exc.kind, "detail": str(exc)}, sort_keys=True),
-              file=sys.stderr)
+    except (KindError, OSError) as exc:  # OSError: an unreadable file, a server not answering
+        kind = exc.kind if isinstance(exc, KindError) else "io-error"
+        print(json.dumps({"error": kind, "detail": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 
 

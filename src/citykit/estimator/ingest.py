@@ -10,7 +10,7 @@ counted and skipped, never stored.
 import logging
 from typing import Iterable, Optional
 
-from citykit.broker import Broker, Subscription
+from citykit.broker import Broker, Subscription, notified_entities
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.store import TimeSeriesStore
 from citykit.ngsi import NgsiEntity, NgsiError, is_number, parse_iso
@@ -99,12 +99,7 @@ def ingest_subscription(store: TimeSeriesStore, broker, mapping: dict[str, str],
         attribute = mapping[entity_type]
 
         def on_notify(doc, attribute=attribute):
-            for entity_doc in doc.get("data", []):
-                try:
-                    entity = NgsiEntity.from_wire(entity_doc)
-                except NgsiError:
-                    logger.warning("ignoring malformed entity in notification")
-                    continue
+            for entity in notified_entities(doc):
                 ingest_entity(store, entity, attribute, clock.now())
 
         sub_ids.append(broker.subscribe(Subscription(

@@ -31,7 +31,8 @@ ALGORITHMS = ("autoregressive", "seasonal-naive")
 
 
 class EstimatorError(KindError):
-    """``kind`` is insufficient-context, singular-fit, or invalid-config."""
+    """``kind`` is insufficient-context, singular-fit, invalid-config,
+    model-not-trained, unknown-series or bad-query."""
 
 
 @dataclass

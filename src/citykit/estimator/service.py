@@ -23,7 +23,7 @@ from citykit.estimator.ingest import IngestStats, ingest_historical, ingest_snap
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
-from citykit.httpd import HttpError, HttpService, JsonHttpServer
+from citykit.httpd import HttpService, JsonHttpServer
 from citykit.ngsi import Attribute
 from citykit.textio import field_types, read_settings
 
@@ -131,8 +131,7 @@ class EstimatorServer(HttpService):
         """The route's (entityId, attribute); 404 when that series was never ingested."""
         key = (unquote(match.group("id")), unquote(match.group("attr")))
         if key not in self.service.store.keys():
-            raise HttpError(404, {"error": "unknown-series",
-                                  "detail": f"{key[0]}/{key[1]} never ingested"})
+            raise EstimatorError("unknown-series", f"{key[0]}/{key[1]} never ingested")
         return key
 
     def _series(self, match, params, body):
@@ -140,17 +139,12 @@ class EstimatorServer(HttpService):
         try:
             bounds = [float(params[k]) if k in params else None for k in ("from", "to")]
         except ValueError as exc:
-            return 400, {"error": "bad-query", "detail": str(exc)}
+            raise EstimatorError("bad-query", str(exc)) from exc
         samples = self.service.store.get(entity_id, attribute, *bounds)
         return 200, [{"t": s.t, "value": s.value} for s in samples]
 
     def _predict(self, match, params, body):
-        try:
-            prediction = self.service.scheduler.predict_now(*self._series_key(match))
-        except EstimatorError as exc:
-            if exc.kind == "model-not-trained":
-                return 409, {"error": "model-not-trained", "detail": str(exc)}
-            return 400, {"error": exc.kind, "detail": str(exc)}
+        prediction = self.service.scheduler.predict_now(*self._series_key(match))
         return 200, prediction.to_doc()
 
     def _models(self, match, params, body):

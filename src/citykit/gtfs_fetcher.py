@@ -11,7 +11,7 @@ import logging
 import threading
 from typing import Union
 
-from citykit.broker import Broker, Subscription
+from citykit.broker import Broker, Subscription, notified_entities
 from citykit.gtfs import FeedError
 from citykit.ngsi import NgsiEntity
 from citykit.routing import Router, RouterClient
@@ -37,12 +37,7 @@ class GtfsFetcher:
         ))
 
     def handle_notification(self, doc: dict) -> None:
-        for entity_doc in doc.get("data", []):
-            try:
-                entity = NgsiEntity.from_wire(entity_doc)
-            except Exception:
-                logger.warning("ignoring malformed feed pointer in notification")
-                continue
+        for entity in notified_entities(doc):
             self.consider(entity)
 
     def poll(self, broker: Broker) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional
 from citykit.clock import Clock, SystemClock
 from citykit.gtfs import GtfsFeed
 from citykit.httpd import HttpService, JsonHttpServer
-from citykit.ngsi import NgsiEntity, is_number
+from citykit.ngsi import KindError, NgsiEntity, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -172,7 +172,7 @@ class RtServer(HttpService):
     def _feed(self, match, params, body):
         feed = self.loader.current()
         if feed is None:
-            return 503, {"error": "no-feed", "detail": "no estimations received yet"}
+            raise KindError("no-feed", "no estimations received yet")
         return 200, feed
 
     def _notify(self, match, params, body):

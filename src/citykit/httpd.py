@@ -2,8 +2,10 @@
 
 Servers are stdlib ``ThreadingHTTPServer`` instances with regex-dispatched
 routes; handlers receive the path match, parsed query parameters, and the
-decoded JSON body, and return ``(status, payload)`` or raise ``HttpError``
-to reply with its status and payload. Payloads are serialized
+decoded JSON body, and return ``(status, payload)``. A handler fails by
+raising a ``KindError``, answered ``{"error": kind, "detail": message}`` with
+the status ``KIND_STATUS`` gives its kind (400 for any kind not listed); any
+other exception is a 500 ``internal``. Payloads are serialized
 with sorted keys so responses are byte-deterministic.
 
 Connections are persistent (HTTP/1.1 keep-alive) on both sides. The server
@@ -26,6 +28,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse, urlsplit
 
+from citykit.ngsi import KindError
+
 logger = logging.getLogger(__name__)
 
 Handler = Callable[[re.Match, dict, Any], tuple]
@@ -43,6 +47,9 @@ POOL_SIZE = 4
 # Methods that may be resent after their bytes may have reached the server
 # (RFC 9112 section 9.3.1): POST and PATCH are not idempotent.
 IDEMPOTENT = frozenset({"GET", "PUT", "DELETE"})
+# The reply status of a handler's KindError by its kind; any other kind is 400.
+KIND_STATUS = {"not-found": 404, "unknown-series": 404, "unreachable": 404,
+               "model-not-trained": 409, "no-feed": 503}
 
 
 class _ConnectionServer(ThreadingHTTPServer):
@@ -142,8 +149,9 @@ class JsonHttpServer:
                         continue
                     try:
                         status, payload = handler(match, params, body)
-                    except HttpError as exc:  # a handler's own error reply
-                        status, payload = exc.status, exc.payload
+                    except KindError as exc:
+                        status = KIND_STATUS.get(exc.kind, 400)
+                        payload = {"error": exc.kind, "detail": exc.message}
                     except Exception as exc:  # surfaced as 500, not a crash
                         logger.exception("handler error for %s %s", self.command, parsed.path)
                         status, payload = 500, {"error": "internal", "detail": str(exc)}

@@ -31,16 +31,25 @@ _SPACE_RE = re.compile(r"\s")  # exactly the characters str.isspace accepts
 _RESERVED_ATTR_NAMES = frozenset({"id", "type"})
 
 
-class NgsiError(ValueError):
-    """Malformed entity, attribute, or wire document."""
-
-
 class KindError(Exception):
-    """A service failure whose ``kind`` names its class for callers and wire replies."""
+    """A service failure whose ``kind`` names its class for callers and wire replies.
+
+    ``message`` is the text without the kind; ``str()`` is ``"kind: message"``.
+    """
 
     def __init__(self, kind: str, message: str):
         self.kind = kind
+        self.message = message
         super().__init__(f"{kind}: {message}")
+
+
+class NgsiError(KindError, ValueError):
+    """Malformed entity, attribute, or wire document."""
+
+    kind = "invalid-entity"
+
+    def __init__(self, message: str):
+        super().__init__(self.kind, message)
 
 
 @dataclass

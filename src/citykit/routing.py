@@ -38,7 +38,7 @@ MAX_TRANSFER_METERS = 500.0  # longest footpath between two stops
 
 
 class PlanError(KindError):
-    """Planning failures; ``kind`` is unreachable or origin-isolated."""
+    """Planning failures; ``kind`` is unreachable, origin-isolated or bad-query."""
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -540,13 +540,8 @@ class RouterServer(HttpService):
                 maxItineraries=int(params.get("n", 3)),
             )
         except (KeyError, ValueError) as exc:
-            return 400, {"error": "bad-query", "detail": str(exc)}
-        try:
-            itineraries = self.router.plan(query)
-        except PlanError as exc:
-            status = 404 if exc.kind == "unreachable" else 400
-            return status, {"error": exc.kind, "detail": str(exc)}
-        return 200, [itin.to_doc() for itin in itineraries]
+            raise PlanError("bad-query", str(exc)) from exc
+        return 200, [itin.to_doc() for itin in self.router.plan(query)]
 
     def _reload(self, match, params, body):
         url = body.get("url") if isinstance(body, dict) else body

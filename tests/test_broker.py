@@ -18,6 +18,7 @@ from citykit.broker import (
     Subscription,
     TypeMismatch,
     compare_values,
+    notified_entities,
     parse_q,
 )
 from citykit.clock import SimulatedClock
@@ -518,3 +519,34 @@ def test_commits_match_a_deep_copying_full_check_reference(operations):
         [reference.entities[k].to_wire() for k in sorted(reference.entities)]
     assert [doc["data"][0] for doc in sink.notifications] == reference.commits
     broker.close()
+
+
+@pytest.mark.parametrize("cls, kind", [
+    (NotFound, "not-found"), (InvalidEntity, "invalid-entity"),
+    (MalformedPattern, "malformed-pattern"), (TypeMismatch, "type-mismatch"),
+    (MalformedSubscription, "malformed-subscription"),
+])
+def test_each_broker_error_names_its_wire_kind(cls, kind):
+    exc = cls("what went wrong")
+    assert (exc.kind, exc.message, str(exc)) == (kind, "what went wrong",
+                                                 f"{kind}: what went wrong")
+
+
+def test_a_rejected_entity_names_its_kind_once(broker):
+    bad = NgsiEntity("p-1", "T", {"n": Attribute("s", "Number")})
+    with pytest.raises(InvalidEntity) as err:
+        broker.upsert_entity(bad)
+    assert str(err.value).count("invalid-entity") == 1
+    broker.upsert_entity(make_entity("p-1", "T", n=1))
+    with pytest.raises(InvalidEntity) as err:
+        broker.update_attributes("p-1", {"n": Attribute("s", "Number")})
+    assert str(err.value).count("invalid-entity") == 1
+
+
+def test_notified_entities_skips_only_malformed_entities(caplog):
+    good = [make_entity("a", "T", n=1), make_entity("b", "T", n=2)]
+    doc = {"data": [good[0].to_wire(), {"id": "no-type"}, good[1].to_wire(),
+                    {"id": "c", "entityType": "T", "attributes": {"n": {}}}]}
+    assert list(notified_entities(doc)) == good
+    assert caplog.text.count("ignoring malformed entity") == 2
+    assert list(notified_entities({})) == []

@@ -366,3 +366,63 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
+
+
+class TestServiceErrors:
+    """A failing command exits with 2 and one JSON line on stderr, not a traceback."""
+
+    @staticmethod
+    def _error_line(capsys, argv) -> dict:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return json.loads(line)
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--schemas", SCHEMAS_DIR],
+        ["ngsi2ld", "--context", "https://example.org/ctx.jsonld"],
+    ])
+    def test_an_entity_line_without_a_type(self, tmp_path, capsys, command):
+        source = tmp_path / "in.jsonl"
+        write_jsonl(source, [{"id": "p-1", "attributes": {}}])
+        error = self._error_line(capsys, command + ["--input", str(source)])
+        assert error["error"] == "invalid-entity"
+        assert "entityType" in error["detail"]
+
+    def test_json2ngsi_posts_into_a_broker_that_rejects_the_entity(
+            self, tmp_path, served_broker, capsys):
+        url, broker = served_broker
+        rules = write_json(tmp_path / "rules.json", RULES_DOC)
+        source = write_json(tmp_path / "in.json", {**RECORD, "spots": {"free": "many"}})
+        error = self._error_line(capsys, ["json2ngsi", "--rules", rules, "--input", source,
+                                          "--post", url])
+        assert error["error"] == "invalid-entity"
+        assert "Number" in error["detail"]
+        assert broker.entity_count() == 0
+
+    def test_a_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        error = self._error_line(capsys, ["validate", "--schemas", SCHEMAS_DIR,
+                                          "--input", str(missing)])
+        assert error["error"] == "io-error"
+        assert str(missing) in error["detail"]
+
+    @pytest.mark.parametrize("command", [
+        ["gtfs-build", "--broker", "http://127.0.0.1:1", "--out", "{tmp}/feed.zip"],
+        ["gtfs-fetch", "--broker", "http://127.0.0.1:1", "--router", "http://127.0.0.1:1"],
+        ["feedgen", "--emit", "http://127.0.0.1:1"],
+    ])
+    def test_a_broker_that_does_not_answer(self, tmp_path, capsys, command):
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert self._error_line(capsys, argv)["error"] == "io-error"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_broker_serve_on_a_corrupt_journal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_wait_forever", lambda *servers: [s.stop() for s in servers])
+        journal = tmp_path / "state.jsonl"
+        journal.write_text("{not json\n{}\n", encoding="utf-8")
+        error = self._error_line(capsys, ["broker-serve", "--listen", "127.0.0.1:0",
+                                          "--journal", str(journal)])
+        assert error["error"] == "broker-error"
+        assert "line 1 is corrupt" in error["detail"]

@@ -13,6 +13,7 @@ import pytest
 from citykit import httpd
 from citykit.broker_http import BrokerServer
 from citykit.httpd import JsonHttpServer, request_json
+from citykit.ngsi import KindError
 
 
 def _echo_server() -> JsonHttpServer:
@@ -339,3 +340,41 @@ def test_idle_keep_alive_clients_do_not_hold_off_a_new_one(echo):
     finally:
         for conn in idle:
             conn.close()
+
+
+@pytest.fixture
+def failing():
+    """A server whose routes fail in the ways a handler can."""
+    server = JsonHttpServer()
+
+    def raising(exc):
+        def handler(match, params, body):
+            raise exc
+        return handler
+
+    server.add_route("GET", r"/gone", raising(KindError("not-found", "no such thing")))
+    server.add_route("GET", r"/odd", raising(KindError("some-new-kind", "odd input")))
+    server.add_route("GET", r"/busy", raising(KindError("model-not-trained", "not yet")))
+    server.add_route("GET", r"/relay", raising(httpd.HttpError(404, {"error": "not-found",
+                                                                "detail": "downstream"})))
+    server.start()
+    yield server
+    server.stop()
+
+
+@pytest.mark.parametrize("path, status, payload", [
+    ("/gone", 404, {"error": "not-found", "detail": "no such thing"}),
+    ("/odd", 400, {"error": "some-new-kind", "detail": "odd input"}),
+    ("/busy", 409, {"error": "model-not-trained", "detail": "not yet"}),
+])
+def test_a_kind_error_is_answered_by_its_kind(failing, path, status, payload):
+    with pytest.raises(httpd.HttpError) as err:
+        request_json("GET", failing.url(path))
+    assert (err.value.status, err.value.payload) == (status, payload)
+
+
+def test_a_downstream_http_error_a_handler_lets_through_is_a_500(failing):
+    with pytest.raises(httpd.HttpError) as err:
+        request_json("GET", failing.url("/relay"))
+    assert err.value.status == 500
+    assert err.value.payload["error"] == "internal"
