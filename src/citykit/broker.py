@@ -7,7 +7,10 @@ entity version is never mutated: an upsert copies the entity in and checks
 all of it; a patch copies in and checks only the attributes it changes, and
 its new version shares the rest with the previous one. Subscription queues
 hold the committed versions; reads (``get_entity``, ``query_entities``, the
-result of ``update_attributes``) hand out copies. Notification
+result of ``update_attributes``) hand out copies. A sink's ``deliver`` gets
+the committed versions of one delivery; only ``HttpSink`` (the webhook POST)
+and ``CollectSink`` build the NGSI ``notification_doc`` from them, and a
+callable target gets copies it may mutate. Notification
 delivery is FIFO per subscription and at-least-once; a positive
 ``throttlingSeconds`` coalesces queued changes into the latest snapshot per
 entity and spaces deliveries at least that far apart. Three consecutive sink
@@ -23,7 +26,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
@@ -78,24 +81,30 @@ class Broker(Protocol):
     def update_attributes(self, entity_id: str, patch: dict[str, Attribute]) -> NgsiEntity: ...
 
 
+def notification_doc(sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> dict:
+    """The NGSI notification document for one delivery of ``versions``."""
+    return {"subscriptionId": sub_id, "issuedAt": iso_utc(issued_at),
+            "data": [e.to_wire() for e in versions]}
+
+
 class CollectSink:
     """In-process sink that appends notification documents to a list."""
 
     def __init__(self):
         self.notifications: list[dict] = []
 
-    def deliver(self, doc: dict) -> None:
-        self.notifications.append(doc)
+    def deliver(self, sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> None:
+        self.notifications.append(notification_doc(sub_id, issued_at, versions))
 
 
 class CallbackSink:
-    """Adapter for a plain callable target."""
+    """Adapter for a plain callable target, called with copies it may mutate."""
 
-    def __init__(self, fn: Callable[[dict], None]):
+    def __init__(self, fn: Callable[[list[NgsiEntity]], None]):
         self.fn = fn
 
-    def deliver(self, doc: dict) -> None:
-        self.fn(doc)
+    def deliver(self, sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> None:
+        self.fn([e.copy() for e in versions])
 
 
 class HttpSink:
@@ -104,19 +113,9 @@ class HttpSink:
     def __init__(self, url: str):
         self.url = url
 
-    def deliver(self, doc: dict) -> None:
-        post_json(self.url, doc, timeout=SINK_TIMEOUT_SECONDS)
-
-
-def notified_entities(doc: dict) -> Iterator[NgsiEntity]:
-    """The entities a notification document carries; a malformed one is logged and skipped."""
-    for entity_doc in doc.get("data", []):
-        try:
-            entity = NgsiEntity.from_wire(entity_doc)
-        except NgsiError:
-            logger.warning("ignoring malformed entity in notification")
-            continue
-        yield entity
+    def deliver(self, sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> None:
+        post_json(self.url, notification_doc(sub_id, issued_at, versions),
+                  timeout=SINK_TIMEOUT_SECONDS)
 
 
 def _as_sink(target):
@@ -158,12 +157,18 @@ class Subscription:
         extra = set(doc) - known
         if extra:
             raise MalformedSubscription(f"unknown subscription fields {sorted(extra)}")
+        watched = doc.get("watchedAttributes", [])
+        type_filter, id_pattern = doc.get("entityTypeFilter", "*"), doc.get("idPattern", ".*")
+        if not isinstance(watched, list) or \
+                not all(isinstance(v, str) for v in [*watched, type_filter, id_pattern]):
+            raise MalformedSubscription("watchedAttributes must be a list of strings and "
+                                        "entityTypeFilter and idPattern strings")
         try:
             return cls(
                 id=doc.get("id") or "",
-                entityTypeFilter=doc.get("entityTypeFilter", "*"),
-                idPattern=doc.get("idPattern", ".*"),
-                watchedAttributes=frozenset(doc.get("watchedAttributes") or ()),
+                entityTypeFilter=type_filter,
+                idPattern=id_pattern,
+                watchedAttributes=frozenset(watched),
                 target=doc.get("target"),
                 throttlingSeconds=int(doc.get("throttlingSeconds") or 0),
             )
@@ -465,13 +470,8 @@ class ContextBroker:
                 else:
                     batch = [state.queue[0]]
                     consumed = 1
-            doc = {
-                "subscriptionId": sub.id,
-                "issuedAt": iso_utc(now),
-                "data": [e.to_wire() for e in batch],
-            }
             try:
-                sub._sink.deliver(doc)
+                sub._sink.deliver(sub.id, now, batch)
             except Exception as exc:
                 with self._lock:
                     state.consecutive_failures += 1

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from citykit.ngsi import (
     BOOLEAN,

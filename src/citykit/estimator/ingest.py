@@ -10,7 +10,7 @@ counted and skipped, never stored.
 import logging
 from typing import Iterable, Optional
 
-from citykit.broker import Broker, Subscription, notified_entities
+from citykit.broker import Broker, Subscription
 from citykit.clock import Clock, SystemClock
 from citykit.estimator.store import TimeSeriesStore
 from citykit.ngsi import NgsiEntity, NgsiError, is_number, parse_iso
@@ -98,8 +98,8 @@ def ingest_subscription(store: TimeSeriesStore, broker, mapping: dict[str, str],
     for entity_type in sorted(mapping):
         attribute = mapping[entity_type]
 
-        def on_notify(doc, attribute=attribute):
-            for entity in notified_entities(doc):
+        def on_notify(entities, attribute=attribute):
+            for entity in entities:
                 ingest_entity(store, entity, attribute, clock.now())
 
         sub_ids.append(broker.subscribe(Subscription(

@@ -16,7 +16,7 @@ before the slot that starts the horizon.
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

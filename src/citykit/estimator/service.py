@@ -130,7 +130,7 @@ class EstimatorServer(HttpService):
     def _series_key(self, match) -> tuple:
         """The route's (entityId, attribute); 404 when that series was never ingested."""
         key = (unquote(match.group("id")), unquote(match.group("attr")))
-        if key not in self.service.store.keys():
+        if not self.service.store.length(*key):
             raise EstimatorError("unknown-series", f"{key[0]}/{key[1]} never ingested")
         return key
 

@@ -20,7 +20,7 @@ import zipfile
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 from urllib.parse import urlparse
 from urllib.request import url2pathname
 

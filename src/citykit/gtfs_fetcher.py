@@ -1,17 +1,18 @@
 """Change-tracking feed reloader: broker pointer entities drive the router.
 
-The fetcher watches GtfsTransitFeedFile entities. Whenever one's
-dateModified (or url) differs from what was last applied, the referenced
-archive is read and handed to the router; a fetch or parse failure is logged
-as an event and the previous graph keeps serving. The router is a ``Router``
-or a ``RouterClient`` for a router server; both offer ``load_url``.
+The fetcher watches GtfsTransitFeedFile entities: ``attach`` considers each
+committed pointer the broker delivers in process, ``poll`` the stored ones.
+Whenever one's dateModified (or url) differs from what was last applied, the
+referenced archive is read and handed to the router; a fetch or parse failure
+is logged as an event and the previous graph keeps serving. The router is a
+``Router`` or a ``RouterClient`` for a router server; both offer ``load_url``.
 """
 
 import logging
 import threading
 from typing import Union
 
-from citykit.broker import Broker, Subscription, notified_entities
+from citykit.broker import Broker, Subscription
 from citykit.gtfs import FeedError
 from citykit.ngsi import NgsiEntity
 from citykit.routing import Router, RouterClient
@@ -29,16 +30,10 @@ class GtfsFetcher:
         self._lock = threading.Lock()
 
     def attach(self, broker) -> str:
-        """Subscribe in-process; every feed-pointer commit lands here."""
+        """Subscribe in-process; every committed feed pointer is considered."""
         return broker.subscribe(Subscription(
-            id="",
-            entityTypeFilter="GtfsTransitFeedFile",
-            target=self.handle_notification,
-        ))
-
-    def handle_notification(self, doc: dict) -> None:
-        for entity in notified_entities(doc):
-            self.consider(entity)
+            id="", entityTypeFilter="GtfsTransitFeedFile",
+            target=lambda entities: [self.consider(e) for e in entities]))
 
     def poll(self, broker: Broker) -> int:
         """Scan current pointers once (covers state older than the subscription)."""

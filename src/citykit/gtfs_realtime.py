@@ -134,7 +134,7 @@ class RtLoader:
         return broker.subscribe(Subscription(
             id="",
             entityTypeFilter="ArrivalEstimation",
-            target=lambda doc: self.refresh(),
+            target=lambda entities: self.refresh(),
         ))
 
     def refresh(self) -> dict:

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any
 
 from citykit.ngsi import GEOJSON, REFERENCE, Attribute, KindError, NgsiEntity, is_number
 

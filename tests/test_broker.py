@@ -18,11 +18,13 @@ from citykit.broker import (
     Subscription,
     TypeMismatch,
     compare_values,
-    notified_entities,
     parse_q,
 )
 from citykit.clock import SimulatedClock
+from citykit.estimator.ingest import ingest_subscription
+from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import Lcg64
+from citykit.httpd import JsonHttpServer
 from citykit.ngsi import Attribute, NgsiEntity, NgsiError, check_entity, make_entity
 
 from oracles import OrderingMismatch, random_filters, random_store, scan_query
@@ -261,7 +263,7 @@ def test_throttle_first_delivery_immediate_then_coalesced():
 
 def test_failing_sink_is_retired_after_three_strikes(broker):
     class Exploding:
-        def deliver(self, doc):
+        def deliver(self, sub_id, issued_at, versions):
             raise RuntimeError("sink down")
 
     sub_id = broker.subscribe(Subscription(id="", target=Exploding()))
@@ -413,10 +415,10 @@ def test_queued_notification_keeps_the_version_it_committed():
 
 
 def test_patch_result_and_notification_docs_are_the_callers_to_mutate(broker):
-    def vandal(doc):
-        attrs = doc["data"][0]["attributes"]
-        attrs["availableSpotNumber"]["value"] = -1
-        attrs["name"]["metadata"] = {"scribbled": True}
+    def vandal(entities):
+        attrs = entities[0].attributes
+        attrs["availableSpotNumber"].value = -1
+        attrs["name"].metadata["scribbled"] = True
         attrs.pop("name")
 
     broker.subscribe(Subscription(id="", target=vandal))
@@ -435,6 +437,60 @@ def test_patch_result_and_notification_docs_are_the_callers_to_mutate(broker):
     assert [doc["data"][0]["attributes"]["availableSpotNumber"]["value"]
             for doc in sink.notifications] == [9, 6]
     assert all("name" in doc["data"][0]["attributes"] for doc in sink.notifications)
+
+
+def test_webhook_body_is_the_whole_notification_document():
+    broker = ContextBroker(clock=SimulatedClock(1748851200.4))  # 2025-06-02 08:00 UTC
+    bodies = []
+
+    def on_hook(match, params, body):
+        bodies.append(body)
+        return 200, {}
+
+    hook = JsonHttpServer()
+    hook.add_route("POST", r"/hook", on_hook)
+    hook.start()
+    entity = make_entity("p-1", "ParkingSite", name="Lot",
+                         availableSpotNumber=Attribute(9, "Number", {"unit": "spots"}))
+    try:
+        web_id = broker.subscribe(Subscription(id="", target=hook.url("/hook")))
+        collect_id, sink = collect_sub(broker)
+        broker.upsert_entity(entity)
+    finally:
+        hook.stop()
+        broker.close()
+
+    def document(sub_id):
+        return {"subscriptionId": sub_id, "issuedAt": "2025-06-02T08:00:00Z",
+                "data": [entity.to_wire()]}
+
+    assert bodies == [document(web_id)]
+    assert sink.notifications == [document(collect_id)]
+
+
+def test_in_process_subscribers_get_entities_without_a_wire_round_trip(monkeypatch):
+    broker = ContextBroker(clock=SimulatedClock(1748851200))
+    store = TimeSeriesStore()
+    ingest_subscription(store, broker, {"Sensor": "level"}, clock=broker.clock)
+    broker.upsert_entity(make_entity("s-1", "Sensor", level=1))
+    calls = []
+    to_wire, from_wire = NgsiEntity.to_wire, NgsiEntity.from_wire.__func__
+
+    def counted_to_wire(self):
+        calls.append("to_wire")
+        return to_wire(self)
+
+    def counted_from_wire(cls, doc):
+        calls.append("from_wire")
+        return from_wire(cls, doc)
+
+    monkeypatch.setattr(NgsiEntity, "to_wire", counted_to_wire)
+    monkeypatch.setattr(NgsiEntity, "from_wire", classmethod(counted_from_wire))
+    broker.clock.advance(60)
+    broker.update_attributes("s-1", {"level": Attribute(2, "Number")})
+    assert calls == []
+    assert [s.value for s in store.get("s-1", "level")] == [1.0, 2.0]
+    broker.close()
 
 
 def test_patch_copies_the_callers_attributes_in(broker):
@@ -541,12 +597,3 @@ def test_a_rejected_entity_names_its_kind_once(broker):
     with pytest.raises(InvalidEntity) as err:
         broker.update_attributes("p-1", {"n": Attribute("s", "Number")})
     assert str(err.value).count("invalid-entity") == 1
-
-
-def test_notified_entities_skips_only_malformed_entities(caplog):
-    good = [make_entity("a", "T", n=1), make_entity("b", "T", n=2)]
-    doc = {"data": [good[0].to_wire(), {"id": "no-type"}, good[1].to_wire(),
-                    {"id": "c", "entityType": "T", "attributes": {"n": {}}}]}
-    assert list(notified_entities(doc)) == good
-    assert caplog.text.count("ignoring malformed entity") == 2
-    assert list(notified_entities({})) == []

@@ -119,12 +119,6 @@ def test_attach_ignores_unrelated_commits(broker, router):
     assert router.version == 0
 
 
-def test_malformed_notification_entity_is_skipped(router):
-    fetcher = GtfsFetcher(router)
-    fetcher.handle_notification({"data": [{"id": "feed-x"}]})  # no type field
-    assert fetcher.events == []
-
-
 class TestRemoteRouter:
     @pytest.fixture
     def served(self, router):

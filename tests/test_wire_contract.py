@@ -63,6 +63,14 @@ def broker_url():
      400, "malformed-subscription"),
     ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "throttlingSeconds": -1},
      400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "watchedAttributes": "level"},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "watchedAttributes": [1]},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "entityTypeFilter": 5},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "idPattern": ["s-1"]},
+     400, "malformed-subscription"),
     ("DELETE", "/v2/subscriptions/ghost", None, 404, "not-found"),
     ("GET", "/v3/nowhere", None, 404, "not-found"),
 ])
