@@ -72,10 +72,6 @@ class BrokerServer(HttpService):
         super().stop()
         self.broker.close()
 
-    @property
-    def url(self) -> str:
-        return self.server.url()
-
     # -- handlers ----------------------------------------------------------
 
     def _upsert(self, match, params, body):

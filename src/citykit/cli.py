@@ -7,7 +7,6 @@ estimator. All output is JSON so runs can be piped and diffed.
 """
 
 import argparse
-import calendar
 import json
 import logging
 import signal
@@ -121,11 +120,11 @@ def cmd_gtfs_build(args) -> int:
 
 def cmd_gtfsrt_serve(args) -> int:
     from citykit.broker_http import BrokerClient
-    from citykit.gtfs import load_feed
+    from citykit.gtfs import load_feed, utc_midnight
     from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
 
     feed = load_feed(args.static)
-    day_start = calendar.timegm(_service_day(args).timetuple())
+    day_start = utc_midnight(_service_day(args))
     client = BrokerClient(args.broker)
     loader = RtLoader(lambda: client.query_entities(typeFilter="ArrivalEstimation"),
                       TripResolver(feed, day_start))

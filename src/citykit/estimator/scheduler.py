@@ -98,24 +98,29 @@ class EstimatorScheduler:
     # -- passes ---------------------------------------------------------------
 
     def _train_pass(self, now: float, count_per_key: bool = True) -> None:
+        """Fit every series, then publish the new model map in one assignment.
+
+        ``models`` is never changed in place, so a reader that takes it once
+        sees one whole pass. A series that does not fit keeps its old model.
+        """
+        models = dict(self.models)
         for key in self.store.keys():
-            entity_id, attribute = key
-            if attribute.endswith(".predicted"):
-                continue  # never model our own outputs
             try:
-                model = train(self.store, entity_id, attribute, self.config, now)
+                model = train(self.store, *key, self.config, now)
             except Exception:
                 logger.exception("train failed for %s", key)
                 continue
             if model is not None:
-                self.models[key] = model
+                models[key] = model
                 if count_per_key:
                     self.trains_by_key[key] = self.trains_by_key.get(key, 0) + 1
+        self.models = models
 
     def _infer_pass(self, now: float) -> None:
         self.infer_passes += 1
-        for key in sorted(self.models):
-            model = self.models[key]
+        models = self.models
+        for key in sorted(models):
+            model = models[key]
             try:
                 prediction = infer(model, self.store, now, self.config.horizonSeconds)
             except EstimatorError as exc:
@@ -125,10 +130,9 @@ class EstimatorScheduler:
             self._publish(prediction)
 
     def _publish(self, prediction: Prediction) -> None:
-        """Keep the prediction, store it as a ``.predicted`` sample, run the hook."""
+        """Keep the prediction in ``predictions`` and run the hook; the store
+        holds observations only."""
         self.predictions.append(prediction)
-        self.store.append(prediction.entityId, prediction.attributeName + ".predicted",
-                          prediction.horizonEnd, prediction.value)
         if self.on_prediction is not None:
             try:
                 self.on_prediction(prediction)

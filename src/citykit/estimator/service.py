@@ -8,8 +8,8 @@ which entity type and attribute are ingested and predicted:
   noise    ->  NoiseLevelObserved.LAeq
 
 Predictions write back to the source entity as ``<attribute>Forecast`` with
-the horizon recorded in metadata; a vanished entity is logged and the local
-store still keeps the prediction.
+the horizon recorded in metadata; a vanished entity is logged and the
+scheduler still keeps the prediction.
 """
 
 import logging
@@ -148,6 +148,5 @@ class EstimatorServer(HttpService):
         return 200, prediction.to_doc()
 
     def _models(self, match, params, body):
-        with self.service.scheduler._lock:  # a train pass inserts models under it
-            models = sorted(self.service.scheduler.models.items())
-        return 200, [model.to_doc() for _, model in models]
+        models = self.service.scheduler.models  # published whole by each train pass
+        return 200, [models[key].to_doc() for key in sorted(models)]

@@ -17,7 +17,6 @@ Ground truth (per-trip delays, defect positions) is recorded alongside the
 generated data so downstream checks never have to guess.
 """
 
-import calendar
 import copy
 import math
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ from citykit.broker import Broker
 from citykit.clock import SimulatedClock
 from citykit.datamodels import RULE_KINDS as DEFECT_KINDS
 from citykit.datamodels import bundled_registry
-from citykit.gtfs import parse_service_date
+from citykit.gtfs import parse_service_date, utc_midnight
 from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
 from citykit.textio import field_types, read_jsonl, read_settings, write_jsonl
 
@@ -128,7 +127,7 @@ class CityFixture:
 
     def day_start(self) -> float:
         """Epoch of the service day's UTC midnight."""
-        return float(calendar.timegm(parse_service_date(self.serviceDate).timetuple()))
+        return float(utc_midnight(parse_service_date(self.serviceDate)))
 
 
 def default_fixture(seed: int = 42) -> CityFixture:
@@ -422,11 +421,8 @@ class StreamGenerator:
         events.sort(key=lambda e: (e.t, e.entityId))
         return events
 
-    def events(self, duration: float = DAY_SECONDS,
-               include_arrivals: bool = True) -> list[StreamEvent]:
-        merged = self.series_events(duration)
-        if include_arrivals:
-            merged += self.arrival_events(duration)
+    def events(self, duration: float = DAY_SECONDS) -> list[StreamEvent]:
+        merged = self.series_events(duration) + self.arrival_events(duration)
         merged.sort(key=lambda e: (e.t, e.entityId))
         return merged
 

@@ -11,6 +11,7 @@ Stop times live internally as whole seconds since service midnight and render
 as HH:MM:SS on the way out; hours past 24 are legal for after-midnight trips.
 """
 
+import calendar
 import csv
 import io
 import logging
@@ -95,6 +96,11 @@ class Service:
 def parse_service_date(stamp: str) -> date:
     """The day a YYYYMMDD calendar stamp names."""
     return date(int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]))
+
+
+def utc_midnight(day: date) -> int:
+    """Epoch seconds of ``day``'s UTC midnight, where its service times count from."""
+    return calendar.timegm(day.timetuple())
 
 
 @dataclass

@@ -29,7 +29,7 @@ from citykit.datamodels import bundled_registry, validate_entity
 from citykit.estimator.ingest import ingest_historical, ingest_subscription
 from citykit.estimator.models import TrainingConfig, train
 from citykit.estimator.scheduler import EstimatorScheduler
-from citykit.estimator.service import writeback
+from citykit.estimator.service import PROFILES, writeback
 from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import (
     CityFixture,
@@ -286,13 +286,6 @@ LIVE_DAYS = 1
 PARKING_NOISE_STD = 2.0
 
 
-_LIVE_MAPPING = {
-    "OnStreetParking": "availableSpotNumber",
-    "TrafficFlowObserved": "intensity",
-    "NoiseLevelObserved": "LAeq",
-}
-
-
 def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -> ScenarioReport:
     cfg = config or EstimationScenarioConfig()
     base = cfg.fixture or default_fixture(cfg.seed)
@@ -346,10 +339,10 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
                 "models": sorted(f"{a}/{b}" for a, b in scheduler.models)}
 
     def live_stream():
-        ingest_subscription(store, broker, _LIVE_MAPPING, clock)
+        ingest_subscription(store, broker, dict(PROFILES.values()), clock)
         scheduler = shared["scheduler"]
         generator = StreamGenerator(fixture, t0=day_start)
-        events = generator.events(LIVE_DAYS * 86400, include_arrivals=False)
+        events = generator.series_events(LIVE_DAYS * 86400)
         for event in events:
             if event.t > clock.now():
                 clock.set(event.t)
@@ -358,15 +351,12 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
         clock.set(live_end)
         scheduler.advance(live_end)
         return {"events": len(events),
-                "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in sorted(store.keys())
-                           if not k[1].endswith(".predicted")}}
+                "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in store.keys()}}
 
     def train_gate():
         scheduler = shared["scheduler"]
         rows = {}
-        for key in sorted(store.keys()):
-            if key[1].endswith(".predicted"):
-                continue
+        for key in store.keys():
             count = store.length(*key)
             has_model = key in scheduler.models
             row = {"samples": count, "model": has_model}

@@ -49,7 +49,7 @@ POOL_SIZE = 4
 IDEMPOTENT = frozenset({"GET", "PUT", "DELETE"})
 # The reply status of a handler's KindError by its kind; any other kind is 400.
 KIND_STATUS = {"not-found": 404, "unknown-series": 404, "unreachable": 404,
-               "model-not-trained": 409, "no-feed": 503}
+               "model-not-trained": 409, "fetch-failed": 502, "no-feed": 503}
 
 
 class _ConnectionServer(ThreadingHTTPServer):

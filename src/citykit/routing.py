@@ -22,11 +22,11 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 from typing import Optional, Union
 from urllib.request import urlopen
 
-from citykit.gtfs import FeedError, GtfsFeed, file_url
+from citykit.gtfs import FeedError, GtfsFeed, file_url, utc_midnight
 from citykit.httpd import HttpError, HttpService, JsonHttpServer, post_json
 from citykit.ngsi import KindError
 
@@ -68,8 +68,7 @@ class TransitGraph:
         self.serviceDate = service_date
         self.walkSpeed = WALK_SPEED
         self.version = 1
-        self.dayStart = int(datetime(service_date.year, service_date.month, service_date.day,
-                                     tzinfo=timezone.utc).timestamp())
+        self.dayStart = utc_midnight(service_date)
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
         self.tripStopTimes: dict[str, list[TripStopTime]] = {}
         self.tripRoute: dict[str, str] = {}
@@ -544,15 +543,15 @@ class RouterServer(HttpService):
         return 200, [itin.to_doc() for itin in self.router.plan(query)]
 
     def _reload(self, match, params, body):
-        url = body.get("url") if isinstance(body, dict) else body
+        url = body.get("url") if isinstance(body, dict) else None
         if not isinstance(url, str) or not url:
-            return 400, {"error": "bad-request", "detail": "body needs a feed url"}
+            raise KindError("bad-request", "body needs a feed url")
         try:
             version = self.router.load_url(url)
         except FeedError as exc:
-            return 400, {"error": "reload-failed", "detail": str(exc)}
+            raise KindError("reload-failed", str(exc)) from exc
         except (OSError, ValueError) as exc:  # the router could not read the archive
-            return 502, {"error": "fetch-failed", "detail": str(exc)}
+            raise KindError("fetch-failed", str(exc)) from exc
         return 200, {"version": version}
 
     def _version(self, match, params, body):

@@ -350,10 +350,20 @@ class TestScheduler:
         sched, store = self.make()
         sched.start(DAY)
         sched.advance(DAY + 900)
-        predicted = store.get("p-1", "availableSpotNumber.predicted")
-        assert len(predicted) == 1
-        assert predicted[0].t == DAY + 900 + 3600
-        assert predicted[0].value == sched.predictions[0].value
+        [prediction] = sched.predictions
+        assert (prediction.entityId, prediction.attributeName) == ("p-1", "availableSpotNumber")
+        assert prediction.horizonEnd == DAY + 900 + 3600
+        model = sched.models[("p-1", "availableSpotNumber")]
+        assert prediction.value == infer(model, store, DAY + 900, sched.config.horizonSeconds).value
+
+    def test_store_holds_only_observations(self):
+        sched, store = self.make()
+        ingested = store.keys()
+        sched.start(DAY)
+        sched.advance(DAY + 86400)
+        sched.predict_now("p-1", "availableSpotNumber", now=DAY + 86400)
+        assert len(sched.predictions) == 97
+        assert store.keys() == ingested
 
     def test_predicted_series_are_never_modeled(self):
         sched, _ = self.make()
@@ -380,12 +390,11 @@ class TestScheduler:
         assert len(sched.predictions) == 1
 
     def test_predict_now_on_demand(self):
-        sched, store = self.make()
+        sched, _ = self.make()
         sched.start(DAY)
         prediction = sched.predict_now("p-1", "availableSpotNumber", now=DAY + 30)
         assert prediction.issuedAt == DAY + 30
         assert sched.predictions == [prediction]
-        assert store.length("p-1", "availableSpotNumber.predicted") == 1
 
     def test_predict_now_without_model(self):
         sched, _ = self.make(n=10)

@@ -1,7 +1,11 @@
-"""Source hygiene: every name a ``citykit`` module imports is read somewhere in it.
+"""Source hygiene, checked on the ``citykit`` sources with ``ast``:
 
-The package ``__init__.py`` files are left out: they import names in order to
-re-export them.
+- every name a module imports is read somewhere in it. The package
+  ``__init__.py`` files are left out: they import names in order to re-export
+  them.
+- a module reads another object's private attribute (``obj._name``) only if
+  that module owns the name: it assigns ``self._name`` or ``cls._name``, or it
+  defines ``_name`` itself.
 """
 
 import ast
@@ -31,3 +35,33 @@ def test_every_imported_name_is_read():
               for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
               for name in unread_imports(path)]
     assert unread == []
+
+
+def _on_self(node: ast.Attribute) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+
+
+def foreign_private_reads(path: Path) -> list[str]:
+    """``line: obj._name`` for each private attribute ``path`` reads off an
+    object other than ``self`` or ``cls`` without owning the name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owned.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            owned.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and _on_self(node):
+            owned.add(node.attr)
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.endswith("__")  # not dunders
+            and node.attr not in owned and not _on_self(node)]
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    reads = [f"{path.relative_to(SRC)}:{read}"
+             for path in sorted(SRC.rglob("*.py"))
+             for read in foreign_private_reads(path)]
+    assert reads == []

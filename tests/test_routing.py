@@ -587,3 +587,12 @@ class TestRouterServer:
             post_json(f"{served}/graph/reload", {"url": str(bad)})
         _, doc = get_json(f"{served}/version")
         assert doc["version"] == before + 1
+
+    def test_reload_body_must_be_an_object(self, served, city_feed, tmp_path):
+        target = tmp_path / "v2.zip"
+        target.write_bytes(serialize_feed(city_feed))
+        _, doc = get_json(f"{served}/version")
+        with pytest.raises(HttpError) as err:
+            post_json(f"{served}/graph/reload", str(target))  # a bare string is not {"url": ...}
+        assert (err.value.status, err.value.payload["error"]) == (400, "bad-request")
+        assert get_json(f"{served}/version")[1] == doc
