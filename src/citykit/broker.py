@@ -130,7 +130,11 @@ def _as_sink(target):
 
 @dataclass
 class Subscription:
-    """Filter plus sink; matches commits by type, id pattern, and attributes."""
+    """Filter plus sink; matches commits by type, id pattern, and attributes.
+
+    One object is one registration: the broker holding it keeps its delivery
+    state in the fields below ``status``, so subscribe a new object each time.
+    """
 
     id: str
     entityTypeFilter: str = "*"
@@ -139,6 +143,10 @@ class Subscription:
     target: Any = None
     throttlingSeconds: int = 0
     status: str = "active"
+    queue: list = field(default_factory=list, init=False, repr=False)  # versions, commit order
+    last_delivery: Optional[float] = field(default=None, init=False, repr=False)
+    consecutive_failures: int = field(default=0, init=False, repr=False)
+    removed: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.throttlingSeconds < 0:
@@ -185,19 +193,11 @@ class Subscription:
         return True
 
 
-@dataclass
-class _SubState:
-    sub: Subscription
-    queue: list = field(default_factory=list)  # entity snapshots, commit order
-    last_delivery: Optional[float] = None
-    consecutive_failures: int = 0
-    removed: bool = False
-
-
 def compare_values(value, op: str, literal) -> bool:
     """Apply one comparator; raises TypeMismatch for unordered operand pairs."""
     if op == "==":
-        return value == literal and isinstance(value, type(literal)) or _num_eq(value, literal)
+        return value == literal and (isinstance(value, type(literal))
+                                     or is_number(value) and is_number(literal))
     if op == "!=":
         return not compare_values(value, "==", literal)
     both_num = is_number(value) and is_number(literal)
@@ -213,10 +213,6 @@ def compare_values(value, op: str, literal) -> bool:
     if op == ">=":
         return value >= literal
     raise MalformedPattern(f"unknown comparator {op!r}")
-
-
-def _num_eq(a, b) -> bool:
-    return is_number(a) and is_number(b) and a == b
 
 
 # a clause runs to the next `;` that is not inside a double-quoted string
@@ -265,7 +261,7 @@ class ContextBroker:
             raise ValueError(f"unknown delivery mode {delivery!r}")
         self.clock = clock or SystemClock()
         self._entities: dict[str, NgsiEntity] = {}
-        self._subs: dict[str, _SubState] = {}
+        self._subs: dict[str, Subscription] = {}
         self._sub_seq = 0
         self._lock = threading.RLock()
         self._pump_lock = threading.Lock()
@@ -386,42 +382,40 @@ class ContextBroker:
                 subscription.id = f"sub-{self._sub_seq}"
             if subscription.id in self._subs:
                 raise MalformedSubscription(f"duplicate subscription id {subscription.id!r}")
-            self._subs[subscription.id] = _SubState(sub=subscription)
+            self._subs[subscription.id] = subscription
             return subscription.id
 
     def unsubscribe(self, sub_id: str) -> bool:
         """Immediate: commits that start after this returns never match."""
         with self._lock:
-            state = self._subs.pop(sub_id, None)
-            if state is None:
+            sub = self._subs.pop(sub_id, None)
+            if sub is None:
                 raise NotFound(f"no subscription with id {sub_id!r}")
-            state.removed = True
+            sub.removed = True
             return True
 
     def subscription_status(self, sub_id: str) -> str:
         with self._lock:
-            state = self._subs.get(sub_id)
-            if state is None:
+            sub = self._subs.get(sub_id)
+            if sub is None:
                 raise NotFound(f"no subscription with id {sub_id!r}")
-            return state.sub.status
+            return sub.status
 
     # -- notification machinery ---------------------------------------------
 
     def _enqueue_matches(self, entity: NgsiEntity, changed: set) -> None:
-        for state in self._subs.values():
-            if state.sub.status != "active":
-                continue
-            if state.sub.matches(entity, changed):
-                state.queue.append(entity)  # a committed version is never mutated
+        for sub in self._subs.values():
+            if sub.status == "active" and sub.matches(entity, changed):
+                sub.queue.append(entity)  # a committed version is never mutated
 
     def _after_commit(self):
         if self._delivery == "inline":
             with self._lock:
-                queued = any(state.queue for state in self._subs.values())
+                queued = any(sub.queue for sub in self._subs.values())
             if queued:
                 self.deliver_notifications()
 
-    def deliver_notifications(self, now: Optional[float] = None) -> int:
+    def deliver_notifications(self) -> int:
         """Run the pump; returns how many notifications this call delivered.
 
         Only one pump cycle runs at a time. A caller that finds the pump busy
@@ -438,55 +432,54 @@ class ContextBroker:
             try:
                 with self._lock:
                     self._pump_dirty = False
-                    states = [state for state in self._subs.values() if state.queue]
-                cycle_now = now if now is not None else self.clock.now()
-                for state in states:
-                    delivered += self._pump_one(state, cycle_now)
+                    subs = [sub for sub in self._subs.values() if sub.queue]
+                now = self.clock.now()
+                for sub in subs:
+                    delivered += self._pump_one(sub, now)
             finally:
                 self._pump_lock.release()
             with self._lock:
                 if not self._pump_dirty:
                     return delivered
 
-    def _pump_one(self, state: _SubState, now: float) -> int:
-        sub = state.sub
+    def _pump_one(self, sub: Subscription, now: float) -> int:
         delivered = 0
         while True:
             with self._lock:
-                if state.removed or sub.status != "active" or not state.queue:
+                if sub.removed or sub.status != "active" or not sub.queue:
                     return delivered
                 throttle = sub.throttlingSeconds
-                if throttle and state.last_delivery is not None \
-                        and now - state.last_delivery < throttle:
+                if throttle and sub.last_delivery is not None \
+                        and now - sub.last_delivery < throttle:
                     return delivered
                 if throttle:
                     # Coalesce everything queued: latest snapshot per entity,
                     # ordered by each entity's first appearance.
                     latest: dict[str, NgsiEntity] = {}
-                    for snap in state.queue:
+                    for snap in sub.queue:
                         latest[snap.id] = snap
                     batch = list(latest.values())
-                    consumed = len(state.queue)
+                    consumed = len(sub.queue)
                 else:
-                    batch = [state.queue[0]]
+                    batch = [sub.queue[0]]
                     consumed = 1
             try:
                 sub._sink.deliver(sub.id, now, batch)
             except Exception as exc:
                 with self._lock:
-                    state.consecutive_failures += 1
-                    if state.consecutive_failures >= FAIL_LIMIT:
+                    sub.consecutive_failures += 1
+                    if sub.consecutive_failures >= FAIL_LIMIT:
                         sub.status = "failed"
                         logger.warning("subscription %s failed after %d sink errors: %s",
                                        sub.id, FAIL_LIMIT, exc)
                     else:
                         logger.debug("sink error for %s (attempt %d): %s",
-                                     sub.id, state.consecutive_failures, exc)
+                                     sub.id, sub.consecutive_failures, exc)
                 return delivered
             with self._lock:
-                del state.queue[:consumed]
-                state.consecutive_failures = 0
-                state.last_delivery = now
+                del sub.queue[:consumed]
+                sub.consecutive_failures = 0
+                sub.last_delivery = now
             delivered += 1
             if throttle:
                 return delivered

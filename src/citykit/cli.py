@@ -16,7 +16,7 @@ from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from citykit.ngsi import KindError, NgsiEntity
+from citykit.ngsi import KindError, NgsiEntity, check_entity
 from citykit.textio import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,8 @@ def _parse_listen(text: str) -> tuple:
     host, _, port = text.rpartition(":")
     if not host:
         host = "127.0.0.1"
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise KindError("bad-argument", f"--listen {text!r}: the port must be in 0-65535")
     return host, int(port)
 
 
@@ -84,6 +86,8 @@ def cmd_json2ngsi(args) -> int:
     outcome = json_to_ngsi(document, rules)
     if args.post:
         from citykit.broker_http import BrokerClient
+        for entity in outcome.entities:  # the broker's own check: one bad entity posts none
+            check_entity(entity)
         client = BrokerClient(args.post)
         for entity in outcome.entities:
             client.upsert_entity(entity)
@@ -100,7 +104,7 @@ def cmd_ngsi2ld(args) -> int:
 
     for doc in read_jsonl(args.input):
         entity = NgsiEntity.from_wire(doc)
-        _print(ngsi_to_ngsild(entity, args.context).to_wire())
+        _print(ngsi_to_ngsild(entity, args.context))
     return 0
 
 
@@ -379,8 +383,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except (KindError, OSError) as exc:  # OSError: an unreadable file, a server not answering
-        kind = exc.kind if isinstance(exc, KindError) else "io-error"
-        print(json.dumps({"error": kind, "detail": str(exc)}, sort_keys=True), file=sys.stderr)
+        kind, detail = ((exc.kind, exc.message) if isinstance(exc, KindError)
+                        else ("io-error", str(exc)))
+        print(json.dumps({"error": kind, "detail": detail}, sort_keys=True), file=sys.stderr)
         return 2
 
 

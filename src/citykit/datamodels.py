@@ -17,7 +17,6 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -180,16 +179,6 @@ class SchemaRegistry:
             count += 1
         return count
 
-    def load_bundled(self) -> int:
-        """Load the schema corpus shipped inside the package."""
-        count = 0
-        root = resources.files("citykit") / "schemas"
-        for entry in sorted(root.iterdir(), key=lambda e: e.name):
-            if entry.name.endswith(".json"):
-                self.load_schema(entry.read_text(encoding="utf-8"))
-                count += 1
-        return count
-
     def get(self, entity_type: str) -> Optional[DataModelSchema]:
         return self._schemas.get(entity_type)
 
@@ -198,8 +187,9 @@ class SchemaRegistry:
 
 
 def bundled_registry() -> SchemaRegistry:
+    """A registry holding the schema corpus shipped in the package's ``schemas/``."""
     registry = SchemaRegistry()
-    registry.load_bundled()
+    registry.load_dir(Path(__file__).with_name("schemas"))
     return registry
 
 

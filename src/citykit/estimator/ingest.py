@@ -77,16 +77,20 @@ def ingest_snapshot(store: TimeSeriesStore, broker: Broker, mapping: dict[str, s
 def ingest_historical(store: TimeSeriesStore, records: Iterable[dict]) -> IngestStats:
     """Bulk-append records {entityId, attr, t, value}, e.g. ``read_jsonl(path)``."""
     stats = IngestStats()
-    # read every record first, so a malformed one appends nothing
-    records = list(records)
+    # parse every record first, so a malformed one appends nothing
+    samples = []
     for record in records:
         value = record.get("value")
         if not is_number(value):
             stats.skipped_non_numeric += 1
             continue
-        store.append(record["entityId"], record["attr"], float(record["t"]),
-                     float(value))
-        stats.appended += 1
+        entity_id, attribute = record["entityId"], record["attr"]
+        if not (isinstance(entity_id, str) and isinstance(attribute, str)):
+            raise TypeError(f"entityId and attr must be strings: {record!r}")
+        samples.append((entity_id, attribute, float(record["t"]), float(value)))
+    for sample in samples:
+        store.append(*sample)
+    stats.appended = len(samples)
     return stats
 
 

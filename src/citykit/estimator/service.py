@@ -19,7 +19,7 @@ from urllib.parse import unquote
 
 from citykit.broker import Broker, NotFound
 from citykit.clock import Clock, SystemClock
-from citykit.estimator.ingest import IngestStats, ingest_historical, ingest_snapshot
+from citykit.estimator.ingest import IngestStats, ingest_snapshot
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
@@ -81,7 +81,6 @@ class EstimatorService:
         if profile not in PROFILES:
             raise EstimatorError("invalid-config",
                                  f"unknown profile {profile!r}; pick from {sorted(PROFILES)}")
-        self.profile = profile
         self.entityType, self.attribute = PROFILES[profile]
         self.config = config or TrainingConfig()
         self.broker = broker
@@ -95,15 +94,9 @@ class EstimatorService:
         self.scheduler = EstimatorScheduler(self.store, self.config,
                                             clock=self.clock, on_prediction=hook)
 
-    @property
-    def mapping(self) -> dict:
-        return {self.entityType: self.attribute}
-
     def snapshot(self) -> IngestStats:
-        return ingest_snapshot(self.store, self.broker, self.mapping, self.clock)
-
-    def historical(self, records) -> IngestStats:
-        return ingest_historical(self.store, records)
+        return ingest_snapshot(self.store, self.broker, {self.entityType: self.attribute},
+                               self.clock)
 
     def start(self, now: Optional[float] = None) -> None:
         self.scheduler.start(now)

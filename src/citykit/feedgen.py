@@ -29,7 +29,7 @@ from citykit.datamodels import RULE_KINDS as DEFECT_KINDS
 from citykit.datamodels import bundled_registry
 from citykit.gtfs import parse_service_date, utc_midnight
 from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
-from citykit.textio import field_types, read_jsonl, read_settings, write_jsonl
+from citykit.textio import field_types, read_settings
 
 DAY_SECONDS = 86400
 
@@ -558,15 +558,3 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> Defec
                     out[i].attributes[attr].value = planted(schemas[i].attributeRules[attr])
             truth.append({"kind": kind, "entityId": out[i].id, "attributeName": attr})
     return DefectSeedResult(out, truth)
-
-
-# ---------------------------------------------------------------------------
-# ground truth files
-
-def write_ground_truth(path, records: Iterable[dict]) -> int:
-    """JSON-lines sidecar; returns the record count."""
-    return write_jsonl(path, records)
-
-
-def read_ground_truth(path) -> list[dict]:
-    return list(read_jsonl(path))

@@ -40,10 +40,6 @@ _ZIP_STAMP = (2020, 1, 1, 0, 0, 0)
 class FeedError(KindError):
     """Feed construction/IO failures; ``kind`` names the failure class."""
 
-    def __init__(self, kind: str, message: str, details: Optional[list] = None):
-        super().__init__(kind, message)
-        self.details = details or []
-
 
 @dataclass(frozen=True)
 class Agency:
@@ -94,8 +90,13 @@ class Service:
 
 
 def parse_service_date(stamp: str) -> date:
-    """The day a YYYYMMDD calendar stamp names."""
-    return date(int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]))
+    """The day a YYYYMMDD calendar stamp names; raises FeedError for anything else."""
+    try:
+        if len(stamp) == 8 and stamp.isascii() and stamp.isdigit():
+            return date(int(stamp[:4]), int(stamp[4:6]), int(stamp[6:8]))
+    except ValueError:  # no such day, e.g. 20250230
+        pass
+    raise FeedError("invalid-date", f"not a YYYYMMDD day: {stamp!r}")
 
 
 def utc_midnight(day: date) -> int:
@@ -165,7 +166,7 @@ def validate_feed(feed: GtfsFeed) -> None:
             dangling.append(f"stop_time {st.tripId}#{st.stopSequence} -> stop {st.stopId}")
     if dangling:
         raise FeedError("dangling-reference",
-                        f"{len(dangling)} unresolved references", sorted(dangling))
+                        f"{len(dangling)} unresolved references, first {min(dangling)}")
 
     for stop in feed.stops:
         if not (-90.0 <= stop.lat <= 90.0) or not (-180.0 <= stop.lon <= 180.0):

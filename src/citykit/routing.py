@@ -240,6 +240,8 @@ class ItineraryQuery:
             raise ValueError(f"modes must be a non-empty subset of walk/transit: {self.modes}")
         if self.maxItineraries < 1:
             raise ValueError("maxItineraries must be positive")
+        if not self.maxWalkMeters >= 0:  # also false for NaN, which no distance compares to
+            raise ValueError(f"maxWalkMeters must be >= 0, got {self.maxWalkMeters}")
 
 
 def _resolve_endpoint(graph: TransitGraph, point, max_walk: float, label: str):

@@ -199,61 +199,23 @@ def json_to_ngsi(document, rules: MappingRuleSet) -> MappingOutcome:
     return out
 
 
-@dataclass
-class LdMember:
-    kind: str  # Property | GeoProperty | Relationship
-    value: Any
-    subProperties: dict = field(default_factory=dict)
-
-    def to_wire(self) -> dict:
-        doc = {"type": self.kind}
-        doc["object" if self.kind == "Relationship" else "value"] = self.value
-        for name, sub in self.subProperties.items():
-            doc[name] = {"type": "Property", "value": sub}
-        return doc
+def _member(kind: str, value, metadata: dict) -> dict:
+    doc = {"type": kind, "object" if kind == "Relationship" else "value": value}
+    for name, sub in metadata.items():
+        doc[name] = {"type": "Property", "value": sub}
+    return doc
 
 
-@dataclass
-class NgsiLdEntity:
-    id: str
-    entityType: str
-    contextUrls: list[str] = field(default_factory=list)
-    members: dict[str, LdMember] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not _URN_RE.match(self.id):
-            raise TransformError("malformed-reference", f"id {self.id!r} is not a URN")
-        for name, member in self.members.items():
-            if member.kind == "Relationship" and not (
-                isinstance(member.value, str) and _URN_RE.match(member.value)
-            ):
-                raise TransformError(
-                    "malformed-reference",
-                    f"relationship {name!r} object {member.value!r} is not a URN",
-                )
-
-    def to_wire(self) -> dict:
-        doc = {
-            "id": self.id,
-            "type": self.entityType,
-            "@context": list(self.contextUrls),
-        }
-        for name, member in self.members.items():
-            doc[name] = member.to_wire()
-        return doc
-
-
-def ngsi_to_ngsild(entity: NgsiEntity, context_url: str) -> NgsiLdEntity:
-    """Translate one entity; value-preserving for Property/GeoProperty members."""
+def ngsi_to_ngsild(entity: NgsiEntity, context_url: str) -> dict:
+    """The NGSI-LD document for one entity; Property/GeoProperty values are kept as-is."""
     if entity.id.startswith("urn:"):
         ld_id = entity.id
     else:
         ld_id = f"urn:ngsi-ld:{entity.entityType}:{entity.id}"
-    members: dict[str, LdMember] = {}
+    members = {}
     for name, attr in entity.attributes.items():
-        sub = dict(attr.metadata)
         if attr.valueType == GEOJSON:
-            members[name] = LdMember("GeoProperty", attr.value, sub)
+            members[name] = _member("GeoProperty", attr.value, attr.metadata)
         elif name.startswith("ref") and attr.valueType == REFERENCE:
             if not isinstance(attr.value, str) or not attr.value:
                 raise TransformError(
@@ -265,12 +227,15 @@ def ngsi_to_ngsild(entity: NgsiEntity, context_url: str) -> NgsiLdEntity:
             else:
                 referenced_type = name[3:] or "Entity"
                 target = f"urn:ngsi-ld:{referenced_type}:{attr.value}"
-            members[name] = LdMember("Relationship", target, sub)
+            members[name] = _member("Relationship", target, attr.metadata)
         else:
-            members[name] = LdMember("Property", attr.value, sub)
-    return NgsiLdEntity(
-        id=ld_id,
-        entityType=entity.entityType,
-        contextUrls=[context_url],
-        members=members,
-    )
+            members[name] = _member("Property", attr.value, attr.metadata)
+    if not _URN_RE.match(ld_id):
+        raise TransformError("malformed-reference", f"id {ld_id!r} is not a URN")
+    for name, member in members.items():
+        if member["type"] == "Relationship" and not _URN_RE.match(member["object"]):
+            raise TransformError(
+                "malformed-reference",
+                f"relationship {name!r} object {member['object']!r} is not a URN",
+            )
+    return {"id": ld_id, "type": entity.entityType, "@context": [context_url], **members}

@@ -275,7 +275,7 @@ def test_linked_data_rendering_preserves_values():
     bad = 0
     for index in range(500):
         entity = random_entity(rng, index)
-        doc = ngsi_to_ngsild(entity, "https://example.org/ctx.jsonld").to_wire()
+        doc = ngsi_to_ngsild(entity, "https://example.org/ctx.jsonld")
         want = value_multiset(
             (name, attr.value) for name, attr in entity.attributes.items())
         got = value_multiset(extract_ld_values(doc))

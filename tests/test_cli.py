@@ -401,6 +401,33 @@ class TestServiceErrors:
         assert "Number" in error["detail"]
         assert broker.entity_count() == 0
 
+    def test_json2ngsi_posts_nothing_when_a_later_record_is_invalid(
+            self, tmp_path, served_broker, capsys):
+        url, broker = served_broker
+        rules = write_json(tmp_path / "rules.json", RULES_DOC)
+        records = [{**RECORD, "meta": {"code": code}} for code in ("a", "b", "c")]
+        records[1]["spots"] = {"free": "many"}
+        source = write_json(tmp_path / "in.json", records)
+        error = self._error_line(capsys, ["json2ngsi", "--rules", rules, "--input", source,
+                                          "--post", url])
+        assert error["error"] == "invalid-entity"
+        assert not error["detail"].startswith("invalid-entity")
+        assert broker.entity_count() == 0
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["broker-serve", "--listen", "nope"], "bad-argument"),
+        (["broker-serve", "--listen", "127.0.0.1:99999"], "bad-argument"),
+        (["router-serve", "--listen", "127.0.0.1:0", "--service-date", "2025-06-02"],
+         "invalid-date"),
+        (["router-serve", "--listen", "127.0.0.1:0", "--service-date", "20250230"],
+         "invalid-date"),
+    ])
+    def test_a_bad_argument(self, capsys, argv, kind):
+        error = self._error_line(capsys, argv)
+        assert error["error"] == kind
+        assert argv[-1] in error["detail"]
+        assert not error["detail"].startswith(kind)
+
     def test_a_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
         error = self._error_line(capsys, ["validate", "--schemas", SCHEMAS_DIR,

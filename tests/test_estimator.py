@@ -486,6 +486,18 @@ class TestIngest:
         assert [s.value for s in store2.get("p-1", "availableSpotNumber")] == [
             5.0, 7.0]
 
+    @pytest.mark.parametrize("bad, error", [
+        ({"entityId": "p-1", "attr": "availableSpotNumber", "value": 6}, KeyError),
+        ({"entityId": "p-1", "attr": "availableSpotNumber", "t": "noon", "value": 6}, ValueError),
+        ({"entityId": ["p-1"], "attr": "availableSpotNumber", "t": 2.0, "value": 6}, TypeError),
+    ])
+    def test_historical_with_a_malformed_record_appends_nothing(self, bad, error):
+        store = TimeSeriesStore()
+        good = {"entityId": "p-1", "attr": "availableSpotNumber", "t": 1.0, "value": 5}
+        with pytest.raises(error):
+            ingest_historical(store, [good, bad])
+        assert store.keys() == []
+
     def test_subscription_appends_as_commits_arrive(self, broker):
         store = TimeSeriesStore()
         clock = SimulatedClock(DAY)
@@ -559,7 +571,7 @@ class TestService:
     def test_profiles_pick_type_and_attribute(self):
         assert PROFILES["parking"] == ("OnStreetParking", "availableSpotNumber")
         service = EstimatorService("noise")
-        assert service.mapping == {"NoiseLevelObserved": "LAeq"}
+        assert (service.entityType, service.attribute) == ("NoiseLevelObserved", "LAeq")
 
     def test_writeback_attaches_forecast_attribute(self, broker):
         broker.upsert_entity(make_entity("p-1", "OnStreetParking",
@@ -587,11 +599,11 @@ class TestService:
         cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
         service = EstimatorService("parking", cfg, broker=broker,
                                    clock=SimulatedClock(DAY), write_back=True)
-        service.historical(
+        ingest_historical(service.store, [
             {"entityId": "p-1", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0,
              "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
-            for i in range(40))
+            for i in range(40)])
         service.start(DAY)
         service.scheduler.advance(DAY + 900)
         entity = broker.get_entity("p-1")
@@ -628,11 +640,11 @@ class TestEstimatorServer:
     def served(self):
         cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
         service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
-        service.historical(
+        ingest_historical(service.store, [
             {"entityId": "p-1", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0,
              "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
-            for i in range(40))
+            for i in range(40)])
         server = EstimatorServer(service)
         url = server.start()
         yield url, service
@@ -685,10 +697,10 @@ class TestEstimatorServer:
                              retrainPeriodSeconds=900, inferencePeriodSeconds=10 * 86400)
         service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
         sites = 40
-        service.historical(
+        ingest_historical(service.store, [
             {"entityId": f"p-{k}", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0, "value": 20.0 + k + math.sin(i / 3.0)}
-            for k in range(sites) for i in range(40))
+            for k in range(sites) for i in range(40)])
         server = EstimatorServer(service)
         url = server.start()
         passes = 25

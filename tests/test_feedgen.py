@@ -23,10 +23,9 @@ from citykit.feedgen import (
     load_fixture_file,
     network_timetable,
     parse_fixture_text,
-    read_ground_truth,
     seed_defects,
-    write_ground_truth,
 )
+from citykit.textio import read_jsonl, write_jsonl
 
 DAY = 1748822400  # 2025-06-02 00:00 UTC
 
@@ -317,10 +316,10 @@ def test_ground_truth_file_round_trip(tmp_path):
     path = tmp_path / "truth.jsonl"
     records = [{"kind": "delay", "tripId": "R1-T1", "delaySeconds": 60},
                {"kind": "defect", "entityId": "S1", "attributeName": "name"}]
-    assert write_ground_truth(path, records) == 2
+    assert write_jsonl(path, records) == 2
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n")  # stray blank line is ignored on read
-    assert read_ground_truth(path) == records
+    assert list(read_jsonl(path)) == records
 
 
 def _digest(docs) -> str:

@@ -70,6 +70,14 @@ class TestValidation:
             serialize_feed(feed)
         assert err.value.kind == "dangling-reference"
 
+    def test_dangling_reference_message_names_the_first(self):
+        feed = minimal_feed()
+        feed.trips.append(Trip("ghost", "R9", "WD"))
+        feed.trips.append(Trip("alpha", "R8", "WD"))
+        with pytest.raises(FeedError) as err:
+            serialize_feed(feed)
+        assert "trip alpha -> route R8" in err.value.message
+
     def test_bad_coordinates(self):
         feed = minimal_feed()
         feed.stops[0] = Stop("S1", "First", 91.0, -3.0)

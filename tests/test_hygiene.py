@@ -6,12 +6,16 @@
 - a module reads another object's private attribute (``obj._name``) only if
   that module owns the name: it assigns ``self._name`` or ``cls._name``, or it
   defines ``_name`` itself.
+- every attribute a class assigns on ``self`` is read somewhere under
+  ``src/``, ``tests/`` or ``perfbench/``: as an attribute load (on any
+  object), or by ``getattr``/``hasattr`` with the name as a literal.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "citykit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "citykit"
 
 
 def unread_imports(path: Path) -> list[str]:
@@ -65,3 +69,37 @@ def test_no_module_reads_another_objects_private_attributes():
              for path in sorted(SRC.rglob("*.py"))
              for read in foreign_private_reads(path)]
     assert reads == []
+
+
+def self_assignments(path: Path) -> list[tuple[str, str]]:
+    """``(line: Class, name)`` for each attribute a class in ``path`` assigns on ``self``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(f"{node.lineno}: {cls.name}", node.attr)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def attribute_reads(path: Path) -> set[str]:
+    """Names ``path`` reads as attributes, directly or by ``getattr``/``hasattr``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("getattr", "hasattr") and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_attribute_set_on_self_is_read():
+    reads = set().union(*(attribute_reads(path)
+                          for folder in ("src", "tests", "perfbench")
+                          for path in (ROOT / folder).rglob("*.py")))
+    unread = [f"{path.relative_to(SRC)}:{where}.{name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for where, name in self_assignments(path) if name not in reads]
+    assert unread == []

@@ -172,6 +172,13 @@ class TestPlanStatic:
             query(modes={"bike"})
 
 
+def test_max_walk_may_be_unbounded_but_not_nan_or_negative():
+    assert query(maxWalkMeters=float("inf")).maxWalkMeters == float("inf")
+    for bad in (float("nan"), -5.0):
+        with pytest.raises(ValueError):
+            query(maxWalkMeters=bad)
+
+
 class TestTransfers:
     def test_transfer_between_routes(self):
         graph = build_graph([two_leg_feed()])

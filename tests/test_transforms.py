@@ -162,49 +162,49 @@ class TestNgsiToLd:
     def test_plain_id_gains_urn_prefix(self):
         entity = make_entity("lot-1", "ParkingSite", availableSpotNumber=3)
         ld = ngsi_to_ngsild(entity, "https://ctx.example/core.jsonld")
-        assert ld.id == "urn:ngsi-ld:ParkingSite:lot-1"
-        assert ld.contextUrls == ["https://ctx.example/core.jsonld"]
+        assert ld["id"] == "urn:ngsi-ld:ParkingSite:lot-1"
+        assert ld["@context"] == ["https://ctx.example/core.jsonld"]
 
     def test_existing_urn_id_kept(self):
         entity = make_entity("urn:custom:55", "Sensor", level=1)
         ld = ngsi_to_ngsild(entity, "https://ctx.example/core.jsonld")
-        assert ld.id == "urn:custom:55"
+        assert ld["id"] == "urn:custom:55"
 
     def test_property_value_untouched(self):
         entity = make_entity("s-1", "Sensor", level=7.5, tags=["a", "b"])
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["level"] == {"type": "Property", "value": 7.5}
         assert doc["tags"]["value"] == ["a", "b"]
 
     def test_geo_json_becomes_geo_property(self):
         point = {"type": "Point", "coordinates": [-3.7, 40.4]}
         entity = make_entity("s-1", "Sensor", location=point)
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["location"]["type"] == "GeoProperty"
         assert doc["location"]["value"] == point
 
     def test_reference_becomes_relationship_with_derived_type(self):
         entity = make_entity("st-1", "GtfsStopTime",
                              refStop=Attribute("S4", "Reference"))
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["refStop"] == {"type": "Relationship",
                                   "object": "urn:ngsi-ld:Stop:S4"}
 
     def test_urn_reference_kept_verbatim(self):
         entity = make_entity("st-1", "GtfsStopTime",
                              refStop=Attribute("urn:custom:S4", "Reference"))
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["refStop"]["object"] == "urn:custom:S4"
 
     def test_ref_name_without_reference_tag_stays_property(self):
         entity = make_entity("x", "T", refCount=3)
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["refCount"]["type"] == "Property"
 
     def test_metadata_becomes_sub_properties(self):
         entity = make_entity("s-1", "Sensor",
                              level=Attribute(7, "Number", {"accuracy": 0.9}))
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         assert doc["level"]["accuracy"] == {"type": "Property", "value": 0.9}
 
     def test_empty_reference_is_malformed(self):
@@ -219,7 +219,7 @@ class TestNgsiToLd:
             refZone=Attribute("z9", "Reference"),
             refDepot=Attribute("urn:custom:d1", "Reference"),
         )
-        doc = ngsi_to_ngsild(entity, "ctx").to_wire()
+        doc = ngsi_to_ngsild(entity, "ctx")
         got = value_multiset(extract_ld_values(doc))
         want = value_multiset((n, a.value) for n, a in entity.attributes.items())
         assert got == want

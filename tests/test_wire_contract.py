@@ -10,7 +10,7 @@ import pytest
 
 from citykit.broker_http import BrokerServer
 from citykit.clock import SimulatedClock
-from citykit.estimator import EstimatorServer, EstimatorService, TrainingConfig
+from citykit.estimator import EstimatorServer, EstimatorService, TrainingConfig, ingest_historical
 from citykit.feedgen import default_fixture, generate_static_network
 from citykit.gtfs import ngsi_to_gtfs
 from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
@@ -107,6 +107,8 @@ def router_url(tmp_path_factory, feed):
     ("POST", "/graph/reload", {}, 400, "bad-request"),
     ("POST", "/graph/reload", {"file": "junk.zip"}, 400, "reload-failed"),
     ("POST", "/graph/reload", {"file": "missing.zip"}, 502, "fetch-failed"),
+    ("GET", f"/plan?fromStop=S1&toStop=S5&departAfter={DAY}&maxWalk=nan", None, 400, "bad-query"),
+    ("GET", f"/plan?fromStop=S1&toStop=S5&departAfter={DAY}&maxWalk=-5", None, 400, "bad-query"),
 ])
 def test_router_failures(router_url, method, path, body, status, kind):
     url, folder = router_url
@@ -120,10 +122,10 @@ def test_router_failures(router_url, method, path, body, status, kind):
 def estimator_url():
     cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
     service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
-    service.historical(
+    ingest_historical(service.store, [
         {"entityId": "p-1", "attr": "availableSpotNumber", "t": DAY - (40 - i) * 900.0,
          "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
-        for i in range(40))
+        for i in range(40)])
     server = EstimatorServer(service)
     url = server.start()
     yield url
