@@ -18,7 +18,3 @@ entities exchanged via the context broker:
 """
 
 __version__ = "0.1.0"
-
-from citykit.ngsi import Attribute, NgsiEntity, make_entity
-
-__all__ = ["Attribute", "NgsiEntity", "make_entity", "__version__"]

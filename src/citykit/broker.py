@@ -17,7 +17,8 @@ entity and spaces deliveries at least that far apart. Three consecutive sink
 failures flip a subscription to ``failed`` and stop further attempts.
 
 An optional JSON-lines journal records accepted writes so a restarted broker
-can replay them. Subscriptions are runtime state and are not journaled.
+can replay them through the same commit steps. Subscriptions are runtime
+state and are not journaled.
 """
 
 import json
@@ -142,11 +143,10 @@ class Subscription:
     watchedAttributes: frozenset = frozenset()
     target: Any = None
     throttlingSeconds: int = 0
-    status: str = "active"
+    status: str = "active"  # or "failed" after FAIL_LIMIT sink errors, or "removed"
     queue: list = field(default_factory=list, init=False, repr=False)  # versions, commit order
     last_delivery: Optional[float] = field(default=None, init=False, repr=False)
     consecutive_failures: int = field(default=0, init=False, repr=False)
-    removed: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.throttlingSeconds < 0:
@@ -285,18 +285,22 @@ class ContextBroker:
     def upsert_entity(self, entity: NgsiEntity) -> str:
         """Full replace; returns "created" or "updated"."""
         try:
-            check_entity(entity)
+            check_entity(entity)  # outside the lock: it reads only the caller's entity
         except NgsiError as exc:
             raise InvalidEntity(exc.message) from exc
         with self._lock:
-            created = entity.id not in self._entities
-            stored = entity.copy()
-            self._entities[entity.id] = stored
-            if self._journal_fh is not None:
-                self._journal({"op": "upsert", "entity": stored.to_wire()})
-            self._enqueue_matches(stored, set(stored.attributes))
+            created = self._commit_upsert(entity.copy())
         self._after_commit()
         return "created" if created else "updated"
+
+    def _commit_upsert(self, version: NgsiEntity) -> bool:
+        """Store, journal and enqueue a checked version no caller holds; under ``_lock``."""
+        created = version.id not in self._entities
+        self._entities[version.id] = version
+        if self._journal_fh is not None:
+            self._journal({"op": "upsert", "entity": version.to_wire()})
+        self._enqueue_matches(version, set(version.attributes))
+        return created
 
     def get_entity(self, entity_id: str) -> NgsiEntity:
         with self._lock:
@@ -340,34 +344,34 @@ class ContextBroker:
 
     def update_attributes(self, entity_id: str, patch: dict[str, Attribute]) -> NgsiEntity:
         """Replace/add the named attributes; an empty patch is a no-op."""
+        if not patch:
+            return self.get_entity(entity_id)
+        changed = {}
+        for name, attr in patch.items():
+            if not isinstance(attr, Attribute):
+                raise InvalidEntity(f"patch value for {name!r} is not an attribute")
+            changed[name] = Attribute(attr.value, attr.valueType, dict(attr.metadata))
         with self._lock:
-            current = self._entities.get(entity_id)
-            if current is None:
-                raise NotFound(f"no entity with id {entity_id!r}")
-            if not patch:
-                return current.copy()
-            changed = {}
-            for name, attr in patch.items():
-                if not isinstance(attr, Attribute):
-                    raise InvalidEntity(f"patch value for {name!r} is not an attribute")
-                changed[name] = Attribute(attr.value, attr.valueType, dict(attr.metadata))
-            try:
-                check_attributes(changed)  # the rest of ``current`` passed when committed
-            except NgsiError as exc:
-                raise InvalidEntity(exc.message) from exc
-            candidate = NgsiEntity(entity_id, current.entityType,
-                                   {**current.attributes, **changed})
-            self._entities[entity_id] = candidate
-            if self._journal_fh is not None:
-                self._journal({
-                    "op": "patch",
-                    "id": entity_id,
-                    "attrs": {n: a.to_wire() for n, a in changed.items()},
-                })
-            self._enqueue_matches(candidate, set(changed))
-            result = candidate.copy()
+            result = self._commit_patch(entity_id, changed).copy()
         self._after_commit()
         return result
+
+    def _commit_patch(self, entity_id: str, changed: dict[str, Attribute]) -> NgsiEntity:
+        """Check, store, journal and enqueue the version ``changed`` makes; under ``_lock``."""
+        current = self._entities.get(entity_id)
+        if current is None:
+            raise NotFound(f"no entity with id {entity_id!r}")
+        try:
+            check_attributes(changed)  # the rest of ``current`` passed when committed
+        except NgsiError as exc:
+            raise InvalidEntity(exc.message) from exc
+        version = NgsiEntity(entity_id, current.entityType, {**current.attributes, **changed})
+        self._entities[entity_id] = version
+        if self._journal_fh is not None:
+            self._journal({"op": "patch", "id": entity_id,
+                           "attrs": {n: a.to_wire() for n, a in changed.items()}})
+        self._enqueue_matches(version, set(changed))
+        return version
 
     def entity_count(self) -> int:
         with self._lock:
@@ -391,7 +395,7 @@ class ContextBroker:
             sub = self._subs.pop(sub_id, None)
             if sub is None:
                 raise NotFound(f"no subscription with id {sub_id!r}")
-            sub.removed = True
+            sub.status = "removed"
             return True
 
     def subscription_status(self, sub_id: str) -> str:
@@ -418,17 +422,16 @@ class ContextBroker:
     def deliver_notifications(self) -> int:
         """Run the pump; returns how many notifications this call delivered.
 
-        Only one pump cycle runs at a time. A caller that finds the pump busy
-        marks it dirty and returns immediately (the running cycle re-runs to
-        pick up the new work), so a sink handler that commits back into this
+        Only one pump cycle runs at a time. A caller marks the pump dirty
+        before it tries to run it, and one that finds the pump busy returns
+        immediately: the running cycle sees the mark when it ends and runs
+        again for the new work. So a sink handler that commits back into this
         broker cannot deadlock the delivering thread.
         """
+        with self._lock:
+            self._pump_dirty = True
         delivered = 0
-        while True:
-            if not self._pump_lock.acquire(blocking=False):
-                with self._lock:
-                    self._pump_dirty = True
-                return delivered
+        while self._pump_lock.acquire(blocking=False):
             try:
                 with self._lock:
                     self._pump_dirty = False
@@ -440,13 +443,14 @@ class ContextBroker:
                 self._pump_lock.release()
             with self._lock:
                 if not self._pump_dirty:
-                    return delivered
+                    break
+        return delivered
 
     def _pump_one(self, sub: Subscription, now: float) -> int:
         delivered = 0
         while True:
             with self._lock:
-                if sub.removed or sub.status != "active" or not sub.queue:
+                if sub.status != "active" or not sub.queue:
                     return delivered
                 throttle = sub.throttlingSeconds
                 if throttle and sub.last_delivery is not None \
@@ -498,7 +502,10 @@ class ContextBroker:
         self._journal_fh.flush()
 
     def _replay_journal(self) -> None:
-        """Re-apply journaled writes; a torn last record (a crash mid-write) is cut off."""
+        """Re-commit journaled writes through the commit steps; a torn last
+        record (a crash mid-write) is cut off. This runs before the journal
+        opens and before any subscription exists, so the steps neither journal
+        nor enqueue, and a decoded record is fresh, so nothing is copied."""
         try:
             fh = open(self._journal_path, "rb")
         except FileNotFoundError:
@@ -521,28 +528,20 @@ class ContextBroker:
                 if record is None:
                     continue
                 try:
-                    self._replay(record)
-                except (NgsiError, KeyError, TypeError, AttributeError) as exc:
+                    if record["op"] == "upsert":
+                        entity = NgsiEntity.from_wire(record["entity"])
+                        check_entity(entity)
+                        self._commit_upsert(entity)
+                    elif record["op"] == "patch":
+                        self._commit_patch(record["id"], {
+                            n: Attribute.from_wire(doc) for n, doc in record["attrs"].items()})
+                    else:
+                        logger.warning("skipping unknown journal op %r", record["op"])
+                except NotFound:
+                    logger.warning("journal patch for unknown id %s", record["id"])
+                except (KindError, KeyError, TypeError, AttributeError) as exc:
                     raise BrokerError(f"journal {self._journal_path} line {lineno} "
                                       f"is invalid: {exc!r}") from exc
-
-    def _replay(self, record: dict) -> None:
-        """Apply one journal record, checked as its commit was."""
-        if record["op"] == "upsert":
-            entity = NgsiEntity.from_wire(record["entity"])
-            check_entity(entity)
-            self._entities[entity.id] = entity
-        elif record["op"] == "patch":
-            entity = self._entities.get(record["id"])
-            if entity is None:
-                logger.warning("journal patch for unknown id %s", record["id"])
-                return
-            changed = {n: Attribute.from_wire(doc) for n, doc in record["attrs"].items()}
-            check_attributes(changed)
-            self._entities[entity.id] = NgsiEntity(entity.id, entity.entityType,
-                                                   {**entity.attributes, **changed})
-        else:
-            logger.warning("skipping unknown journal op %r", record["op"])
 
     def close(self) -> None:
         self._stop_poll.set()

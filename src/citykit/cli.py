@@ -261,12 +261,8 @@ def cmd_router_serve(args) -> int:
 
 def cmd_estimator_serve(args) -> int:
     from citykit.broker_http import BrokerClient
-    from citykit.estimator import (
-        EstimatorError,
-        EstimatorServer,
-        EstimatorService,
-        load_config_file,
-    )
+    from citykit.estimator.models import EstimatorError
+    from citykit.estimator.service import EstimatorServer, EstimatorService, load_config_file
 
     config, extras = load_config_file(args.config)
     profile = extras.get("profile", "parking")

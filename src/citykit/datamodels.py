@@ -165,7 +165,7 @@ class SchemaRegistry:
         self._lock = threading.Lock()
 
     def load_schema(self, doc) -> DataModelSchema:
-        schema = doc if isinstance(doc, DataModelSchema) else DataModelSchema.from_doc(doc)
+        schema = DataModelSchema.from_doc(doc)
         with self._lock:
             snapshot = dict(self._schemas)
             snapshot[schema.entityType] = schema

@@ -4,58 +4,3 @@ Layers: ``store`` (ordered samples), ``models`` (ridge AR + seasonal naive),
 ``ingest`` (snapshot / historical / subscription feeds), ``scheduler``
 (periodic retrain + inference), ``service`` (profiles, write-back, HTTP).
 """
-
-from citykit.estimator.ingest import (
-    IngestStats,
-    ingest_entity,
-    ingest_historical,
-    ingest_snapshot,
-    ingest_subscription,
-)
-from citykit.estimator.models import (
-    ALGORITHMS,
-    EstimatorError,
-    ForecastModel,
-    Prediction,
-    TrainingConfig,
-    fit_ridge,
-    infer,
-    median_interval,
-    train,
-)
-from citykit.estimator.scheduler import EstimatorScheduler
-from citykit.estimator.service import (
-    PROFILES,
-    EstimatorServer,
-    EstimatorService,
-    load_config_file,
-    parse_config_text,
-    writeback,
-)
-from citykit.estimator.store import Sample, TimeSeriesStore
-
-__all__ = [
-    "ALGORITHMS",
-    "PROFILES",
-    "EstimatorError",
-    "EstimatorScheduler",
-    "EstimatorServer",
-    "EstimatorService",
-    "ForecastModel",
-    "IngestStats",
-    "Prediction",
-    "Sample",
-    "TimeSeriesStore",
-    "TrainingConfig",
-    "fit_ridge",
-    "infer",
-    "ingest_entity",
-    "ingest_historical",
-    "ingest_snapshot",
-    "ingest_subscription",
-    "load_config_file",
-    "median_interval",
-    "parse_config_text",
-    "train",
-    "writeback",
-]

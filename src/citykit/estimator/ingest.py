@@ -3,11 +3,13 @@
 A mapping of entityType to attributeName says which attribute of which
 entities becomes a series. Sample timestamps come from, in order: the
 attribute's ``observedAt`` metadata, the entity's ``dateObserved`` or
-``dateModified`` attribute, else the ingestion clock. Non-numeric values are
-counted and skipped, never stored.
+``dateModified`` attribute, else the ingestion clock; a stamp that is a number
+but not finite counts as missing. Values that are not finite numbers are
+counted as non-numeric and skipped, never stored.
 """
 
 import logging
+import math
 from typing import Iterable, Optional
 
 from citykit.broker import Broker, Subscription
@@ -28,13 +30,18 @@ class IngestStats:
                 "skippedNonNumeric": self.skipped_non_numeric}
 
 
+def _stamp(value):
+    """``value``, or None for a number that is not finite."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _sample_time(entity: NgsiEntity, attribute: str, fallback: float) -> float:
     attr = entity.attributes.get(attribute)
     stamp = None
     if attr is not None:
-        stamp = attr.metadata.get("observedAt")
+        stamp = _stamp(attr.metadata.get("observedAt"))
     if stamp is None:
-        stamp = entity.value("dateObserved") or entity.value("dateModified")
+        stamp = _stamp(entity.value("dateObserved")) or _stamp(entity.value("dateModified"))
     if isinstance(stamp, str):
         try:
             return parse_iso(stamp)
@@ -48,7 +55,7 @@ def _sample_time(entity: NgsiEntity, attribute: str, fallback: float) -> float:
 def ingest_entity(store: TimeSeriesStore, entity: NgsiEntity, attribute: str,
                   fallback_time: float, stats: Optional[IngestStats] = None) -> bool:
     value = entity.value(attribute)
-    if not is_number(value):
+    if not (is_number(value) and math.isfinite(value)):
         if stats:
             stats.skipped_non_numeric += 1
         logger.debug("skipping non-numeric %s.%s=%r", entity.id, attribute, value)
@@ -81,13 +88,16 @@ def ingest_historical(store: TimeSeriesStore, records: Iterable[dict]) -> Ingest
     samples = []
     for record in records:
         value = record.get("value")
-        if not is_number(value):
+        if not (is_number(value) and math.isfinite(value)):
             stats.skipped_non_numeric += 1
             continue
         entity_id, attribute = record["entityId"], record["attr"]
         if not (isinstance(entity_id, str) and isinstance(attribute, str)):
             raise TypeError(f"entityId and attr must be strings: {record!r}")
-        samples.append((entity_id, attribute, float(record["t"]), float(value)))
+        t = float(record["t"])
+        if not math.isfinite(t):
+            raise ValueError(f"time is not finite: {record!r}")
+        samples.append((entity_id, attribute, t, float(value)))
     for sample in samples:
         store.append(*sample)
     stats.appended = len(samples)

@@ -1,13 +1,15 @@
 """Embedded time-series store keyed by (entityId, attributeName).
 
 Samples are kept sorted with strictly increasing timestamps; re-ingesting a
-timestamp replaces that sample's value. Readers get list copies, so training
+timestamp replaces that sample's value. A time or value that is not finite is
+refused, since it would break the order or poison every fit over the series. Readers get list copies, so training
 and inference work on immutable snapshots while ingestion keeps appending.
 ``get`` copies only what it returns: it bisects to the ``from``/``to`` bounds
 (inclusive), and ``last=n`` keeps the newest ``n`` samples of that range.
 """
 
 from bisect import bisect_left, bisect_right
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -27,6 +29,8 @@ class TimeSeriesStore:
     def append(self, entity_id: str, attribute: str, t: float, value: float) -> None:
         key = (entity_id, attribute)
         sample = Sample(float(t), float(value))
+        if not (math.isfinite(sample.t) and math.isfinite(sample.value)):
+            raise ValueError(f"sample ({t!r}, {value!r}) for {key} is not finite")
         with self._lock:
             series = self._series.setdefault(key, [])
             if not series or series[-1].t < sample.t:

@@ -128,15 +128,6 @@ class RtLoader:
         self.unresolved: list = []
         self.refresh_count = 0
 
-    def attach(self, broker) -> str:
-        """Subscribe in-process so every estimation commit triggers a refresh."""
-        from citykit.broker import Subscription
-        return broker.subscribe(Subscription(
-            id="",
-            entityTypeFilter="ArrivalEstimation",
-            target=lambda entities: self.refresh(),
-        ))
-
     def refresh(self) -> dict:
         entities = self.get_entities()
         with self._lock:

@@ -49,8 +49,8 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-def walk_seconds(meters: float, walk_speed: float) -> int:
-    return int(math.ceil(meters / walk_speed))
+def walk_seconds(meters: float) -> int:
+    return int(math.ceil(meters / WALK_SPEED))
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class TransitGraph:
 
     def __init__(self, service_date: date):
         self.serviceDate = service_date
-        self.walkSpeed = WALK_SPEED
         self.version = 1
         self.dayStart = utc_midnight(service_date)
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
@@ -133,7 +132,7 @@ def build_graph(feeds: list[GtfsFeed], service_date: Optional[date] = None) -> T
             lat_b, lon_b, _ = graph.stops[b]
             dist = haversine_m(lat_a, lon_a, lat_b, lon_b)
             if dist <= MAX_TRANSFER_METERS:
-                secs = walk_seconds(dist, WALK_SPEED)
+                secs = walk_seconds(dist)
                 graph.footpaths.setdefault(a, []).append((b, secs))
                 graph.footpaths.setdefault(b, []).append((a, secs))
     for paths in graph.footpaths.values():
@@ -148,9 +147,6 @@ class Overlay:
         self.effective: dict[str, list[TripStopTime]] = {}
         self.unknownTrips: list[str] = []
         self.shift: tuple = (0, 0)  # (earliest, latest) change to any stop time, seconds
-
-    def trip_times(self, graph: TransitGraph, trip_id: str) -> list[TripStopTime]:
-        return self.effective.get(trip_id) or graph.tripStopTimes[trip_id]
 
 
 def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
@@ -256,7 +252,7 @@ def _resolve_endpoint(graph: TransitGraph, point, max_walk: float, label: str):
         s_lat, s_lon, _ = graph.stops[stop_id]
         dist = haversine_m(lat, lon, s_lat, s_lon)
         if dist <= max_walk:
-            near.append((stop_id, walk_seconds(dist, WALK_SPEED)))
+            near.append((stop_id, walk_seconds(dist)))
     if not near:
         raise PlanError("origin-isolated", f"no stop within {max_walk} m of {label}")
     return None, near
@@ -394,7 +390,7 @@ def _direct_walk(graph: TransitGraph, query: ItineraryQuery) -> Optional[Itinera
     a, b = position(query.origin), position(query.destination)
     if a is None or b is None or (dist := haversine_m(*a, *b)) > query.maxWalkMeters:
         return None
-    secs = walk_seconds(dist, WALK_SPEED)
+    secs = walk_seconds(dist)
     leg = Leg("walk", query.departAfter, query.departAfter + secs,
               boardStopId=query.origin if isinstance(query.origin, str) else None,
               alightStopId=query.destination if isinstance(query.destination, str) else None)

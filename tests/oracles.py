@@ -22,6 +22,7 @@ from citykit.gtfs import Agency, GtfsFeed, Route, Service, Stop, StopTime, Trip
 from citykit.ngsi import Attribute, NgsiEntity
 
 EARTH_RADIUS_M = 6371000.0
+WALK_SPEED = 1.25  # m/s, a rider's walking pace
 
 
 # -- journey enumeration -----------------------------------------------------
@@ -48,7 +49,7 @@ def min_arrival(graph, query, overlay=None, max_transfers=None,
     INF = float("inf")
 
     def walk_secs(meters):
-        return int(math.ceil(meters / graph.walkSpeed))
+        return int(math.ceil(meters / WALK_SPEED))
 
     def stops_within(point, limit):
         lat, lon = point
@@ -96,8 +97,8 @@ def min_arrival(graph, query, overlay=None, max_transfers=None,
                 for _, trip_id, seq in graph.departuresByStop.get(stop, ()):
                     if trip_id in banned:
                         continue
-                    times = (overlay.trip_times(graph, trip_id) if overlay
-                             else graph.tripStopTimes[trip_id])
+                    times = ((overlay.effective.get(trip_id) if overlay else None)
+                             or graph.tripStopTimes[trip_id])
                     board = next((st for st in times if st.seq == seq), None)
                     if board is None or board.departure < t:
                         continue

@@ -13,13 +13,9 @@ from datetime import date
 
 from citykit.broker import CollectSink, ContextBroker, Subscription, TypeMismatch
 from citykit.datamodels import bundled_registry, validate_batch
-from citykit.estimator import (
-    EstimatorScheduler,
-    TimeSeriesStore,
-    TrainingConfig,
-    fit_ridge,
-    train,
-)
+from citykit.estimator.models import TrainingConfig, fit_ridge, train
+from citykit.estimator.scheduler import EstimatorScheduler
+from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import (
     Lcg64,
     default_fixture,

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,44 @@ def test_notification_completeness_under_many_commits(broker):
     assert got == expected
 
 
+def test_a_commit_that_finds_the_pump_ending_is_still_delivered():
+    """A caller that finds the pump busy leaves its work to the running cycle,
+    even when that cycle ends between the caller's failed try and its return."""
+    broker = ContextBroker(delivery="inline")
+    entered, unblock = threading.Event(), threading.Event()
+
+    class BlockingSink:
+        def deliver(self, sub_id, issued_at, versions):
+            entered.set()
+            unblock.wait(5)
+
+    broker.subscribe(Subscription(id="a", entityTypeFilter="A", target=BlockingSink()))
+    _, sink = collect_sub(broker, entityTypeFilter="B")
+    first = threading.Thread(target=broker.upsert_entity, args=(make_entity("a-1", "A", n=1),))
+    first.start()
+    assert entered.wait(5)
+    pump_lock = broker._pump_lock
+
+    class LosingLock:
+        """On a failed try, lets the running pump finish before answering."""
+
+        def acquire(self, blocking=True):
+            if pump_lock.acquire(blocking):
+                return True
+            unblock.set()
+            first.join(5)
+            return False
+
+        def release(self):
+            pump_lock.release()
+
+    broker._pump_lock = LosingLock()
+    broker.upsert_entity(make_entity("b-1", "B", n=1))
+    assert not first.is_alive()
+    assert [doc["data"][0]["id"] for doc in sink.notifications] == ["b-1"]
+    broker.close()
+
+
 # -- journal -----------------------------------------------------------------
 
 def test_journal_replays_entities_on_restart(tmp_path):
@@ -396,6 +435,52 @@ def test_invalid_record_inside_the_journal_fails_loudly(tmp_path, record):
         fh.write(json.dumps(record) + "\n")
     with pytest.raises(BrokerError, match=f"journal {path} line 2 is invalid"):
         ContextBroker(journal_path=path)
+
+
+def write_journal(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def test_replay_skips_a_patch_for_an_id_never_created(tmp_path, caplog):
+    path = tmp_path / "journal.jsonl"
+    write_journal(path, [
+        {"op": "patch", "id": "ghost", "attrs": {"level": Attribute(1, "Number").to_wire()}},
+        {"op": "upsert", "entity": make_parking(spots=9).to_wire()},
+        {"op": "patch", "id": "p-1", "attrs": {
+            "availableSpotNumber": Attribute(4, "Number").to_wire()}},
+    ])
+    broker = ContextBroker(journal_path=path)
+    assert "journal patch for unknown id ghost" in caplog.text
+    assert [e.to_wire() for e in broker.query_entities()] == [make_parking(spots=4).to_wire()]
+    broker.close()
+
+
+def test_replay_skips_an_unknown_op(tmp_path, caplog):
+    path = tmp_path / "journal.jsonl"
+    write_journal(path, [
+        {"op": "upsert", "entity": make_parking(spots=9).to_wire()},
+        {"op": "delete", "id": "p-1"},
+    ])
+    broker = ContextBroker(journal_path=path)
+    assert "skipping unknown journal op 'delete'" in caplog.text
+    assert broker.get_entity("p-1").value("availableSpotNumber") == 9
+    broker.close()
+
+
+def test_replay_copies_no_entity(tmp_path, monkeypatch):
+    path = tmp_path / "journal.jsonl"
+    first = ContextBroker(journal_path=path)
+    first.upsert_entity(make_parking(spots=9))
+    first.update_attributes("p-1", {"availableSpotNumber": Attribute(6, "Number")})
+    first.upsert_entity(make_entity("q-1", "Sensor", level=3))
+    first.close()
+    copies = []
+    real_copy = NgsiEntity.copy
+    monkeypatch.setattr(NgsiEntity, "copy", lambda self: copies.append(self.id) or real_copy(self))
+    reborn = ContextBroker(journal_path=path)
+    assert copies == []
+    assert reborn.get_entity("p-1").value("availableSpotNumber") == 6
+    reborn.close()
 
 
 # -- committed versions -------------------------------------------------------

@@ -8,29 +8,33 @@ import threading
 import pytest
 
 from citykit.clock import SimulatedClock
-from citykit.estimator import (
-    EstimatorError,
-    EstimatorScheduler,
-    EstimatorServer,
-    EstimatorService,
-    ForecastModel,
-    Prediction,
-    PROFILES,
-    TimeSeriesStore,
-    TrainingConfig,
-    fit_ridge,
-    infer,
+from citykit.estimator.ingest import (
     ingest_entity,
     ingest_historical,
     ingest_snapshot,
     ingest_subscription,
-    load_config_file,
+)
+from citykit.estimator.models import (
+    EstimatorError,
+    ForecastModel,
+    Prediction,
+    TrainingConfig,
+    ar_step,
+    fit_ridge,
+    infer,
     median_interval,
-    parse_config_text,
     train,
+)
+from citykit.estimator.scheduler import EstimatorScheduler
+from citykit.estimator.service import (
+    EstimatorServer,
+    EstimatorService,
+    PROFILES,
+    load_config_file,
+    parse_config_text,
     writeback,
 )
-from citykit.estimator.models import ar_step
+from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import Lcg64
 from citykit.httpd import HttpError, get_json, post_json
 from citykit.ngsi import Attribute, make_entity
@@ -108,6 +112,15 @@ class TestStore:
         assert store.keys() == [("a", "x"), ("b", "y")]
         assert store.get("a", "x")[-1].t == 2.0
         assert store.get("nope", "x") == []
+
+    @pytest.mark.parametrize("t, value", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                          (1.0, float("nan")), (1.0, float("-inf"))])
+    def test_append_refuses_a_sample_that_is_not_finite(self, t, value):
+        store = TimeSeriesStore()
+        store.append("e", "a", 2.0, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            store.append("e", "a", t, value)
+        assert [(s.t, s.value) for s in store.get("e", "a")] == [(2.0, 2.0)]
 
     def test_extend_counts_records(self):
         store = TimeSeriesStore()
@@ -437,7 +450,7 @@ class TestIngest:
         assert store.get("c", "availableSpotNumber")[0].t == 42.0
 
     def test_non_numeric_values_are_counted_not_stored(self):
-        from citykit.estimator import IngestStats
+        from citykit.estimator.ingest import IngestStats
         store = TimeSeriesStore()
         stats = IngestStats()
         for value in ("full", True, None):
@@ -447,6 +460,34 @@ class TestIngest:
                                      0.0, stats)
         assert stats.skipped_non_numeric == 3
         assert store.keys() == []
+
+    def test_non_finite_values_are_counted_not_stored(self):
+        from citykit.estimator.ingest import IngestStats
+        store = TimeSeriesStore()
+        stats = IngestStats()
+        for value in (float("nan"), float("inf")):
+            entity = make_entity("p-1", "OnStreetParking", availableSpotNumber=value)
+            assert not ingest_entity(store, entity, "availableSpotNumber", 0.0, stats)
+        assert stats.skipped_non_numeric == 2
+        assert store.keys() == []
+        records = [{"entityId": "p-1", "attr": "availableSpotNumber", "t": 1.0, "value": 5},
+                   {"entityId": "p-1", "attr": "availableSpotNumber", "t": 2.0,
+                    "value": float("nan")}]
+        stats = ingest_historical(store, records)
+        assert (stats.appended, stats.skipped_non_numeric) == (1, 1)
+        assert [(s.t, s.value) for s in store.get("p-1", "availableSpotNumber")] == [(1.0, 5.0)]
+
+    def test_a_non_finite_stamp_falls_back_to_the_next_source(self):
+        store = TimeSeriesStore()
+        observed_nan = make_entity("a", "OnStreetParking", availableSpotNumber=1,
+                                   dateObserved=float("nan"))
+        meta_nan = make_entity("b", "OnStreetParking", availableSpotNumber=Attribute(
+            value=2, valueType="Number", metadata={"observedAt": float("inf")}),
+            dateObserved="2025-06-02T00:15:00Z")
+        for entity in (observed_nan, meta_nan):
+            assert ingest_entity(store, entity, "availableSpotNumber", 42.0)
+        assert store.get("a", "availableSpotNumber")[0].t == 42.0
+        assert store.get("b", "availableSpotNumber")[0].t == DAY + 900
 
     def test_snapshot_ingests_each_mapped_type(self, broker):
         broker.upsert_entity(make_entity("p-1", "OnStreetParking",
@@ -490,6 +531,9 @@ class TestIngest:
         ({"entityId": "p-1", "attr": "availableSpotNumber", "value": 6}, KeyError),
         ({"entityId": "p-1", "attr": "availableSpotNumber", "t": "noon", "value": 6}, ValueError),
         ({"entityId": ["p-1"], "attr": "availableSpotNumber", "t": 2.0, "value": 6}, TypeError),
+        ({"entityId": "p-1", "attr": "availableSpotNumber", "t": "nan", "value": 6}, ValueError),
+        ({"entityId": "p-1", "attr": "availableSpotNumber", "t": float("inf"), "value": 6},
+         ValueError),
     ])
     def test_historical_with_a_malformed_record_appends_nothing(self, bad, error):
         store = TimeSeriesStore()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from citykit.broker import ContextBroker
+from citykit.broker import ContextBroker, Subscription
 from citykit.clock import SimulatedClock
 from citykit.gtfs_realtime import (
     RtLoader,
@@ -113,7 +113,8 @@ class TestRtLoader:
 
     def test_attach_refreshes_on_every_commit(self, broker, resolver):
         loader, _ = self.make_loader(broker, resolver)
-        loader.attach(broker)
+        broker.subscribe(Subscription(id="", entityTypeFilter="ArrivalEstimation",
+                                      target=lambda entities: loader.refresh()))
         broker.upsert_entity(arrival("a1", "S5", "R1", 120))
         broker.upsert_entity(arrival("a2", "S3", "R1", 60))
         assert loader.refresh_count == 2
@@ -121,7 +122,8 @@ class TestRtLoader:
 
     def test_non_estimation_commits_do_not_refresh(self, broker, resolver):
         loader, _ = self.make_loader(broker, resolver)
-        loader.attach(broker)
+        broker.subscribe(Subscription(id="", entityTypeFilter="ArrivalEstimation",
+                                      target=lambda entities: loader.refresh()))
         broker.upsert_entity(make_entity("p-1", "ParkingSite", availableSpotNumber=2))
         assert loader.refresh_count == 0
 

@@ -1,14 +1,16 @@
 """Source hygiene, checked on the ``citykit`` sources with ``ast``:
 
-- every name a module imports is read somewhere in it. The package
-  ``__init__.py`` files are left out: they import names in order to re-export
-  them.
+- every name a module imports is read somewhere in it, so no module, not
+  even a package ``__init__.py``, re-exports a name: each is imported from
+  the module that defines it.
 - a module reads another object's private attribute (``obj._name``) only if
   that module owns the name: it assigns ``self._name`` or ``cls._name``, or it
   defines ``_name`` itself.
 - every attribute a class assigns on ``self`` is read somewhere under
   ``src/``, ``tests/`` or ``perfbench/``: as an attribute load (on any
   object), or by ``getattr``/``hasattr`` with the name as a literal.
+- ``tests/oracles.py`` imports from ``citykit`` only inputs and data types,
+  never code that computes an answer it checks.
 """
 
 import ast
@@ -36,7 +38,7 @@ def unread_imports(path: Path) -> list[str]:
 
 def test_every_imported_name_is_read():
     unread = [f"{path.relative_to(SRC)}: {name}"
-              for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+              for path in sorted(SRC.rglob("*.py"))
               for name in unread_imports(path)]
     assert unread == []
 
@@ -103,3 +105,24 @@ def test_every_attribute_set_on_self_is_read():
               for path in sorted(SRC.rglob("*.py"))
               for where, name in self_assignments(path) if name not in reads]
     assert unread == []
+
+
+ORACLE_INPUTS = {
+    "citykit.feedgen": {"Lcg64"},
+    "citykit.gtfs": {"Agency", "GtfsFeed", "Route", "Service", "Stop", "StopTime", "Trip"},
+    "citykit.ngsi": {"Attribute", "NgsiEntity"},
+}
+
+
+def test_oracles_import_only_inputs_and_data_types_from_citykit():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports += [(node.module, alias.name) for alias in node.names]
+    foreign = [f"{module}.{name}" if name else module for module, name in imports
+               if module and module.split(".")[0] == "citykit"
+               and name not in ORACLE_INPUTS.get(module, ())]
+    assert foreign == []

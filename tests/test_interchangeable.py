@@ -19,7 +19,10 @@ from citykit.broker import (
 )
 from citykit.broker_http import BrokerClient, BrokerServer
 from citykit.clock import SimulatedClock
-from citykit.estimator import Prediction, TimeSeriesStore, ingest_snapshot, writeback
+from citykit.estimator.ingest import ingest_snapshot
+from citykit.estimator.models import Prediction
+from citykit.estimator.service import writeback
+from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import StreamGenerator, default_fixture, generate_city
 from citykit.gtfs import publish_feed_entity, serialize_feed
 from citykit.gtfs_fetcher import GtfsFetcher

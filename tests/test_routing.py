@@ -223,7 +223,7 @@ class TestCoordinateEndpoints:
         assert best.legs[0].alightStopId == "S2"
         ride_arrival = DAY + 28920
         s2 = city_graph.stop_position("S2")
-        egress = walk_seconds(haversine_m(s2[0], s2[1], dest[0], dest[1]), 1.25)
+        egress = walk_seconds(haversine_m(s2[0], s2[1], dest[0], dest[1]))
         assert best.arrival == ride_arrival + egress
 
     def test_point_far_from_every_stop_is_isolated(self, city_graph):
@@ -238,7 +238,7 @@ class TestOverlay:
             {"tripId": "R1-T1",
              "stopTimeUpdates": [{"stopSequence": 3, "delaySeconds": 600}]},
         ]})
-        times = overlay.trip_times(city_graph, "R1-T1")
+        times = overlay.effective["R1-T1"]
         assert times[0].arrival == DAY + 28800      # before the update: untouched
         assert times[2].arrival == DAY + 29040 + 600
         assert times[4].arrival == DAY + 29280 + 600
@@ -248,7 +248,7 @@ class TestOverlay:
             {"tripId": "R1-T1",
              "stopTimeUpdates": [{"stopId": "S5", "arrivalOverride": DAY + 30000}]},
         ]})
-        assert overlay.trip_times(city_graph, "R1-T1")[4].arrival == DAY + 30000
+        assert overlay.effective["R1-T1"][4].arrival == DAY + 30000
 
     def test_unknown_trips_are_collected_not_fatal(self, city_graph):
         overlay = apply_realtime(city_graph, {"tripUpdates": [
@@ -353,7 +353,7 @@ class TestRoundBoundaries:
             {"stopSequence": 10, "delaySeconds": 600},
             {"stopSequence": 20, "arrivalOverride": graph.dayStart + 1100},
         ]}]})
-        times = [(t.departure - graph.dayStart) for t in overlay.trip_times(graph, "T")]
+        times = [(t.departure - graph.dayStart) for t in overlay.effective["T"]]
         assert times == [1600, 1100, 1400]  # T leaves A after it reaches C
         q = ItineraryQuery("A", "C", graph.dayStart + 900, modes={"transit"})
         (best,) = plan(graph, q, overlay, max_transfers=0)

@@ -10,7 +10,9 @@ import pytest
 
 from citykit.broker_http import BrokerServer
 from citykit.clock import SimulatedClock
-from citykit.estimator import EstimatorServer, EstimatorService, TrainingConfig, ingest_historical
+from citykit.estimator.ingest import ingest_historical
+from citykit.estimator.models import TrainingConfig
+from citykit.estimator.service import EstimatorServer, EstimatorService
 from citykit.feedgen import default_fixture, generate_static_network
 from citykit.gtfs import ngsi_to_gtfs
 from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
