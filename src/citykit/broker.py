@@ -350,7 +350,7 @@ class ContextBroker:
         for name, attr in patch.items():
             if not isinstance(attr, Attribute):
                 raise InvalidEntity(f"patch value for {name!r} is not an attribute")
-            changed[name] = Attribute(attr.value, attr.valueType, dict(attr.metadata))
+            changed[name] = attr.copy()
         with self._lock:
             result = self._commit_patch(entity_id, changed).copy()
         self._after_commit()

@@ -46,10 +46,9 @@ def _broker_errors():
     try:
         yield
     except HttpError as exc:
-        kind = exc.payload.get("error") if isinstance(exc.payload, dict) else None
-        if kind not in _BY_KIND:
+        if exc.kind not in _BY_KIND:
             raise
-        raise _BY_KIND[kind](exc.payload.get("detail", "")) from exc
+        raise _BY_KIND[exc.kind](exc.message) from exc
 
 
 class BrokerServer(HttpService):

@@ -61,10 +61,9 @@ def _wait_forever(*servers) -> int:
 # subcommands
 
 def cmd_validate(args) -> int:
-    from citykit.datamodels import SchemaRegistry, validate_batch
+    from citykit.datamodels import load_schemas, validate_batch
 
-    registry = SchemaRegistry()
-    registry.load_dir(args.schemas)
+    registry = load_schemas(args.schemas)
     entities = (NgsiEntity.from_wire(doc) for doc in read_jsonl(args.input))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as sink_fh:
@@ -278,20 +277,21 @@ def cmd_estimator_serve(args) -> int:
     print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
     # poll broker snapshots at the inference cadence
     try:
-        service.snapshot()
-    except OSError as exc:
-        server.stop()
-        raise KindError("broker-unreachable", f"{extras['broker']}: {exc}") from exc
-    service.start()
-    try:
+        try:
+            service.snapshot()
+        except OSError as exc:
+            raise KindError("broker-unreachable", f"{extras['broker']}: {exc}") from exc
+        service.scheduler.start()
         while True:
             time.sleep(config.inferencePeriodSeconds)
             try:
                 service.snapshot()
-            except OSError as exc:
+            except (KindError, OSError) as exc:  # KindError: the broker's error reply
                 logger.warning("broker snapshot failed, polling on: %s", exc)
             service.scheduler.run_pending()
     except KeyboardInterrupt:
+        pass
+    finally:
         server.stop()
     return 0
 

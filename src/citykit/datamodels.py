@@ -15,8 +15,7 @@ checks so each underlying fault is reported exactly once.
 
 import json
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -133,13 +132,6 @@ class Violation:
     ruleKind: str
     message: str
 
-    def to_doc(self) -> dict:
-        return {
-            "attributeName": self.attributeName,
-            "ruleKind": self.ruleKind,
-            "message": self.message,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -150,47 +142,20 @@ class ValidationReport:
     def valid(self) -> bool:
         return not self.violations
 
-    def to_doc(self) -> dict:
-        return {
-            "entityId": self.entityId,
-            "violations": [v.to_doc() for v in self.violations],
-        }
+
+def load_schemas(path) -> dict[str, DataModelSchema]:
+    """Entity type → schema for each ``*.json`` file in a directory, in sorted
+    order; a later file with the same type replaces an earlier one."""
+    schemas = {}
+    for file in sorted(Path(path).glob("*.json")):
+        schema = DataModelSchema.from_doc(file.read_text(encoding="utf-8"))
+        schemas[schema.entityType] = schema
+    return schemas
 
 
-class SchemaRegistry:
-    """Entity-type → schema map with atomic snapshot swaps on reload."""
-
-    def __init__(self):
-        self._schemas: dict[str, DataModelSchema] = {}
-        self._lock = threading.Lock()
-
-    def load_schema(self, doc) -> DataModelSchema:
-        schema = DataModelSchema.from_doc(doc)
-        with self._lock:
-            snapshot = dict(self._schemas)
-            snapshot[schema.entityType] = schema
-            self._schemas = snapshot
-        return schema
-
-    def load_dir(self, path) -> int:
-        count = 0
-        for file in sorted(Path(path).glob("*.json")):
-            self.load_schema(file.read_text(encoding="utf-8"))
-            count += 1
-        return count
-
-    def get(self, entity_type: str) -> Optional[DataModelSchema]:
-        return self._schemas.get(entity_type)
-
-    def types(self) -> list[str]:
-        return sorted(self._schemas)
-
-
-def bundled_registry() -> SchemaRegistry:
-    """A registry holding the schema corpus shipped in the package's ``schemas/``."""
-    registry = SchemaRegistry()
-    registry.load_dir(Path(__file__).with_name("schemas"))
-    return registry
+def bundled_registry() -> dict[str, DataModelSchema]:
+    """The schema map shipped in the package's ``schemas/``."""
+    return load_schemas(Path(__file__).with_name("schemas"))
 
 
 def _type_ok(expected: str, value) -> bool:
@@ -211,7 +176,8 @@ def _type_ok(expected: str, value) -> bool:
     return True  # unknown tags: declared equality is all we can ask
 
 
-def validate_entity(entity: NgsiEntity, registry: SchemaRegistry) -> ValidationReport:
+def validate_entity(entity: NgsiEntity,
+                    registry: dict[str, DataModelSchema]) -> ValidationReport:
     """Check one entity against its type's schema; pure, never raises."""
     report = ValidationReport(entityId=entity.id)
     schema = registry.get(entity.entityType)
@@ -269,7 +235,7 @@ def validate_entity(entity: NgsiEntity, registry: SchemaRegistry) -> ValidationR
     return report
 
 
-def validate_batch(entities: Iterable[NgsiEntity], registry: SchemaRegistry,
+def validate_batch(entities: Iterable[NgsiEntity], registry: dict[str, DataModelSchema],
                    report_sink=None) -> dict:
     """Fold ``validate_entity`` over a stream; O(1) memory beyond the summary.
 
@@ -286,7 +252,7 @@ def validate_batch(entities: Iterable[NgsiEntity], registry: SchemaRegistry,
             for violation in report.violations:
                 per_kind[violation.ruleKind] = per_kind.get(violation.ruleKind, 0) + 1
         if report_sink is not None:
-            report_sink(report.to_doc())
+            report_sink(asdict(report))
     return {
         "total": total,
         "valid": valid,

@@ -105,16 +105,6 @@ class Prediction:
     horizonEnd: float
     value: float
 
-    def to_doc(self) -> dict:
-        return {
-            "entityId": self.entityId,
-            "attributeName": self.attributeName,
-            "issuedAt": self.issuedAt,
-            "horizonStart": self.horizonStart,
-            "horizonEnd": self.horizonEnd,
-            "value": self.value,
-        }
-
 
 def median_interval(samples: list[Sample]) -> float:
     gaps = [b.t - a.t for a, b in zip(samples, samples[1:])]

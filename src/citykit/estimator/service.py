@@ -13,6 +13,7 @@ scheduler still keeps the prediction.
 """
 
 import logging
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 from urllib.parse import unquote
@@ -98,9 +99,6 @@ class EstimatorService:
         return ingest_snapshot(self.store, self.broker, {self.entityType: self.attribute},
                                self.clock)
 
-    def start(self, now: Optional[float] = None) -> None:
-        self.scheduler.start(now)
-
 
 class EstimatorServer(HttpService):
     """HTTP face of the estimator.
@@ -138,7 +136,7 @@ class EstimatorServer(HttpService):
 
     def _predict(self, match, params, body):
         prediction = self.service.scheduler.predict_now(*self._series_key(match))
-        return 200, prediction.to_doc()
+        return 200, asdict(prediction)
 
     def _models(self, match, params, body):
         models = self.service.scheduler.models  # published whole by each train pass

@@ -17,7 +17,6 @@ Ground truth (per-trip delays, defect positions) is recorded alongside the
 generated data so downstream checks never have to guess.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -524,7 +523,7 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> Defec
     """
     registry = bundled_registry()
     rng = Lcg64(seed ^ _DEFECT_SALT)
-    out = [copy.deepcopy(e) for e in entities]
+    out = [e.copy() for e in entities]
     used: set = set()
     truth = []
 

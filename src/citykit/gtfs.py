@@ -346,7 +346,9 @@ def ngsi_to_gtfs(entities: list[NgsiEntity]) -> tuple[GtfsFeed, bytes]:
 
 
 def file_url(path) -> str:
-    return Path(path).absolute().as_uri()
+    """A URL unchanged; a filesystem path as its file:// URL."""
+    path = os.fspath(path)
+    return path if "://" in path else Path(path).absolute().as_uri()
 
 
 def publish_feed_entity(zip_url: str, broker: Broker,
@@ -357,8 +359,7 @@ def publish_feed_entity(zip_url: str, broker: Broker,
     Re-publishing the same feed id replaces the pointer in place, bumping
     dateModified to the archive's current write time.
     """
-    if "://" not in zip_url:
-        zip_url = file_url(zip_url)
+    zip_url = file_url(zip_url)
     parsed = urlparse(zip_url)
     if parsed.scheme == "file":
         local = url2pathname(parsed.path)

@@ -149,15 +149,20 @@ class JsonHttpServer:
                         continue
                     try:
                         status, payload = handler(match, params, body)
+                    except HttpError as exc:  # a downstream reply let through
+                        status, payload = self._internal(parsed.path, exc)
                     except KindError as exc:
                         status = KIND_STATUS.get(exc.kind, 400)
                         payload = {"error": exc.kind, "detail": exc.message}
                     except Exception as exc:  # surfaced as 500, not a crash
-                        logger.exception("handler error for %s %s", self.command, parsed.path)
-                        status, payload = 500, {"error": "internal", "detail": str(exc)}
+                        status, payload = self._internal(parsed.path, exc)
                     self._reply(status, payload)
                     return
                 self._reply(404, {"error": "not-found", "detail": parsed.path})
+
+            def _internal(self, path: str, exc: Exception) -> tuple:
+                logger.exception("handler error for %s %s", self.command, path)
+                return 500, {"error": "internal", "detail": str(exc)}
 
             def _reply(self, status: int, payload):
                 data = b""
@@ -206,13 +211,22 @@ class HttpService:
         self.server.stop()
 
 
-class HttpError(Exception):
-    """Non-2xx response from a JSON endpoint."""
+class HttpError(KindError):
+    """Non-2xx response from a JSON endpoint.
+
+    ``kind`` is the reply's ``error`` when that is a string, else
+    ``http-<status>``; ``message`` is its ``detail`` when that is a string,
+    else the payload's text.
+    """
 
     def __init__(self, status: int, payload):
         self.status = status
         self.payload = payload
-        super().__init__(f"HTTP {status}: {payload}")
+        doc = payload if isinstance(payload, dict) else {}
+        kind, detail = doc.get("error"), doc.get("detail")
+        text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
+        super().__init__(kind if isinstance(kind, str) else f"http-{status}",
+                         detail if isinstance(detail, str) else text)
 
 
 class _ConnectionPool(OrderedDict):

@@ -52,6 +52,16 @@ class NgsiError(KindError, ValueError):
         super().__init__(self.kind, message)
 
 
+_TREES = (dict, list)
+
+
+def _tree_copy(tree: Any) -> Any:
+    """A JSON dict or list copied down to its leaves, which are immutable."""
+    if isinstance(tree, dict):
+        return {k: _tree_copy(v) if isinstance(v, _TREES) else v for k, v in tree.items()}
+    return [_tree_copy(v) if isinstance(v, _TREES) else v for v in tree]
+
+
 @dataclass
 class Attribute:
     """One named value on an entity."""
@@ -60,8 +70,16 @@ class Attribute:
     valueType: str
     metadata: dict = field(default_factory=dict)
 
+    def copy(self) -> "Attribute":
+        """An equal attribute whose value and metadata dict are its own."""
+        value = self.value
+        return Attribute(_tree_copy(value) if isinstance(value, _TREES) else value,
+                         self.valueType, dict(self.metadata))
+
     def to_wire(self) -> dict:
-        doc = {"value": self.value, "valueType": self.valueType}
+        value = self.value
+        doc = {"value": _tree_copy(value) if isinstance(value, _TREES) else value,
+               "valueType": self.valueType}
         if self.metadata:
             doc["metadata"] = dict(self.metadata)
         return doc
@@ -118,10 +136,7 @@ class NgsiEntity:
         return NgsiEntity(
             id=self.id,
             entityType=self.entityType,
-            attributes={
-                name: Attribute(a.value, a.valueType, dict(a.metadata))
-                for name, a in self.attributes.items()
-            },
+            attributes={name: a.copy() for name, a in self.attributes.items()},
         )
 
     def to_wire(self) -> dict:

@@ -75,10 +75,6 @@ class TransitGraph:
         self.seqIndex: dict[str, dict] = {}  # tripId -> {seq: position in its stop times}
         self.footpaths: dict[str, list] = {}  # stopId -> [(other, walkSeconds)]
 
-    def stop_position(self, stop_id: str) -> tuple:
-        lat, lon, _ = self.stops[stop_id]
-        return lat, lon
-
 
 def _service_active(service, d: date) -> bool:
     stamp = f"{d.year:04d}{d.month:02d}{d.day:02d}"
@@ -86,33 +82,31 @@ def _service_active(service, d: date) -> bool:
             and bool(service.weekdayFlags[d.weekday()]))
 
 
-def build_graph(feeds: list[GtfsFeed], service_date: Optional[date] = None) -> TransitGraph:
-    """Union the feeds into a graph for one service date.
+def build_graph(feed: GtfsFeed, service_date: Optional[date] = None) -> TransitGraph:
+    """The feed's graph for one service date.
 
-    Deterministic: the same feeds in any order produce a structurally equal
-    graph. A date with no active service leaves the timetable empty (warned).
+    A date with no active service leaves the timetable empty (warned).
     """
     if service_date is None:
         service_date = date(2025, 6, 2)
     graph = TransitGraph(service_date)
 
-    for feed in feeds:
-        for stop in feed.stops:
-            graph.stops[stop.stopId] = (stop.lat, stop.lon, stop.name)
-        active = {s.serviceId for s in feed.services if _service_active(s, service_date)}
-        by_trip: dict[str, list] = {}
-        for st in feed.stopTimes:
-            by_trip.setdefault(st.tripId, []).append(st)
-        for trip in feed.trips:
-            if trip.serviceId not in active:
-                continue
-            sts = sorted(by_trip.get(trip.tripId, []), key=lambda st: st.stopSequence)
-            if not sts:
-                continue
-            graph.tripRoute[trip.tripId] = trip.routeId
-            graph.tripStopTimes[trip.tripId] = [
-                TripStopTime(st.stopSequence, st.stopId, graph.dayStart + st.arrival,
-                             graph.dayStart + st.departure) for st in sts]
+    for stop in feed.stops:
+        graph.stops[stop.stopId] = (stop.lat, stop.lon, stop.name)
+    active = {s.serviceId for s in feed.services if _service_active(s, service_date)}
+    by_trip: dict[str, list] = {}
+    for st in feed.stopTimes:
+        by_trip.setdefault(st.tripId, []).append(st)
+    for trip in feed.trips:
+        if trip.serviceId not in active:
+            continue
+        sts = sorted(by_trip.get(trip.tripId, []), key=lambda st: st.stopSequence)
+        if not sts:
+            continue
+        graph.tripRoute[trip.tripId] = trip.routeId
+        graph.tripStopTimes[trip.tripId] = [
+            TripStopTime(st.stopSequence, st.stopId, graph.dayStart + st.arrival,
+                         graph.dayStart + st.departure) for st in sts]
     if not graph.tripStopTimes:
         logger.warning("no service active on %s; timetable is empty", service_date)
 
@@ -384,7 +378,7 @@ def _direct_walk(graph: TransitGraph, query: ItineraryQuery) -> Optional[Itinera
     """Single walk leg straight from origin to destination, when in range."""
     def position(point):
         if isinstance(point, str):
-            return graph.stop_position(point) if point in graph.stops else None
+            return graph.stops[point][:2] if point in graph.stops else None
         return point
 
     a, b = position(query.origin), position(query.destination)
@@ -461,15 +455,11 @@ class Router:
         return self._snapshot[0]
 
     @property
-    def overlay(self) -> Optional[Overlay]:
-        return self._snapshot[1]
-
-    @property
     def version(self) -> int:
         return self.graph.version if self.graph else 0
 
     def load_feed(self, feed: GtfsFeed) -> int:
-        graph = build_graph([feed], self.serviceDate)
+        graph = build_graph(feed, self.serviceDate)
         with self._swap:
             graph.version = self.version + 1  # numbered in the order of the swaps
             self._snapshot = (graph, None)
@@ -482,9 +472,7 @@ class Router:
     def load_url(self, url: str) -> int:
         """Read a feed zip from a file:// or http(s):// URL and swap it in.
         FeedError if it does not parse, OSError or ValueError if unreadable."""
-        if "://" not in url:
-            url = file_url(url)
-        with urlopen(url, timeout=30.0) as resp:
+        with urlopen(file_url(url), timeout=30.0) as resp:
             data = resp.read()
         return self.load_zip_bytes(data)
 

@@ -30,4 +30,4 @@ def city_feed(city):
 
 @pytest.fixture
 def city_graph(city_feed):
-    return build_graph([city_feed], service_date=date(2025, 6, 2))
+    return build_graph(city_feed, service_date=date(2025, 6, 2))

@@ -126,7 +126,7 @@ def test_planner_matches_the_enumerator_on_200_networks():
     mismatches = []
     for seed in range(200):
         rng = Lcg64(seed * 9176 + 31)
-        graph = build_graph([random_network(rng)])
+        graph = build_graph(random_network(rng))
         updates = random_trip_updates(rng, graph)
         query = ItineraryQuery(**random_query(rng, graph, graph.dayStart))
         for overlay in (None, apply_realtime(graph, updates)):
@@ -165,7 +165,7 @@ def test_routing_pipeline_end_to_end():
     override_ok = not result.unresolved and update["arrivalOverride"] == now + 120
 
     # the reported shift equals what the enumerator predicts for the delay
-    graph = build_graph([feed], service_date=date(2025, 6, 2))
+    graph = build_graph(feed, service_date=date(2025, 6, 2))
     query = ItineraryQuery("S1", "S5", day + 28740)
     calls = len(graph.tripStopTimes["R1-T1"])
     overlay = apply_realtime(graph, {"tripUpdates": [

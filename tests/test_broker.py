@@ -588,6 +588,48 @@ def test_patch_copies_the_callers_attributes_in(broker):
     assert (stored.value, stored.metadata) == (7, {"unit": "spots"})
 
 
+def layout_lot(eid="p-1"):
+    return make_entity(eid, "ParkingSite", layout={"rows": 4, "bays": [1, 2]})
+
+
+def test_structured_values_read_back_are_the_callers_own(broker):
+    broker.upsert_entity(layout_lot())
+    for read in (broker.get_entity("p-1"), broker.query_entities()[0]):
+        layout = read.attributes["layout"].value
+        layout["rows"] = 99
+        layout["bays"].append(3)
+    assert broker.get_entity("p-1").value("layout") == {"rows": 4, "bays": [1, 2]}
+
+
+def test_a_structured_patch_value_is_copied_in(broker):
+    broker.upsert_entity(make_parking())
+    layout = {"rows": 2, "bays": [1]}
+    broker.update_attributes("p-1", {"layout": Attribute(layout, "StructuredValue")})
+    layout["rows"] = "x"
+    layout["bays"].append(2)
+    assert broker.get_entity("p-1").value("layout") == {"rows": 2, "bays": [1]}
+
+
+def test_a_callable_subscriber_may_edit_structured_values(broker):
+    def vandal(entities):
+        entities[0].attributes["layout"].value["bays"].clear()
+
+    broker.subscribe(Subscription(id="", target=vandal))
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(layout_lot())
+    assert broker.get_entity("p-1").value("layout") == {"rows": 4, "bays": [1, 2]}
+    (doc,) = sink.notifications
+    assert doc["data"][0]["attributes"]["layout"]["value"] == {"rows": 4, "bays": [1, 2]}
+
+
+def test_a_collected_document_shares_nothing_with_the_store(broker):
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(layout_lot())
+    (doc,) = sink.notifications
+    doc["data"][0]["attributes"]["layout"]["value"]["bays"].append(3)
+    assert broker.get_entity("p-1").value("layout") == {"rows": 4, "bays": [1, 2]}
+
+
 class ReferenceStore:
     """Every candidate deep-copied and run through the full entity check."""
 

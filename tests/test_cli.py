@@ -16,7 +16,7 @@ from citykit.broker_http import BrokerServer
 from citykit.cli import _parse_listen, build_parser, main
 from citykit.feedgen import default_fixture, generate_city, seed_defects
 from citykit.gtfs import parse_feed, publish_feed_entity, serialize_feed
-from citykit.httpd import get_json
+from citykit.httpd import JsonHttpServer, get_json
 from citykit.ngsi import make_entity
 from citykit.routing import Router, RouterServer
 
@@ -337,6 +337,39 @@ class TestServe:
         assert len(naps) == 3
         assert caplog.text.count("broker snapshot failed") == 2
 
+    def test_estimator_serve_polls_on_after_an_error_reply(self, tmp_path, monkeypatch,
+                                                           caplog):
+        queries = []
+
+        def query(match, params, body):
+            queries.append(params)
+            if len(queries) == 2:  # the second snapshot fails
+                return 500, {"error": "internal", "detail": "disk on fire"}
+            return 200, []
+
+        broker = JsonHttpServer()
+        broker.add_route("GET", r"/v2/entities", query)
+        broker.start()
+        config = tmp_path / "estimator.conf"
+        config.write_text(f"profile = parking\nbroker = {broker.url()}\n", encoding="utf-8")
+        naps = []
+
+        def nap(seconds):
+            naps.append(seconds)
+            if len(naps) == 3:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=nap))
+        try:
+            with caplog.at_level(logging.WARNING, logger="citykit.cli"):
+                rc = main(["estimator-serve", "--config", str(config),
+                           "--listen", "127.0.0.1:0"])
+        finally:
+            broker.stop()
+        assert rc == 0
+        assert len(queries) == 3
+        assert caplog.text.count("broker snapshot failed") == 1
+
 
 class TestParser:
     def test_parse_listen_defaults_the_host(self):
@@ -444,6 +477,34 @@ class TestServiceErrors:
         argv = [arg.format(tmp=tmp_path) for arg in command]
         assert self._error_line(capsys, argv)["error"] == "io-error"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture
+    def failing_broker(self):
+        """A broker that answers every query 500 and every post 413."""
+        server = JsonHttpServer()
+        server.add_route("GET", r"/v2/entities", lambda *_: (
+            500, {"error": "internal", "detail": "disk on fire"}))
+        server.add_route("POST", r"/v2/entities", lambda *_: (
+            413, {"error": "payload-too-large", "detail": "body too big"}))
+        server.start()
+        yield server.url()
+        server.stop()
+
+    @pytest.mark.parametrize("command, error", [
+        (["gtfs-build", "--broker", "{url}", "--out", "{tmp}/feed.zip"],
+         {"error": "internal", "detail": "disk on fire"}),
+        (["gtfs-fetch", "--broker", "{url}", "--router", "http://127.0.0.1:1"],
+         {"error": "internal", "detail": "disk on fire"}),
+        (["json2ngsi", "--rules", "{tmp}/rules.json", "--input", "{tmp}/in.json",
+          "--post", "{url}"],
+         {"error": "payload-too-large", "detail": "body too big"}),
+    ])
+    def test_a_broker_error_reply(self, tmp_path, capsys, failing_broker, command, error):
+        write_json(tmp_path / "rules.json", RULES_DOC)
+        write_json(tmp_path / "in.json", RECORD)
+        argv = [arg.format(tmp=tmp_path, url=failing_broker) for arg in command]
+        assert self._error_line(capsys, argv) == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "rules.json"]
 
     def test_broker_serve_on_a_corrupt_journal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_wait_forever", lambda *servers: [s.stop() for s in servers])

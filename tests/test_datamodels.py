@@ -1,6 +1,7 @@
 """Schema registry and entity validation: rule kinds, reports, batches."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -8,8 +9,8 @@ from citykit.datamodels import (
     DataModelSchema,
     Rule,
     SchemaError,
-    SchemaRegistry,
     bundled_registry,
+    load_schemas,
     validate_batch,
     validate_entity,
 )
@@ -30,9 +31,7 @@ PARKING_SCHEMA = {
 
 @pytest.fixture
 def registry():
-    reg = SchemaRegistry()
-    reg.load_schema(PARKING_SCHEMA)
-    return reg
+    return {PARKING_SCHEMA["entityType"]: DataModelSchema.from_doc(PARKING_SCHEMA)}
 
 
 def parking(**overrides):
@@ -77,12 +76,12 @@ def test_wrong_type_on_mismatched_tag(registry):
 def test_out_of_range_low_and_high(registry):
     assert kinds(validate_entity(parking(availableSpotNumber=-1), registry)) \
         == ["out-of-range"]
-    reg = SchemaRegistry()
-    reg.load_schema({
+    doc = {
         "entityType": "T",
         "attributeRules": {"pct": {"expectedValueType": "Number",
                                    "numericRange": [0, 1]}},
-    })
+    }
+    reg = {doc["entityType"]: DataModelSchema.from_doc(doc)}
     assert kinds(validate_entity(make_entity("t", "T", pct=1.5), reg)) \
         == ["out-of-range"]
 
@@ -115,7 +114,7 @@ def test_multiple_violations_accumulate(registry):
 
 
 def test_report_document_shape(registry):
-    doc = validate_entity(parking(status="ajar"), registry).to_doc()
+    doc = asdict(validate_entity(parking(status="ajar"), registry))
     assert doc["entityId"] == "lot-1"
     assert doc["violations"][0]["ruleKind"] == "not-in-enum"
     assert set(doc["violations"][0]) == {"attributeName", "ruleKind", "message"}
@@ -159,14 +158,14 @@ def test_registry_load_dir(tmp_path):
         "attributeRules": {"level": {"expectedValueType": "Number"}},
     }))
     (tmp_path / "notes.txt").write_text("ignored")
-    registry = SchemaRegistry()
-    assert registry.load_dir(tmp_path) == 2
-    assert registry.types() == ["OnStreetParking", "Sensor"]
+    schemas = load_schemas(tmp_path)
+    assert len(schemas) == 2
+    assert sorted(schemas) == ["OnStreetParking", "Sensor"]
 
 
 def test_registry_reload_replaces_schema(registry):
     relaxed = dict(PARKING_SCHEMA, requiredAttributes=[])
-    registry.load_schema(relaxed)
+    registry["OnStreetParking"] = DataModelSchema.from_doc(relaxed)
     entity = make_entity("lot-1", "OnStreetParking")
     assert validate_entity(entity, registry).valid
 
@@ -179,7 +178,7 @@ def test_bundled_registry_covers_the_city_types():
         "GtfsRoute", "GtfsTrip", "GtfsStopTime", "GtfsService",
         "GtfsTransitFeedFile",
     }
-    assert expected <= set(registry.types())
+    assert expected <= set(registry)
 
 
 def test_validate_batch_counts_and_sink(registry):

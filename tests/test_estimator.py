@@ -648,7 +648,7 @@ class TestService:
              "t": DAY - (40 - i) * 900.0,
              "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
             for i in range(40)])
-        service.start(DAY)
+        service.scheduler.start(DAY)
         service.scheduler.advance(DAY + 900)
         entity = broker.get_entity("p-1")
         forecast = entity.attributes["availableSpotNumberForecast"]
@@ -727,7 +727,7 @@ class TestEstimatorServer:
 
     def test_predict_after_training(self, served):
         url, service = served
-        service.start(DAY)
+        service.scheduler.start(DAY)
         status, doc = post_json(f"{url}/predict/p-1/availableSpotNumber", {})
         assert status == 200
         assert doc["entityId"] == "p-1"
@@ -750,7 +750,7 @@ class TestEstimatorServer:
         passes = 25
 
         def train_passes():
-            service.start(DAY)
+            service.scheduler.start(DAY)
             service.scheduler.advance(DAY + passes * 900)
 
         trainer = threading.Thread(target=train_passes)

@@ -9,6 +9,11 @@
 - every attribute a class assigns on ``self`` is read somewhere under
   ``src/``, ``tests/`` or ``perfbench/``: as an attribute load (on any
   object), or by ``getattr``/``hasattr`` with the name as a literal.
+- every method and property a class defines is read somewhere under
+  ``src/``, ``tests/`` or ``perfbench/``: as an attribute load, by
+  ``getattr``/``hasattr`` with the name as a literal, or as a name a class
+  body reads (``do_GET = _dispatch``). Dunders and the ``http.server`` hooks
+  that the server base classes call are exempt.
 - ``tests/oracles.py`` imports from ``citykit`` only inputs and data types,
   never code that computes an answer it checks.
 """
@@ -104,6 +109,40 @@ def test_every_attribute_set_on_self_is_read():
     unread = [f"{path.relative_to(SRC)}:{where}.{name}"
               for path in sorted(SRC.rglob("*.py"))
               for where, name in self_assignments(path) if name not in reads]
+    assert unread == []
+
+
+# called by the http.server base classes, never by name in this project
+HTTP_SERVER_HOOKS = {"log_message", "handle_error", "process_request", "shutdown_request"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def class_members(path: Path) -> list[tuple[str, str]]:
+    """``(line: Class, name)`` for each method or property a class in ``path`` defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(f"{node.lineno}: {cls.name}", node.name)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, FUNCTIONS)]
+
+
+def class_body_reads(path: Path) -> set[str]:
+    """Names a class body in ``path`` reads outside its methods (``do_GET = _dispatch``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {name.id for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if not isinstance(stmt, FUNCTIONS)
+            for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+
+
+def test_every_method_and_property_is_read():
+    reads = set().union(*(attribute_reads(path) | class_body_reads(path)
+                          for folder in ("src", "tests", "perfbench")
+                          for path in (ROOT / folder).rglob("*.py")))
+    unread = [f"{path.relative_to(SRC)}:{where}.{name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for where, name in class_members(path)
+              if name not in reads and name not in HTTP_SERVER_HOOKS
+              and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
 
 

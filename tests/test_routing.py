@@ -84,17 +84,17 @@ class TestGraphBuild:
         assert first.departure == DAY + 28800
 
     def test_out_of_range_service_dates_empty_the_timetable(self, city_feed):
-        before = build_graph([city_feed], service_date=date(2024, 12, 31))
+        before = build_graph(city_feed, service_date=date(2024, 12, 31))
         assert len(before.tripStopTimes) == 0
-        inside = build_graph([city_feed], service_date=date(2025, 6, 2))
+        inside = build_graph(city_feed, service_date=date(2025, 6, 2))
         assert len(inside.tripStopTimes) == 4
 
     def test_weekday_flags_gate_the_service(self):
         feed = two_leg_feed()
         feed.services[0] = Service("ALL", (1, 1, 1, 1, 1, 0, 0),
                                    "20250101", "20261231")
-        weekday = build_graph([feed], service_date=date(2025, 6, 2))
-        sunday = build_graph([feed], service_date=date(2025, 6, 1))
+        weekday = build_graph(feed, service_date=date(2025, 6, 2))
+        sunday = build_graph(feed, service_date=date(2025, 6, 1))
         assert len(weekday.tripStopTimes) == 2
         assert len(sunday.tripStopTimes) == 0
 
@@ -107,8 +107,8 @@ class TestGraphBuild:
             stopTimes=list(reversed(city_feed.stopTimes)),
             services=list(reversed(city_feed.services)),
         )
-        a = build_graph([city_feed], service_date=date(2025, 6, 2))
-        b = build_graph([other], service_date=date(2025, 6, 2))
+        a = build_graph(city_feed, service_date=date(2025, 6, 2))
+        b = build_graph(other, service_date=date(2025, 6, 2))
         assert a.tripStopTimes == b.tripStopTimes
         assert a.departuresByStop == b.departuresByStop
         assert a.footpaths == b.footpaths
@@ -181,7 +181,7 @@ def test_max_walk_may_be_unbounded_but_not_nan_or_negative():
 
 class TestTransfers:
     def test_transfer_between_routes(self):
-        graph = build_graph([two_leg_feed()])
+        graph = build_graph(two_leg_feed())
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         (best,) = plan(graph, q, max_transfers=1)
         assert best.trip_ids() == ("TA", "TB")
@@ -189,7 +189,7 @@ class TestTransfers:
         assert best.arrival == graph.dayStart + 1400
 
     def test_transfer_cap_prunes_the_journey(self):
-        graph = build_graph([two_leg_feed()])
+        graph = build_graph(two_leg_feed())
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         with pytest.raises(PlanError):
             plan(graph, q, max_transfers=0)
@@ -199,7 +199,7 @@ class TestTransfers:
         # connection now departs Y before TA arrives there
         feed.stopTimes[2] = StopTime("TB", 1, "Y", 1050, 1050)
         feed.stopTimes[3] = StopTime("TB", 2, "Z", 1150, 1150)
-        graph = build_graph([feed])
+        graph = build_graph(feed)
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         with pytest.raises(PlanError):
             plan(graph, q)
@@ -222,7 +222,7 @@ class TestCoordinateEndpoints:
         assert [leg.mode for leg in best.legs] == ["transit", "walk"]
         assert best.legs[0].alightStopId == "S2"
         ride_arrival = DAY + 28920
-        s2 = city_graph.stop_position("S2")
+        s2 = city_graph.stops["S2"][:2]
         egress = walk_seconds(haversine_m(s2[0], s2[1], dest[0], dest[1]))
         assert best.arrival == ride_arrival + egress
 
@@ -274,7 +274,7 @@ class TestOverlay:
         assert city_graph.tripStopTimes == before
 
     def test_non_causal_segment_is_unridable(self):
-        graph = build_graph([two_leg_feed()])
+        graph = build_graph(two_leg_feed())
         # pull TB's last arrival before its own departure at Y
         overlay = apply_realtime(graph, {"tripUpdates": [
             {"tripId": "TB",
@@ -290,7 +290,7 @@ class TestAgainstEnumerator:
     def test_planner_matches_the_enumerator(self):
         for seed in range(60):
             rng = Lcg64(seed * 6151 + 17)
-            graph = build_graph([random_network(rng)])
+            graph = build_graph(random_network(rng))
             overlay = None
             if seed % 2:
                 overlay = apply_realtime(graph, random_trip_updates(rng, graph))
@@ -306,7 +306,7 @@ class TestAgainstEnumerator:
         checked = answered = transferred = 0
         for seed in range(3):
             rng = Lcg64(seed * 7001 + 29)
-            graph = build_graph([random_grid_network(rng)])
+            graph = build_graph(random_grid_network(rng))
             overlay = apply_realtime(graph, random_trip_updates(rng, graph))
             for _ in range(30):
                 kwargs = random_query(rng, graph, graph.dayStart)
@@ -348,7 +348,7 @@ class TestRoundBoundaries:
 
     def test_a_later_boarding_reaches_what_an_earlier_one_cannot(self):
         # A and B are 200 m apart (160 s on foot); C is far from both
-        graph = build_graph([self.line_feed((40.0, 40.0018, 40.05), (1000, 1300, 1600))])
+        graph = build_graph(self.line_feed((40.0, 40.0018, 40.05), (1000, 1300, 1600)))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "delaySeconds": 600},
             {"stopSequence": 20, "arrivalOverride": graph.dayStart + 1100},
@@ -365,7 +365,7 @@ class TestRoundBoundaries:
     def test_boards_at_the_origin_rather_than_walking_back_a_stop(self):
         # the bus calls at A, then at B (the origin, 300 m on), then at C;
         # walking back to A in time to board there arrives at the same time
-        graph = build_graph([self.line_feed((40.0, 40.0027, 40.05), (1200, 1300, 1500))])
+        graph = build_graph(self.line_feed((40.0, 40.0027, 40.05), (1200, 1300, 1500)))
         walk_back = dict(graph.footpaths["B"])["A"]
         assert 900 + walk_back <= 1200
         q = ItineraryQuery("B", "C", graph.dayStart + 900, modes={"transit"})
@@ -382,7 +382,7 @@ class TestScanWindow:
     def test_a_delay_makes_an_already_departed_trip_catchable(self):
         # no footpaths: the stops are kilometres apart
         line_feed = TestRoundBoundaries.line_feed
-        graph = build_graph([line_feed((40.0, 40.05, 40.10), (1000, 1300, 1600))])
+        graph = build_graph(line_feed((40.0, 40.05, 40.10), (1000, 1300, 1600)))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "delaySeconds": 300}]}]})
         assert overlay.shift == (0, 300)
@@ -400,7 +400,7 @@ class TestScanWindow:
     def test_an_override_pulls_a_trip_ahead_of_the_walk(self):
         # A and B are 400 m apart, so the walk sets the bound of round 1
         line_feed = TestRoundBoundaries.line_feed
-        graph = build_graph([line_feed((40.0, 40.0036, 40.10), (1500, 1600, 1900))])
+        graph = build_graph(line_feed((40.0, 40.0036, 40.10), (1500, 1600, 1900)))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "arrivalOverride": graph.dayStart + 1100}]}]})
         assert overlay.shift == (-400, 0)
