@@ -23,11 +23,13 @@ state and are not journaled.
 
 import json
 import logging
+import math
 import os
 import re
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol
+from urllib.parse import urlsplit
 
 from citykit.clock import Clock, SystemClock
 from citykit.httpd import post_json
@@ -123,6 +125,8 @@ def _as_sink(target):
     if hasattr(target, "deliver"):
         return target
     if isinstance(target, str):
+        if urlsplit(target).scheme not in ("http", "https"):
+            raise MalformedSubscription(f"target URL must be http or https: {target!r}")
         return HttpSink(target)
     if callable(target):
         return CallbackSink(target)
@@ -142,15 +146,17 @@ class Subscription:
     idPattern: str = ".*"
     watchedAttributes: frozenset = frozenset()
     target: Any = None
-    throttlingSeconds: int = 0
+    throttlingSeconds: float = 0
     status: str = "active"  # or "failed" after FAIL_LIMIT sink errors, or "removed"
     queue: list = field(default_factory=list, init=False, repr=False)  # versions, commit order
     last_delivery: Optional[float] = field(default=None, init=False, repr=False)
     consecutive_failures: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.throttlingSeconds < 0:
-            raise MalformedSubscription("throttlingSeconds must be >= 0")
+        throttle = self.throttlingSeconds
+        if not (is_number(throttle) and 0 <= throttle < math.inf):
+            raise MalformedSubscription(
+                f"throttlingSeconds must be a finite number >= 0: {throttle!r}")
         try:
             self._id_rx = re.compile(self.idPattern)
         except re.error as exc:
@@ -165,23 +171,15 @@ class Subscription:
         extra = set(doc) - known
         if extra:
             raise MalformedSubscription(f"unknown subscription fields {sorted(extra)}")
-        watched = doc.get("watchedAttributes", [])
+        watched, sub_id = doc.get("watchedAttributes", []), doc.get("id") or ""
         type_filter, id_pattern = doc.get("entityTypeFilter", "*"), doc.get("idPattern", ".*")
-        if not isinstance(watched, list) or \
-                not all(isinstance(v, str) for v in [*watched, type_filter, id_pattern]):
-            raise MalformedSubscription("watchedAttributes must be a list of strings and "
+        if not isinstance(watched, list) or not all(
+                isinstance(v, str) for v in [*watched, sub_id, type_filter, id_pattern]):
+            raise MalformedSubscription("watchedAttributes must be a list of strings and id, "
                                         "entityTypeFilter and idPattern strings")
-        try:
-            return cls(
-                id=doc.get("id") or "",
-                entityTypeFilter=type_filter,
-                idPattern=id_pattern,
-                watchedAttributes=frozenset(watched),
-                target=doc.get("target"),
-                throttlingSeconds=int(doc.get("throttlingSeconds") or 0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedSubscription(str(exc)) from exc
+        return cls(id=sub_id, entityTypeFilter=type_filter, idPattern=id_pattern,
+                   watchedAttributes=frozenset(watched), target=doc.get("target"),
+                   throttlingSeconds=doc.get("throttlingSeconds", 0))
 
     def matches(self, entity: NgsiEntity, changed: set) -> bool:
         if self.entityTypeFilter != "*" and self.entityTypeFilter != entity.entityType:

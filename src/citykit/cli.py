@@ -260,35 +260,42 @@ def cmd_router_serve(args) -> int:
 
 def cmd_estimator_serve(args) -> int:
     from citykit.broker_http import BrokerClient
-    from citykit.estimator.models import EstimatorError
-    from citykit.estimator.service import EstimatorServer, EstimatorService, load_config_file
+    from citykit.estimator.ingest import ingest_snapshot
+    from citykit.estimator.scheduler import EstimatorScheduler
+    from citykit.estimator.service import PROFILES, EstimatorServer, load_config_file, writeback
+    from citykit.estimator.store import TimeSeriesStore
 
     config, extras = load_config_file(args.config)
     profile = extras.get("profile", "parking")
     if "broker" not in extras:
         # nothing else feeds the store, so the service would never hold data
-        raise EstimatorError("invalid-config", "estimator-serve needs a broker setting")
+        raise KindError("invalid-config", "estimator-serve needs a broker setting")
+    if profile not in PROFILES:
+        raise KindError("invalid-config",
+                        f"unknown profile {profile!r}; pick from {sorted(PROFILES)}")
     broker = BrokerClient(extras["broker"])
-    write_back = str(extras.get("writeback", "false")).lower() == "true"
-    service = EstimatorService(profile, config, broker=broker, write_back=write_back)
+    hook = (lambda p: writeback(p, broker)) if extras.get("writeback", "").lower() == "true" else None
+    scheduler = EstimatorScheduler(TimeSeriesStore(), config, on_prediction=hook)
+    watched = dict([PROFILES[profile]])  # {entityType: attribute}
+    snapshot = lambda: ingest_snapshot(scheduler.store, broker, watched, scheduler.clock)
     host, port = _parse_listen(args.listen)
-    server = EstimatorServer(service, host=host, port=port)
+    server = EstimatorServer(scheduler, host=host, port=port)
     url = server.start()
     print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
     # poll broker snapshots at the inference cadence
     try:
         try:
-            service.snapshot()
+            snapshot()
         except OSError as exc:
             raise KindError("broker-unreachable", f"{extras['broker']}: {exc}") from exc
-        service.scheduler.start()
+        scheduler.start()
         while True:
             time.sleep(config.inferencePeriodSeconds)
             try:
-                service.snapshot()
+                snapshot()
             except (KindError, OSError) as exc:  # KindError: the broker's error reply
                 logger.warning("broker snapshot failed, polling on: %s", exc)
-            service.scheduler.run_pending()
+            scheduler.run_pending()
     except KeyboardInterrupt:
         pass
     finally:

@@ -1,4 +1,4 @@
-"""Estimator service assembly: profiles, write-back, config file, HTTP API.
+"""Estimator service parts: profiles, write-back, config file, HTTP API.
 
 One codebase serves parking, traffic, and noise; the profile only changes
 which entity type and attribute are ingested and predicted:
@@ -15,15 +15,11 @@ scheduler still keeps the prediction.
 import logging
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 from urllib.parse import unquote
 
 from citykit.broker import Broker, NotFound
-from citykit.clock import Clock, SystemClock
-from citykit.estimator.ingest import IngestStats, ingest_snapshot
 from citykit.estimator.models import EstimatorError, Prediction, TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
-from citykit.estimator.store import TimeSeriesStore
 from citykit.httpd import HttpService, JsonHttpServer
 from citykit.ngsi import Attribute
 from citykit.textio import field_types, read_settings
@@ -73,44 +69,16 @@ def load_config_file(path) -> tuple[TrainingConfig, dict]:
     return TrainingConfig(**config_kwargs), leftovers
 
 
-class EstimatorService:
-    """Store + scheduler + ingestion for one profile, optionally writing back."""
-
-    def __init__(self, profile: str, config: Optional[TrainingConfig] = None,
-                 broker=None, clock: Optional[Clock] = None,
-                 write_back: bool = False):
-        if profile not in PROFILES:
-            raise EstimatorError("invalid-config",
-                                 f"unknown profile {profile!r}; pick from {sorted(PROFILES)}")
-        self.entityType, self.attribute = PROFILES[profile]
-        self.config = config or TrainingConfig()
-        self.broker = broker
-        self.clock = clock or SystemClock()
-        self.store = TimeSeriesStore()
-        hook = None
-        if write_back:
-            if broker is None:
-                raise EstimatorError("invalid-config", "write_back needs a broker")
-            hook = lambda p: writeback(p, broker)
-        self.scheduler = EstimatorScheduler(self.store, self.config,
-                                            clock=self.clock, on_prediction=hook)
-
-    def snapshot(self) -> IngestStats:
-        return ingest_snapshot(self.store, self.broker, {self.entityType: self.attribute},
-                               self.clock)
-
-
 class EstimatorServer(HttpService):
-    """HTTP face of the estimator.
+    """HTTP face of a scheduler: its store's series, its models and predictions.
 
     GET /series/{entityId}/{attr}?from=&to= lists stored samples (404 for a
     series never ingested); POST /predict/{entityId}/{attr} runs on-demand
     inference (409 until a model exists); GET /models lists model metadata.
     """
 
-    def __init__(self, service: EstimatorService, host: str = "127.0.0.1",
-                 port: int = 0):
-        self.service = service
+    def __init__(self, scheduler: EstimatorScheduler, host: str = "127.0.0.1", port: int = 0):
+        self.scheduler = scheduler
         self.server = JsonHttpServer(host=host, port=port)
         self.server.add_route("GET", r"/series/(?P<id>[^/]+)/(?P<attr>[^/]+)",
                               self._series)
@@ -121,7 +89,7 @@ class EstimatorServer(HttpService):
     def _series_key(self, match) -> tuple:
         """The route's (entityId, attribute); 404 when that series was never ingested."""
         key = (unquote(match.group("id")), unquote(match.group("attr")))
-        if not self.service.store.length(*key):
+        if not self.scheduler.store.length(*key):
             raise EstimatorError("unknown-series", f"{key[0]}/{key[1]} never ingested")
         return key
 
@@ -131,13 +99,13 @@ class EstimatorServer(HttpService):
             bounds = [float(params[k]) if k in params else None for k in ("from", "to")]
         except ValueError as exc:
             raise EstimatorError("bad-query", str(exc)) from exc
-        samples = self.service.store.get(entity_id, attribute, *bounds)
+        samples = self.scheduler.store.get(entity_id, attribute, *bounds)
         return 200, [{"t": s.t, "value": s.value} for s in samples]
 
     def _predict(self, match, params, body):
-        prediction = self.service.scheduler.predict_now(*self._series_key(match))
+        prediction = self.scheduler.predict_now(*self._series_key(match))
         return 200, asdict(prediction)
 
     def _models(self, match, params, body):
-        models = self.service.scheduler.models  # published whole by each train pass
+        models = self.scheduler.models  # published whole by each train pass
         return 200, [models[key].to_doc() for key in sorted(models)]

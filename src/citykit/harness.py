@@ -132,11 +132,10 @@ def _run_stages(scenario: str, steps: dict, keep_going: tuple = ()) -> ScenarioR
 class RoutingScenarioConfig:
     seed: int = 42
     fixture: Optional[CityFixture] = None
-    origin: str = "S1"
     corruptUpdate: bool = False
-    workDir: Optional[str] = None
 
 
+ORIGIN = "S1"
 DESTINATION = "S5"
 DELAYED_TRIP = "R1-T1"
 DELAY_SECONDS = 600
@@ -147,8 +146,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
     fixture = cfg.fixture or default_fixture(cfg.seed)
     day_start = fixture.day_start()
     service_date = parse_service_date(fixture.serviceDate)
-    work_dir = Path(cfg.workDir) if cfg.workDir else Path(tempfile.mkdtemp(prefix="scenario-"))
-    own_dir = cfg.workDir is None
+    work_dir = Path(tempfile.mkdtemp(prefix="scenario-"))
     registry = bundled_registry()
     broker = ContextBroker(clock=SimulatedClock(day_start))
     router = Router(service_date=service_date)
@@ -185,7 +183,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         return {"applied": applied, "graphVersion": router.version}
 
     def plan_static():
-        query = ItineraryQuery(cfg.origin, DESTINATION,
+        query = ItineraryQuery(ORIGIN, DESTINATION,
                                departAfter=int(day_start + fixture.serviceStartSeconds - 60))
         shared["query"] = query
         itineraries = router.plan(query)
@@ -267,8 +265,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         return report
     finally:
         broker.close()
-        if own_dir:
-            shutil.rmtree(work_dir, ignore_errors=True)
+        shutil.rmtree(work_dir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

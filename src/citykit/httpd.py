@@ -5,8 +5,9 @@ routes; handlers receive the path match, parsed query parameters, and the
 decoded JSON body, and return ``(status, payload)``. A handler fails by
 raising a ``KindError``, answered ``{"error": kind, "detail": message}`` with
 the status ``KIND_STATUS`` gives its kind (400 for any kind not listed); any
-other exception is a 500 ``internal``. Payloads are serialized
-with sorted keys so responses are byte-deterministic.
+other exception is a 500 ``internal``; a refusal before any handler runs, by
+http.server too, gets the kind ``ERROR_KINDS`` names. Sorted keys make every
+reply byte-deterministic.
 
 Connections are persistent (HTTP/1.1 keep-alive) on both sides. The server
 runs one thread per connection, drops a connection idle or stalled for
@@ -47,6 +48,8 @@ POOL_SIZE = 4
 # Methods that may be resent after their bytes may have reached the server
 # (RFC 9112 section 9.3.1): POST and PATCH are not idempotent.
 IDEMPOTENT = frozenset({"GET", "PUT", "DELETE"})
+# The kind of a refusal before any handler runs, by status; any other is http-<status>.
+ERROR_KINDS = {400: "bad-request", 413: "payload-too-large", 501: "not-implemented"}
 # The reply status of a handler's KindError by its kind; any other kind is 400.
 KIND_STATUS = {"not-found": 404, "unknown-series": 404, "unreachable": 404,
                "model-not-trained": 409, "fetch-failed": 502, "no-feed": 503}
@@ -124,17 +127,10 @@ class JsonHttpServer:
                 body = None
                 declared = (self.headers.get("Content-Length") or "0").strip()
                 if not (declared.isascii() and declared.isdigit()):
-                    self.close_connection = True  # where the body ends is unknown
-                    self._reply(400, {"error": "bad-request",
-                                      "detail": f"bad Content-Length {declared!r}"})
-                    return
+                    return self.send_error(400, f"bad Content-Length {declared!r}")
                 length = int(declared)
                 if length > MAX_BODY_BYTES:
-                    self.close_connection = True  # the body is never read
-                    self._reply(413, {"error": "payload-too-large",
-                                      "detail": f"body of {length} bytes, "
-                                                f"at most {MAX_BODY_BYTES}"})
-                    return
+                    return self.send_error(413, f"body of {length} bytes, at most {MAX_BODY_BYTES}")
                 if length:
                     raw = self.rfile.read(length)
                     try:
@@ -163,6 +159,14 @@ class JsonHttpServer:
             def _internal(self, path: str, exc: Exception) -> tuple:
                 logger.exception("handler error for %s %s", self.command, path)
                 return 500, {"error": "internal", "detail": str(exc)}
+
+            def send_error(self, code, message=None, explain=None):
+                """Refuse as JSON and close: a body may follow unread. http.server calls it too."""
+                self.close_connection = True
+                if self.request_version == "HTTP/0.9":  # the request line named no version
+                    self.request_version = self.protocol_version  # a reply with a head
+                self._reply(code, {"error": ERROR_KINDS.get(code, f"http-{int(code)}"),
+                                   "detail": message or self.responses[code][0]})
 
             def _reply(self, status: int, payload):
                 data = b""
@@ -212,7 +216,7 @@ class HttpService:
 
 
 class HttpError(KindError):
-    """Non-2xx response from a JSON endpoint.
+    """A non-2xx reply, or a reply whose body is not JSON.
 
     ``kind`` is the reply's ``error`` when that is a string, else
     ``http-<status>``; ``message`` is its ``detail`` when that is a string,
@@ -301,12 +305,12 @@ def _connect(scheme: str, host: str, port: Optional[int],
 def request_json(method: str, url: str, body=None, timeout: float = 10.0):
     """Issue a JSON request; returns (status, decoded payload).
 
-    Raises ``HttpError`` for non-2xx statuses and ``OSError`` when the host
-    is unreachable or the connection fails. The request goes over the
-    calling thread's open connection to the same (scheme, host, port) when
-    the server has kept it open. If the connection fails after the request
-    may have reached the server, a GET, PUT or DELETE is sent once more on
-    a fresh connection; a POST or PATCH is never resent.
+    Raises ``HttpError`` for a non-2xx status or a body that is not JSON, and
+    ``OSError`` when the host is unreachable or the connection fails. The
+    request goes over the calling thread's open connection to the same
+    (scheme, host, port) when the server has kept it open. If the connection
+    fails after the request may have reached the server, a GET, PUT or DELETE
+    is sent once more on a fresh connection; a POST or PATCH is never resent.
     """
     method = method.upper()
     parts = urlsplit(url)
@@ -337,12 +341,12 @@ def request_json(method: str, url: str, body=None, timeout: float = 10.0):
             conn.close()
             raise
     pool.give(key, conn)
-    if 200 <= resp.status < 300:
-        return resp.status, json.loads(raw) if raw else None
     try:
         payload = json.loads(raw) if raw else None
-    except json.JSONDecodeError:
-        payload = raw.decode("utf-8", errors="replace")
+    except ValueError:  # not JSON, or not UTF-8
+        raise HttpError(resp.status, raw.decode("utf-8", errors="replace")) from None
+    if 200 <= resp.status < 300:
+        return resp.status, payload
     raise HttpError(resp.status, payload)
 
 

@@ -58,7 +58,11 @@ _TREES = (dict, list)
 def _tree_copy(tree: Any) -> Any:
     """A JSON dict or list copied down to its leaves, which are immutable."""
     if isinstance(tree, dict):
-        return {k: _tree_copy(v) if isinstance(v, _TREES) else v for k, v in tree.items()}
+        copied = tree.copy()  # then only the nested trees, as most values are leaves
+        for k, v in copied.items():
+            if isinstance(v, _TREES):
+                copied[k] = _tree_copy(v)
+        return copied
     return [_tree_copy(v) if isinstance(v, _TREES) else v for v in tree]
 
 
@@ -71,17 +75,17 @@ class Attribute:
     metadata: dict = field(default_factory=dict)
 
     def copy(self) -> "Attribute":
-        """An equal attribute whose value and metadata dict are its own."""
+        """An equal attribute that shares no dict or list with this one."""
         value = self.value
         return Attribute(_tree_copy(value) if isinstance(value, _TREES) else value,
-                         self.valueType, dict(self.metadata))
+                         self.valueType, _tree_copy(self.metadata) if self.metadata else {})
 
     def to_wire(self) -> dict:
         value = self.value
         doc = {"value": _tree_copy(value) if isinstance(value, _TREES) else value,
                "valueType": self.valueType}
         if self.metadata:
-            doc["metadata"] = dict(self.metadata)
+            doc["metadata"] = _tree_copy(self.metadata)
         return doc
 
     @classmethod
@@ -107,25 +111,12 @@ class NgsiEntity:
     entityType: str
     attributes: dict[str, Attribute] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise NgsiError(f"entity id must be a non-empty string: {self.id!r}")
-        if not self.entityType or not isinstance(self.entityType, str):
-            raise NgsiError(
-                f"entity type must be a non-empty string: {self.entityType!r}"
-            )
-        for name in self.attributes:
-            if not name or not isinstance(name, str):
-                raise NgsiError(f"attribute name must be a non-empty string: {name!r}")
-
     def value(self, name: str, default: Any = None) -> Any:
         attr = self.attributes.get(name)
         return default if attr is None else attr.value
 
     def set(self, name: str, value: Any, valueType: Optional[str] = None,
             metadata: Optional[dict] = None) -> None:
-        if not name or not isinstance(name, str):
-            raise NgsiError(f"attribute name must be a non-empty string: {name!r}")
         self.attributes[name] = Attribute(
             value=value,
             valueType=valueType or infer_value_type(value),
@@ -157,15 +148,18 @@ class NgsiEntity:
         if not isinstance(attrs_doc, dict):
             raise NgsiError(f"entity attributes must be an object: {doc!r}")
         attributes = {n: Attribute.from_wire(a) for n, a in attrs_doc.items()}
+        for text, label in ((doc["id"], "entity id"), (doc["entityType"], "entity type"),
+                            *((name, "attribute name") for name in attributes)):
+            if not text or not isinstance(text, str):
+                raise NgsiError(f"{label} must be a non-empty string: {text!r}")
         return cls(id=doc["id"], entityType=doc["entityType"], attributes=attributes)
 
 
 def check_entity(entity: NgsiEntity) -> None:
     """Enforce the full entity invariants; raises ``NgsiError``.
 
-    Construction is deliberately permissive (only non-empty strings are
-    required), so stores can reject bad input at the write boundary instead
-    of the caller being unable to even build the value under test.
+    An entity is plain data and checks nothing when built; a store calls this
+    at its write boundary, as ``from_wire`` checks a decoded document.
     """
     for text, label in ((entity.id, "id"), (entity.entityType, "entityType")):
         if not isinstance(text, str) or not text or _SPACE_RE.search(text):

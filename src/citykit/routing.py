@@ -489,11 +489,11 @@ class Router:
                     self._snapshot = (graph, overlay)
                     return overlay
 
-    def plan(self, query: ItineraryQuery, max_transfers: Optional[int] = None):
+    def plan(self, query: ItineraryQuery):
         graph, overlay = self._snapshot
         if graph is None:
             raise PlanError("unreachable", "no graph loaded")
-        return plan(graph, query, overlay, max_transfers)
+        return plan(graph, query, overlay)
 
 
 class RouterServer(HttpService):
@@ -506,9 +506,8 @@ class RouterServer(HttpService):
     when the archive cannot be fetched, 400 when it does not parse.
     """
 
-    def __init__(self, router: Optional[Router] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.router = router or Router()
+    def __init__(self, router: Router, host: str = "127.0.0.1", port: int = 0):
+        self.router = router
         self.server = JsonHttpServer(host=host, port=port)
         self.server.add_route("GET", r"/plan", self._plan)
         self.server.add_route("POST", r"/graph/reload", self._reload)

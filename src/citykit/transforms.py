@@ -100,6 +100,8 @@ class MappingRuleSet:
 
     def __post_init__(self):
         targets = [m.targetAttribute for m in self.attributeMappings]
+        if not all(t and isinstance(t, str) for t in targets):
+            raise TransformError("invalid-rules", f"a targetAttribute is not a name: {targets!r}")
         dupes = {t for t in targets if targets.count(t) > 1}
         if dupes:
             raise TransformError("invalid-rules", f"duplicate target attributes {sorted(dupes)}")
@@ -156,7 +158,9 @@ def _fill_template(template: str, record, index: int, what: str) -> str:
             )
         return str(value)
 
-    return _PLACEHOLDER_RE.sub(sub, template)
+    if not (filled := _PLACEHOLDER_RE.sub(sub, template)):
+        raise TransformError("id-unresolvable", f"record {index}: {what} fills to an empty string")
+    return filled
 
 
 def json_to_ngsi(document, rules: MappingRuleSet) -> MappingOutcome:

@@ -1,6 +1,9 @@
-"""Shared fixtures: an in-process broker and the canonical generated city."""
+"""Shared fixtures: an in-process broker, the canonical generated city and a
+server that is not a JSON service."""
 
+import threading
 from datetime import date
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -31,3 +34,33 @@ def city_feed(city):
 @pytest.fixture
 def city_graph(city_feed):
     return build_graph(city_feed, service_date=date(2025, 6, 2))
+
+
+HTML_PAGE = b"<html><body>It works!</body></html>"
+
+
+class _HtmlHandler(BaseHTTPRequestHandler):
+    def _page(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(HTML_PAGE)))
+        self.end_headers()
+        self.wfile.write(HTML_PAGE)
+
+    do_GET = do_POST = _page
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.fixture
+def html_server():
+    """Base URL of a server that answers every GET and POST 200 with an HTML page."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _HtmlHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join()

@@ -3,6 +3,7 @@
 import copy
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -628,6 +629,65 @@ def test_a_collected_document_shares_nothing_with_the_store(broker):
     (doc,) = sink.notifications
     doc["data"][0]["attributes"]["layout"]["value"]["bays"].append(3)
     assert broker.get_entity("p-1").value("layout") == {"rows": 4, "bays": [1, 2]}
+
+
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=2), kids, max_size=3)),
+    max_leaves=8)
+TREE_ATTRIBUTES = st.builds(
+    Attribute, JSON_TREES, st.just("StructuredValue"),
+    st.dictionaries(st.sampled_from(["unit", "observedAt", "source"]), JSON_TREES, max_size=3))
+
+
+def containers(tree) -> dict:
+    """Every dict and list inside ``tree``, an entity or attribute or wire document, by id."""
+    if isinstance(tree, NgsiEntity):
+        return {id(tree.attributes): tree.attributes,
+                **{k: v for a in tree.attributes.values() for k, v in containers(a).items()}}
+    if isinstance(tree, Attribute):
+        return {**containers(tree.value), **containers(tree.metadata)}
+    if not isinstance(tree, (dict, list)):
+        return {}
+    found = {id(tree): tree}
+    for child in (tree.values() if isinstance(tree, dict) else tree):
+        found.update(containers(child))
+    return found
+
+
+def shared(a, b) -> list:
+    """The dicts and lists that ``a`` and ``b`` both hold."""
+    mine = containers(a)
+    return [node for key, node in containers(b).items() if key in mine]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(TREE_ATTRIBUTES, TREE_ATTRIBUTES)
+def test_no_hand_out_shares_a_container_with_the_stored_version(first, second):
+    entity = NgsiEntity("p-1", "ParkingSite", {"layout": first})
+    for attr in (first, second):
+        assert shared(attr, attr.copy()) == []
+        assert shared(attr, attr.to_wire()) == []
+    assert shared(entity, entity.copy()) == []
+    assert shared(entity, entity.to_wire()) == []
+
+    broker = ContextBroker(delivery="inline")
+    stored, copies = [], []
+    broker.subscribe(Subscription(id="", target=SimpleNamespace(
+        deliver=lambda sub_id, issued_at, versions: stored.extend(versions))))
+    broker.subscribe(Subscription(id="", target=copies.extend))
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(entity)
+    assert shared(stored[-1], entity) == []
+    patch = {"plan": second}
+    result = broker.update_attributes("p-1", patch)
+    version = stored[-1]
+    assert shared(version, patch) == []
+    for hand_out in (broker.get_entity("p-1"), broker.query_entities()[0], result,
+                     sink.notifications[-1]["data"][0], copies[-1]):
+        assert shared(version, hand_out) == [], hand_out
+    broker.close()
 
 
 class ReferenceStore:

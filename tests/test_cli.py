@@ -506,6 +506,20 @@ class TestServiceErrors:
         assert self._error_line(capsys, argv) == error
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "rules.json"]
 
+    def test_a_broker_answering_html(self, tmp_path, capsys, html_server):
+        error = self._error_line(capsys, ["gtfs-build", "--broker", html_server,
+                                          "--out", str(tmp_path / "feed.zip")])
+        assert error == {"error": "http-200", "detail": "<html><body>It works!</body></html>"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_estimator_serve_refuses_an_unknown_profile(self, tmp_path, capsys):
+        config = tmp_path / "estimator.conf"
+        config.write_text("profile = weather\nbroker = http://127.0.0.1:1\n", encoding="utf-8")
+        error = self._error_line(capsys, ["estimator-serve", "--config", str(config),
+                                          "--listen", "127.0.0.1:0"])
+        assert error["error"] == "invalid-config"
+        assert "weather" in error["detail"]
+
     def test_broker_serve_on_a_corrupt_journal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_wait_forever", lambda *servers: [s.stop() for s in servers])
         journal = tmp_path / "state.jsonl"

@@ -28,7 +28,6 @@ from citykit.estimator.models import (
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.service import (
     EstimatorServer,
-    EstimatorService,
     PROFILES,
     load_config_file,
     parse_config_text,
@@ -608,14 +607,9 @@ class TestConfig:
 
 
 class TestService:
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(EstimatorError):
-            EstimatorService("weather")
-
     def test_profiles_pick_type_and_attribute(self):
         assert PROFILES["parking"] == ("OnStreetParking", "availableSpotNumber")
-        service = EstimatorService("noise")
-        assert (service.entityType, service.attribute) == ("NoiseLevelObserved", "LAeq")
+        assert PROFILES["noise"] == ("NoiseLevelObserved", "LAeq")
 
     def test_writeback_attaches_forecast_attribute(self, broker):
         broker.upsert_entity(make_entity("p-1", "OnStreetParking",
@@ -641,23 +635,19 @@ class TestService:
         broker.upsert_entity(make_entity("p-1", "OnStreetParking",
                                          availableSpotNumber=20))
         cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
-        service = EstimatorService("parking", cfg, broker=broker,
-                                   clock=SimulatedClock(DAY), write_back=True)
-        ingest_historical(service.store, [
+        scheduler = EstimatorScheduler(TimeSeriesStore(), cfg, clock=SimulatedClock(DAY),
+                                       on_prediction=lambda p: writeback(p, broker))
+        ingest_historical(scheduler.store, [
             {"entityId": "p-1", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0,
              "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
             for i in range(40)])
-        service.scheduler.start(DAY)
-        service.scheduler.advance(DAY + 900)
+        scheduler.start(DAY)
+        scheduler.advance(DAY + 900)
         entity = broker.get_entity("p-1")
         forecast = entity.attributes["availableSpotNumberForecast"]
-        assert forecast.value == service.scheduler.predictions[0].value
+        assert forecast.value == scheduler.predictions[0].value
         assert forecast.metadata["horizonEnd"] == DAY + 900 + 3600
-
-    def test_write_back_requires_a_broker(self):
-        with pytest.raises(EstimatorError):
-            EstimatorService("parking", write_back=True)
 
 
 def test_autoregression_beats_seasonal_naive_on_noisy_daily_cycle():
@@ -683,15 +673,15 @@ class TestEstimatorServer:
     @pytest.fixture
     def served(self):
         cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
-        service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
-        ingest_historical(service.store, [
+        scheduler = EstimatorScheduler(TimeSeriesStore(), cfg, clock=SimulatedClock(DAY))
+        ingest_historical(scheduler.store, [
             {"entityId": "p-1", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0,
              "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
             for i in range(40)])
-        server = EstimatorServer(service)
+        server = EstimatorServer(scheduler)
         url = server.start()
-        yield url, service
+        yield url, scheduler
         server.stop()
 
     def test_series_endpoint_lists_samples(self, served):
@@ -726,8 +716,8 @@ class TestEstimatorServer:
         assert err.value.payload["error"] == "model-not-trained"
 
     def test_predict_after_training(self, served):
-        url, service = served
-        service.scheduler.start(DAY)
+        url, scheduler = served
+        scheduler.start(DAY)
         status, doc = post_json(f"{url}/predict/p-1/availableSpotNumber", {})
         assert status == 200
         assert doc["entityId"] == "p-1"
@@ -739,19 +729,19 @@ class TestEstimatorServer:
         """GET /models during train passes sees whole passes only."""
         cfg = TrainingConfig(lags=2, minSamples=30, windowSize=40,
                              retrainPeriodSeconds=900, inferencePeriodSeconds=10 * 86400)
-        service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
+        scheduler = EstimatorScheduler(TimeSeriesStore(), cfg, clock=SimulatedClock(DAY))
         sites = 40
-        ingest_historical(service.store, [
+        ingest_historical(scheduler.store, [
             {"entityId": f"p-{k}", "attr": "availableSpotNumber",
              "t": DAY - (40 - i) * 900.0, "value": 20.0 + k + math.sin(i / 3.0)}
             for k in range(sites) for i in range(40)])
-        server = EstimatorServer(service)
+        server = EstimatorServer(scheduler)
         url = server.start()
         passes = 25
 
         def train_passes():
-            service.scheduler.start(DAY)
-            service.scheduler.advance(DAY + passes * 900)
+            scheduler.start(DAY)
+            scheduler.advance(DAY + passes * 900)
 
         trainer = threading.Thread(target=train_passes)
         seen = []
@@ -767,7 +757,7 @@ class TestEstimatorServer:
             sys.setswitchinterval(old)
             server.stop()
         assert not trainer.is_alive()
-        assert service.scheduler.train_passes == passes
+        assert scheduler.train_passes == passes
         assert seen
         torn = [(n, stamps) for n, stamps in seen if n not in (0, sites) or len(stamps) > 1]
         assert torn == []

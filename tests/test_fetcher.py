@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 
 from citykit.broker import ContextBroker
-from citykit.gtfs import publish_feed_entity, serialize_feed
+from citykit.gtfs import FeedError, publish_feed_entity, serialize_feed
 from citykit.gtfs_fetcher import GtfsFetcher
 from citykit.ngsi import make_entity
 from citykit.routing import ItineraryQuery, Router, RouterClient, RouterServer
@@ -149,6 +149,12 @@ class TestRemoteRouter:
         assert fetcher.poll(broker) == 0
         assert fetcher.events[-1]["outcome"] == "parse-error"
         assert router.version == 0
+
+    def test_a_router_answering_html_is_reload_failed(self, html_server, feed_zip):
+        with pytest.raises(FeedError) as err:
+            RouterClient(html_server).load_url(str(feed_zip))
+        assert err.value.kind == "reload-failed"
+        assert "It works!" in err.value.message
 
     def test_unreachable_router_is_a_fetch_error(self, broker, feed_zip):
         publish_feed_entity(str(feed_zip), broker)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from citykit.feedgen import CityFixture
 from citykit.harness import (
     ESTIMATION_STAGES,
     ROUTING_STAGES,
@@ -99,7 +100,7 @@ class TestRoutingFailSafe:
 
 class TestRoutingHardFailure:
     def test_failure_skips_the_remaining_stages(self):
-        report = run_scenario_routing(RoutingScenarioConfig(origin="S99"))
+        report = run_scenario_routing(RoutingScenarioConfig(fixture=CityFixture(stopCount=4)))
         statuses = {s.name: s.status for s in report.stages}
         assert statuses["plan-static"] == "fail"
         assert "origin-isolated" in str(report.stage("plan-static").detail)
@@ -107,12 +108,6 @@ class TestRoutingHardFailure:
             assert statuses[name] == "skipped"
         assert report.outcome == "fail"
         assert not report.ok
-
-
-def test_caller_owned_work_dir_is_kept(tmp_path):
-    report = run_scenario_routing(RoutingScenarioConfig(workDir=str(tmp_path)))
-    assert report.outcome == "pass"
-    assert (tmp_path / "feed.zip").exists()
 
 
 class TestEstimationScenario:

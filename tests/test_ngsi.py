@@ -57,6 +57,19 @@ def test_entity_from_wire_requires_id_and_type():
         NgsiEntity.from_wire("not a dict")
 
 
+@pytest.mark.parametrize("doc", [
+    {"id": "", "entityType": "T"},
+    {"id": 5, "entityType": "T"},
+    {"id": "e1", "entityType": ""},
+    {"id": "e1", "entityType": None},
+    {"id": "e1", "entityType": "T", "attributes": {"": {"value": 1}}},
+])
+def test_entity_from_wire_requires_non_empty_names(doc):
+    with pytest.raises(NgsiError) as err:
+        NgsiEntity.from_wire(doc)
+    assert "must be a non-empty string" in err.value.message
+
+
 def test_entity_copy_is_deep_for_attributes():
     entity = make_entity("e1", "T", level=Attribute(1, "Number", {"a": 1}))
     clone = entity.copy()

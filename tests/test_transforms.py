@@ -122,6 +122,15 @@ class TestJsonToNgsi:
         id_failures = [e for e in outcome.errors if e["error"] == "id-unresolvable"]
         assert len(records) == len(outcome.entities) + len(id_failures)
 
+    def test_an_id_or_type_that_fills_to_nothing_is_unresolvable(self):
+        rules = MappingRuleSet.from_doc({"entityTypeTemplate": "{kind}", "idTemplate": "{code}"})
+        records = [{"code": "a", "kind": "T"}, {"code": "", "kind": "T"},
+                   {"code": "c", "kind": ""}, {"code": "d", "kind": "T"}]
+        outcome = json_to_ngsi(records, rules)
+        assert [e.id for e in outcome.entities] == ["a", "d"]
+        assert [(e["index"], e["error"]) for e in outcome.errors] == [
+            (1, "id-unresolvable"), (2, "id-unresolvable")]
+
 
 class TestRuleParsing:
     def test_rejects_duplicate_targets(self):
@@ -132,6 +141,16 @@ class TestRuleParsing:
         ]
         with pytest.raises(TransformError):
             MappingRuleSet.from_doc(doc)
+
+    @pytest.mark.parametrize("target", ["", None, 5])
+    def test_rejects_a_target_attribute_that_is_not_a_name(self, target):
+        doc = dict(RULES_DOC)
+        doc["attributeMappings"] = [
+            {"sourcePath": "a", "targetAttribute": target, "valueType": "Number"},
+        ]
+        with pytest.raises(TransformError) as err:
+            MappingRuleSet.from_doc(doc)
+        assert err.value.kind == "invalid-rules"
 
     def test_rejects_unknown_transform(self):
         doc = dict(RULES_DOC)

@@ -3,8 +3,11 @@ status and a body ``{"error": <kind>, "detail": <text>}``. One table per server
 pins the status and the ``error`` kind of every failure its routes can give.
 """
 
+import json
 import math
+import socket
 from datetime import date
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -12,7 +15,9 @@ from citykit.broker_http import BrokerServer
 from citykit.clock import SimulatedClock
 from citykit.estimator.ingest import ingest_historical
 from citykit.estimator.models import TrainingConfig
-from citykit.estimator.service import EstimatorServer, EstimatorService
+from citykit.estimator.scheduler import EstimatorScheduler
+from citykit.estimator.service import EstimatorServer
+from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import default_fixture, generate_static_network
 from citykit.gtfs import ngsi_to_gtfs
 from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
@@ -73,6 +78,15 @@ def broker_url():
      400, "malformed-subscription"),
     ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "idPattern": ["s-1"]},
      400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "throttlingSeconds": 1e400},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "throttlingSeconds": True},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "ftp://x/"}, 400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "id": 5},
+     400, "malformed-subscription"),
+    ("POST", "/v2/subscriptions", {"target": "http://127.0.0.1:1/", "id": [1]},
+     400, "malformed-subscription"),
     ("DELETE", "/v2/subscriptions/ghost", None, 404, "not-found"),
     ("GET", "/v3/nowhere", None, 404, "not-found"),
 ])
@@ -123,12 +137,12 @@ def test_router_failures(router_url, method, path, body, status, kind):
 @pytest.fixture(scope="module")
 def estimator_url():
     cfg = TrainingConfig(lags=2, minSamples=30, windowSize=100)
-    service = EstimatorService("parking", cfg, clock=SimulatedClock(DAY))
-    ingest_historical(service.store, [
+    scheduler = EstimatorScheduler(TimeSeriesStore(), cfg, clock=SimulatedClock(DAY))
+    ingest_historical(scheduler.store, [
         {"entityId": "p-1", "attr": "availableSpotNumber", "t": DAY - (40 - i) * 900.0,
          "value": 20.0 + 6.0 * math.sin(2 * math.pi * i / 12.0)}
         for i in range(40)])
-    server = EstimatorServer(service)
+    server = EstimatorServer(scheduler)
     url = server.start()
     yield url
     server.stop()
@@ -148,14 +162,46 @@ def test_estimator_failures(estimator_url, method, path, status, kind):
     assert (got_status, payload["error"]) == (status, kind)
 
 
-def test_realtime_failures(feed):
+@pytest.fixture(scope="module")
+def realtime_url(feed):
     server = RtServer(RtLoader(lambda: [], TripResolver(feed, DAY)))
-    url = server.start()
-    try:
-        got_status, payload = _failure("GET", f"{url}/gtfs-rt")
-    finally:
-        server.stop()
+    yield server.start()
+    server.stop()
+
+
+def test_realtime_failures(realtime_url):
+    got_status, payload = _failure("GET", f"{realtime_url}/gtfs-rt")
     assert (got_status, payload["error"]) == (503, "no-feed")
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple:
+    """(status, headers, decoded body) of a reply read until the server closes."""
+    parts = urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {k.lower(): v for k, _, v in (line.partition(": ") for line in lines)}
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+@pytest.mark.parametrize("server", ["broker_url", "router_url", "estimator_url",
+                                    "realtime_url"])
+@pytest.mark.parametrize("request_bytes, status, kind", [
+    (b"OPTIONS / HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not-implemented"),
+    (b"GARBAGE\r\n", 400, "bad-request"),
+])
+def test_http_server_refusals_are_json_too(request, server, request_bytes, status, kind):
+    url = request.getfixturevalue(server)
+    url = url[0] if isinstance(url, tuple) else url
+    got_status, headers, payload = _raw_exchange(url, request_bytes)
+    assert (got_status, headers["content-type"]) == (status, "application/json")
+    assert headers["connection"] == "close"
+    assert set(payload) == {"error", "detail"} and payload["error"] == kind
+    assert isinstance(payload["detail"], str) and payload["detail"]
 
 
 def test_router_and_estimator_details_do_not_repeat_the_kind(router_url, estimator_url):
