@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol
 from urllib.parse import urlsplit
 
+from citykit import httpd
 from citykit.clock import Clock, SystemClock
-from citykit.httpd import post_json
 from citykit.ngsi import (Attribute, KindError, NgsiEntity, NgsiError, check_attributes,
                           check_entity, is_number, iso_utc)
 
@@ -117,8 +117,8 @@ class HttpSink:
         self.url = url
 
     def deliver(self, sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> None:
-        post_json(self.url, notification_doc(sub_id, issued_at, versions),
-                  timeout=SINK_TIMEOUT_SECONDS)
+        httpd.request_json("POST", self.url, notification_doc(sub_id, issued_at, versions),
+                           timeout=SINK_TIMEOUT_SECONDS)
 
 
 def _as_sink(target):
@@ -395,13 +395,6 @@ class ContextBroker:
                 raise NotFound(f"no subscription with id {sub_id!r}")
             sub.status = "removed"
             return True
-
-    def subscription_status(self, sub_id: str) -> str:
-        with self._lock:
-            sub = self._subs.get(sub_id)
-            if sub is None:
-                raise NotFound(f"no subscription with id {sub_id!r}")
-            return sub.status
 
     # -- notification machinery ---------------------------------------------
 

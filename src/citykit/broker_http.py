@@ -54,9 +54,8 @@ def _broker_errors():
 class BrokerServer(HttpService):
     """Binds a ContextBroker to the /v2 routes on a loopback HTTP server."""
 
-    def __init__(self, broker: Optional[ContextBroker] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.broker = broker or ContextBroker()
+    def __init__(self, broker: ContextBroker, host: str = "127.0.0.1", port: int = 0):
+        self.broker = broker
         self.server = JsonHttpServer(host=host, port=port)
         for method, pattern, handler in (
                 ("POST", r"/v2/entities", self._upsert),

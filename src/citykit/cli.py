@@ -17,7 +17,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from citykit.ngsi import KindError, NgsiEntity, check_entity
-from citykit.textio import read_jsonl, write_jsonl
+from citykit.textio import read_json, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,14 @@ def _service_day(args) -> date:
     if args.service_date:
         return parse_service_date(args.service_date)
     return datetime.now(timezone.utc).date()
+
+
+def _fixture(args):
+    """``--fixture`` (else the default city) with ``--seed`` applied."""
+    from citykit.feedgen import CityFixture, load_fixture_file
+
+    fixture = load_fixture_file(args.fixture) if args.fixture else CityFixture()
+    return fixture if args.seed is None else replace(fixture, seed=args.seed)
 
 
 def _print(doc) -> None:
@@ -80,8 +88,8 @@ def cmd_validate(args) -> int:
 def cmd_json2ngsi(args) -> int:
     from citykit.transforms import MappingRuleSet, json_to_ngsi
 
-    rules = MappingRuleSet.from_doc(Path(args.rules).read_text(encoding="utf-8"))
-    document = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    rules = MappingRuleSet.from_doc(read_json(args.rules, "invalid-rules"))
+    document = read_json(args.input, "invalid-json")
     outcome = json_to_ngsi(document, rules)
     if args.post:
         from citykit.broker_http import BrokerClient
@@ -155,19 +163,10 @@ def cmd_gtfs_fetch(args) -> int:
 
 
 def cmd_feedgen(args) -> int:
-    from citykit.feedgen import (
-        StreamGenerator,
-        default_fixture,
-        generate_city,
-        generate_static_network,
-        load_fixture_file,
-        seed_defects,
-    )
+    from citykit.feedgen import StreamGenerator, generate_city, generate_static_network, seed_defects
     from citykit.gtfs import ngsi_to_gtfs
 
-    fixture = load_fixture_file(args.fixture) if args.fixture else default_fixture()
-    if args.seed is not None:
-        fixture = replace(fixture, seed=args.seed)
+    fixture = _fixture(args)
     city = generate_city(fixture)
     generator = StreamGenerator(fixture)
     duration = args.days * 86400
@@ -206,7 +205,6 @@ def cmd_feedgen(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    from citykit.feedgen import load_fixture_file
     from citykit.harness import (
         EstimationScenarioConfig,
         RoutingScenarioConfig,
@@ -214,15 +212,10 @@ def cmd_scenario(args) -> int:
         run_scenario_routing,
     )
 
-    fixture = load_fixture_file(args.fixture) if args.fixture else None
-    if fixture is not None and args.seed is not None:
-        fixture = replace(fixture, seed=args.seed)
-    seed = args.seed if args.seed is not None else 42
     if args.name == "routing":
-        report = run_scenario_routing(RoutingScenarioConfig(seed=seed, fixture=fixture))
+        report = run_scenario_routing(RoutingScenarioConfig(fixture=_fixture(args)))
     else:
-        report = run_scenario_estimation(
-            EstimationScenarioConfig(seed=seed, fixture=fixture))
+        report = run_scenario_estimation(EstimationScenarioConfig(fixture=_fixture(args)))
     doc = report.to_doc()
     if args.report:
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",

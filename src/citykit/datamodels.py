@@ -13,7 +13,6 @@ attributeName. A wrong-type attribute suppresses its own range/enum/pattern
 checks so each underlying fault is reported exactly once.
 """
 
-import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,6 +31,7 @@ from citykit.ngsi import (
     NgsiEntity,
     is_number,
 )
+from citykit.textio import read_json
 
 RULE_KINDS = (
     "missing-required",
@@ -101,12 +101,7 @@ class DataModelSchema:
             )
 
     @classmethod
-    def from_doc(cls, doc) -> "DataModelSchema":
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
-                raise SchemaError("parse-error", str(exc)) from exc
+    def from_doc(cls, doc: dict) -> "DataModelSchema":
         if not isinstance(doc, dict) or not doc.get("entityType"):
             raise SchemaError("parse-error", "schema needs a non-empty entityType")
         rules_doc = doc.get("attributeRules") or {}
@@ -148,7 +143,7 @@ def load_schemas(path) -> dict[str, DataModelSchema]:
     order; a later file with the same type replaces an earlier one."""
     schemas = {}
     for file in sorted(Path(path).glob("*.json")):
-        schema = DataModelSchema.from_doc(file.read_text(encoding="utf-8"))
+        schema = DataModelSchema.from_doc(read_json(file, "parse-error"))
         schemas[schema.entityType] = schema
     return schemas
 

@@ -25,10 +25,6 @@ class IngestStats:
         self.appended = 0
         self.skipped_non_numeric = 0
 
-    def as_doc(self) -> dict:
-        return {"appended": self.appended,
-                "skippedNonNumeric": self.skipped_non_numeric}
-
 
 def _stamp(value):
     """``value``, or None for a number that is not finite."""

@@ -38,7 +38,6 @@ class EstimatorScheduler:
         self.clock = clock or SystemClock()
         self.on_prediction = on_prediction  # callable(Prediction), e.g. writeback
         self.models: dict[tuple, ForecastModel] = {}
-        self.predictions: list[Prediction] = []
         self._lock = threading.RLock()
         self._train_due: Optional[float] = None
         self._infer_due: Optional[float] = None
@@ -130,9 +129,7 @@ class EstimatorScheduler:
             self._publish(prediction)
 
     def _publish(self, prediction: Prediction) -> None:
-        """Keep the prediction in ``predictions`` and run the hook; the store
-        holds observations only."""
-        self.predictions.append(prediction)
+        """Hand the prediction to the hook; the store holds observations only."""
         if self.on_prediction is not None:
             try:
                 self.on_prediction(prediction)

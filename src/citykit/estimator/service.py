@@ -8,12 +8,12 @@ which entity type and attribute are ingested and predicted:
   noise    ->  NoiseLevelObserved.LAeq
 
 Predictions write back to the source entity as ``<attribute>Forecast`` with
-the horizon recorded in metadata; a vanished entity is logged and the
-scheduler still keeps the prediction.
+the horizon recorded in metadata; a vanished entity is logged and skipped.
 """
 
 import logging
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -56,8 +56,13 @@ def writeback(prediction: Prediction, broker: Broker) -> bool:
 def parse_config_text(text: str) -> dict:
     """`key = value` lines; # starts a comment; TrainingConfig fields are typed."""
     types = field_types(TrainingConfig)
-    fail = lambda lineno, message: EstimatorError("invalid-config", f"line {lineno}: {message}")
-    return {key: types.get(key, str)(value) for _, key, value in read_settings(text, fail)}
+    settings = {}
+
+    def apply(key: str, value: str) -> None:
+        settings[key] = types.get(key, str)(value)
+
+    read_settings(text, partial(EstimatorError, "invalid-config"), apply)
+    return settings
 
 
 def load_config_file(path) -> tuple[TrainingConfig, dict]:

@@ -27,7 +27,7 @@ from citykit.clock import SimulatedClock
 from citykit.datamodels import RULE_KINDS as DEFECT_KINDS
 from citykit.datamodels import bundled_registry
 from citykit.gtfs import parse_service_date, utc_midnight
-from citykit.ngsi import Attribute, NgsiEntity, is_number, iso_utc
+from citykit.ngsi import Attribute, KindError, NgsiEntity, is_number, iso_utc
 from citykit.textio import field_types, read_settings
 
 DAY_SECONDS = 86400
@@ -74,6 +74,15 @@ class Lcg64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2) * std
 
 
+class FixtureError(KindError, ValueError):
+    """A fixture that cannot be read or cannot build its city."""
+
+    kind = "invalid-fixture"
+
+    def __init__(self, message: str):
+        super().__init__(self.kind, message)
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     baseline: float
@@ -117,20 +126,16 @@ class CityFixture:
 
     def __post_init__(self):
         if self.stopCount < 2:
-            raise ValueError("need at least two stops")
+            raise FixtureError("need at least two stops")
         if self.routeCount < 1 or self.tripsPerRoute < 1:
-            raise ValueError("need at least one route and one trip")
+            raise FixtureError("need at least one route and one trip")
         for kind, count in self.defectPlan.items():
             if count < 0:
-                raise ValueError(f"defect count for {kind!r} must be >= 0")
+                raise FixtureError(f"defect count for {kind!r} must be >= 0")
 
     def day_start(self) -> float:
         """Epoch of the service day's UTC midnight."""
         return float(utc_midnight(parse_service_date(self.serviceDate)))
-
-
-def default_fixture(seed: int = 42) -> CityFixture:
-    return CityFixture(seed=seed)
 
 
 def parse_fixture_text(text: str) -> CityFixture:
@@ -144,12 +149,12 @@ def parse_fixture_text(text: str) -> CityFixture:
     defects: dict = {}
     overrides: dict = {}
     scalars, series_fields = field_types(CityFixture), field_types(SeriesSpec)
-    fail = lambda lineno, message: ValueError(f"fixture line {lineno}: {message}")
-    for lineno, key, value in read_settings(text, fail):
+
+    def apply(key: str, value: str) -> None:
         if key.startswith("series."):
             _, attr, fld = key.split(".", 2)
             if fld not in series_fields:
-                raise fail(lineno, f"unknown series field {fld!r}")
+                raise ValueError(f"unknown series field {fld!r}")
             series[attr] = replace(series.get(attr, SeriesSpec(0, 0)),
                                    **{fld: series_fields[fld](value)})
         elif key.startswith("delay."):
@@ -159,7 +164,9 @@ def parse_fixture_text(text: str) -> CityFixture:
         elif key in scalars:
             overrides[key] = scalars[key](value)
         else:
-            raise fail(lineno, f"unknown key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
+
+    read_settings(text, FixtureError, apply)
     return CityFixture(seriesSpecs=series, tripDelays=delays,
                        defectPlan=defects, **overrides)
 
@@ -518,8 +525,9 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> Defec
     """Plant schema violations, one per chosen entity, and say where.
 
     Each seeded defect yields exactly one violation of its kind when the
-    corpus runs through the bundled schemas. Raises ValueError when the plan
-    asks for more defects of a kind than there are untouched eligible hosts.
+    corpus runs through the bundled schemas. Raises FixtureError when the plan
+    names an unknown kind or asks for more defects of a kind than there are
+    untouched eligible hosts.
     """
     registry = bundled_registry()
     rng = Lcg64(seed ^ _DEFECT_SALT)
@@ -530,7 +538,7 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> Defec
     def pick(pool: list[int], kind: str) -> int:
         candidates = [i for i in pool if out[i].id not in used]
         if not candidates:
-            raise ValueError(f"no untouched entity can host a {kind} defect")
+            raise FixtureError(f"no untouched entity can host a {kind} defect")
         i = candidates[rng.randrange(len(candidates))]
         used.add(out[i].id)
         return i
@@ -539,7 +547,7 @@ def seed_defects(entities: Iterable[NgsiEntity], plan: dict, seed: int) -> Defec
     schemas = [registry.get(e.entityType) for e in out]
     for kind in sorted(plan):
         if kind not in DEFECT_KINDS:
-            raise ValueError(f"unknown defect kind {kind!r}")
+            raise FixtureError(f"unknown defect kind {kind!r}")
         for _ in range(plan[kind]):
             if kind == "unknown-entity-type":
                 i = pick([i for i, schema in enumerate(schemas) if schema], kind)

@@ -15,9 +15,11 @@ import calendar
 import csv
 import io
 import logging
+import lzma
 import os
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -260,7 +262,11 @@ def parse_feed(data: bytes) -> GtfsFeed:
             raise FeedError("parse-error", f"archive missing {sorted(missing)}")
 
         def rows(name):
-            text = zf.read(name).decode("utf-8")
+            try:
+                text = zf.read(name).decode("utf-8")
+            except (zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError,
+                    NotImplementedError, RuntimeError) as exc:  # damaged, encrypted, odd method
+                raise FeedError("parse-error", f"cannot read {name}: {exc}") from exc
             reader = csv.DictReader(io.StringIO(text))
             return list(reader)
 

@@ -34,7 +34,6 @@ from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import (
     CityFixture,
     StreamGenerator,
-    default_fixture,
     generate_service_entities,
     generate_static_network,
 )
@@ -130,8 +129,7 @@ def _run_stages(scenario: str, steps: dict, keep_going: tuple = ()) -> ScenarioR
 
 @dataclass
 class RoutingScenarioConfig:
-    seed: int = 42
-    fixture: Optional[CityFixture] = None
+    fixture: CityFixture = field(default_factory=CityFixture)
     corruptUpdate: bool = False
 
 
@@ -143,7 +141,7 @@ DELAY_SECONDS = 600
 
 def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> ScenarioReport:
     cfg = config or RoutingScenarioConfig()
-    fixture = cfg.fixture or default_fixture(cfg.seed)
+    fixture = cfg.fixture
     day_start = fixture.day_start()
     service_date = parse_service_date(fixture.serviceDate)
     work_dir = Path(tempfile.mkdtemp(prefix="scenario-"))
@@ -273,8 +271,7 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
 
 @dataclass
 class EstimationScenarioConfig:
-    seed: int = 42
-    fixture: Optional[CityFixture] = None
+    fixture: CityFixture = field(default_factory=CityFixture)
     backfillDays: int = 20
     rmseThreshold: float = 3.0
 
@@ -285,11 +282,10 @@ PARKING_NOISE_STD = 2.0
 
 def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -> ScenarioReport:
     cfg = config or EstimationScenarioConfig()
-    base = cfg.fixture or default_fixture(cfg.seed)
-    specs = dict(base.seriesSpecs)
+    specs = dict(cfg.fixture.seriesSpecs)
     specs["availableSpotNumber"] = replace(specs["availableSpotNumber"],
                                            noiseStd=PARKING_NOISE_STD)
-    fixture = replace(base, seriesSpecs=specs)
+    fixture = replace(cfg.fixture, seriesSpecs=specs)
     tcfg = TrainingConfig()
     day_start = fixture.day_start()
     live_end = day_start + LIVE_DAYS * 86400
@@ -404,7 +400,7 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
             if meta not in attr.metadata:
                 raise StageFailure({"missingMetadata": meta})
         return {"attribute": name, "value": attr.value, "metadata": attr.metadata,
-                "predictions": len(shared["scheduler"].predictions)}
+                "predictions": sum(shared["scheduler"].infers_by_key.values())}
 
     steps = dict(zip(ESTIMATION_STAGES, (
         generate_city, publish_entities, backfill, start_scheduler, live_stream,

@@ -348,11 +348,3 @@ def request_json(method: str, url: str, body=None, timeout: float = 10.0):
     if 200 <= resp.status < 300:
         return resp.status, payload
     raise HttpError(resp.status, payload)
-
-
-def get_json(url: str, timeout: float = 10.0):
-    return request_json("GET", url, timeout=timeout)
-
-
-def post_json(url: str, body, timeout: float = 10.0):
-    return request_json("POST", url, body=body, timeout=timeout)

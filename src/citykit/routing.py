@@ -26,8 +26,9 @@ from datetime import date
 from typing import Optional, Union
 from urllib.request import urlopen
 
+from citykit import httpd
 from citykit.gtfs import FeedError, GtfsFeed, file_url, utc_midnight
-from citykit.httpd import HttpError, HttpService, JsonHttpServer, post_json
+from citykit.httpd import HttpError, HttpService, JsonHttpServer
 from citykit.ngsi import KindError
 
 logger = logging.getLogger(__name__)
@@ -65,7 +66,6 @@ class TransitGraph:
     """Stops, per-trip timetables for one service date, and footpaths."""
 
     def __init__(self, service_date: date):
-        self.serviceDate = service_date
         self.version = 1
         self.dayStart = utc_midnight(service_date)
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
@@ -82,13 +82,11 @@ def _service_active(service, d: date) -> bool:
             and bool(service.weekdayFlags[d.weekday()]))
 
 
-def build_graph(feed: GtfsFeed, service_date: Optional[date] = None) -> TransitGraph:
+def build_graph(feed: GtfsFeed, service_date: date) -> TransitGraph:
     """The feed's graph for one service date.
 
     A date with no active service leaves the timetable empty (warned).
     """
-    if service_date is None:
-        service_date = date(2025, 6, 2)
     graph = TransitGraph(service_date)
 
     for stop in feed.stops:
@@ -445,7 +443,7 @@ class Router:
     to the old feed; queries on the previous snapshot finish undisturbed.
     """
 
-    def __init__(self, service_date: Optional[date] = None):
+    def __init__(self, service_date: date):
         self.serviceDate = service_date
         self._snapshot: tuple = (None, None)  # (graph, overlay built on that graph)
         self._swap = threading.Lock()
@@ -550,11 +548,15 @@ class RouterClient:
         self.base_url = base_url.rstrip("/")
 
     def load_url(self, url: str) -> int:
-        """FeedError if the router rejects the feed; OSError if it cannot fetch it or is down."""
+        """FeedError if the router rejects the feed or answers without a version;
+        OSError if it cannot fetch the feed or is down."""
         try:
-            _, payload = post_json(f"{self.base_url}/graph/reload", {"url": url})
+            _, payload = httpd.request_json("POST", f"{self.base_url}/graph/reload", {"url": url})
         except HttpError as exc:
             if exc.status == 502:
                 raise OSError(f"router could not fetch {url}: {exc.payload}") from exc
             raise FeedError("reload-failed", str(exc.payload)) from exc
-        return payload["version"]
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if type(version) is not int:
+            raise FeedError("reload-failed", f"router answered without a version: {payload!r}")
+        return version

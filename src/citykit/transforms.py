@@ -111,12 +111,7 @@ class MappingRuleSet:
                 raise TransformError("invalid-rules", f"unknown transform {name!r}")
 
     @classmethod
-    def from_doc(cls, doc) -> "MappingRuleSet":
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
-                raise TransformError("invalid-rules", f"ruleset does not parse: {exc}") from exc
+    def from_doc(cls, doc: dict) -> "MappingRuleSet":
         if not isinstance(doc, dict):
             raise TransformError("invalid-rules", "ruleset must be a JSON object")
         missing = {"entityTypeTemplate", "idTemplate"} - set(doc)

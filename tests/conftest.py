@@ -1,14 +1,17 @@
-"""Shared fixtures: an in-process broker, the canonical generated city and a
-server that is not a JSON service."""
+"""Shared fixtures: an in-process broker, the canonical generated city, a
+damaged copy of its feed archive and a server that is not a JSON service."""
 
+import io
+import struct
 import threading
+import zipfile
 from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from citykit.broker import ContextBroker
-from citykit.feedgen import default_fixture, generate_static_network
+from citykit.feedgen import CityFixture, generate_static_network
 from citykit.gtfs import ngsi_to_gtfs
 from citykit.routing import build_graph
 
@@ -22,7 +25,7 @@ def broker():
 
 @pytest.fixture
 def city():
-    return default_fixture()
+    return CityFixture()
 
 
 @pytest.fixture
@@ -34,6 +37,17 @@ def city_feed(city):
 @pytest.fixture
 def city_graph(city_feed):
     return build_graph(city_feed, service_date=date(2025, 6, 2))
+
+
+@pytest.fixture(scope="session")
+def flipped_zip():
+    """The city feed's archive with the first byte of stops.txt's deflate data flipped."""
+    _, data = ngsi_to_gtfs(generate_static_network(CityFixture()))
+    data = bytearray(data)
+    offset = zipfile.ZipFile(io.BytesIO(data)).getinfo("stops.txt").header_offset
+    name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)  # local file header
+    data[offset + 30 + name_len + extra_len] ^= 0xFF
+    return bytes(data)
 
 
 HTML_PAGE = b"<html><body>It works!</body></html>"

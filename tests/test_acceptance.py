@@ -17,8 +17,8 @@ from citykit.estimator.models import TrainingConfig, fit_ridge, train
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.store import TimeSeriesStore
 from citykit.feedgen import (
+    CityFixture,
     Lcg64,
-    default_fixture,
     generate_city,
     generate_static_network,
     seed_defects,
@@ -126,7 +126,7 @@ def test_planner_matches_the_enumerator_on_200_networks():
     mismatches = []
     for seed in range(200):
         rng = Lcg64(seed * 9176 + 31)
-        graph = build_graph(random_network(rng))
+        graph = build_graph(random_network(rng), date(2025, 6, 2))
         updates = random_trip_updates(rng, graph)
         query = ItineraryQuery(**random_query(rng, graph, graph.dayStart))
         for overlay in (None, apply_realtime(graph, updates)):
@@ -150,7 +150,7 @@ def test_routing_pipeline_end_to_end():
     stages_ok = scenario.outcome == "pass"
 
     # a 120 s countdown turns into an arrival override of exactly now + 120
-    fixture = default_fixture()
+    fixture = CityFixture()
     network = generate_static_network(fixture)
     feed, _ = ngsi_to_gtfs(network)
     day = int(fixture.day_start())
@@ -244,7 +244,7 @@ def test_broker_equivalence_completeness_and_unsubscribe():
 
 
 def test_defect_seeded_corpus_counts_match_the_plan():
-    fixture = replace(default_fixture(), stopCount=40, parkingSites=20,
+    fixture = replace(CityFixture(), stopCount=40, parkingSites=20,
                       parkingSpots=7, trafficSites=3, noiseSites=2)
     corpus = generate_city(fixture)
     registry = bundled_registry()
@@ -284,7 +284,7 @@ def test_linked_data_rendering_preserves_values():
 
 
 def test_gtfs_zip_determinism_and_round_trip():
-    network = generate_static_network(default_fixture())
+    network = generate_static_network(CityFixture())
     reference, reference_bytes = ngsi_to_gtfs(network)
     rng = Lcg64(7)
     stable = True
@@ -298,7 +298,7 @@ def test_gtfs_zip_determinism_and_round_trip():
             stable = False
 
     round_trips = parse_feed(serialize_feed(reference)) == reference
-    big = generate_static_network(replace(default_fixture(), stopCount=40))
+    big = generate_static_network(replace(CityFixture(), stopCount=40))
     big_feed, _ = ngsi_to_gtfs(big)
     round_trips = round_trips and parse_feed(serialize_feed(big_feed)) == big_feed
     for seed in range(30):

@@ -268,13 +268,14 @@ def test_failing_sink_is_retired_after_three_strikes(broker):
         def deliver(self, sub_id, issued_at, versions):
             raise RuntimeError("sink down")
 
-    sub_id = broker.subscribe(Subscription(id="", target=Exploding()))
+    sub = Subscription(id="", target=Exploding())
+    broker.subscribe(sub)
     for spots in (3, 2, 1):
         broker.upsert_entity(make_parking(spots=spots))
-    assert broker.subscription_status(sub_id) == "failed"
+    assert sub.status == "failed"
     # a failed subscription no longer receives anything, but stays inspectable
     broker.upsert_entity(make_parking(spots=0))
-    assert broker.subscription_status(sub_id) == "failed"
+    assert sub.status == "failed"
 
 
 def test_callable_target_and_wire_subscription(broker):

@@ -14,9 +14,9 @@ from citykit import cli
 from citykit.broker import ContextBroker
 from citykit.broker_http import BrokerServer
 from citykit.cli import _parse_listen, build_parser, main
-from citykit.feedgen import default_fixture, generate_city, seed_defects
+from citykit.feedgen import CityFixture, generate_city, seed_defects
 from citykit.gtfs import parse_feed, publish_feed_entity, serialize_feed
-from citykit.httpd import JsonHttpServer, get_json
+from citykit.httpd import JsonHttpServer, request_json
 from citykit.ngsi import make_entity
 from citykit.routing import Router, RouterServer
 
@@ -59,7 +59,7 @@ def served_broker():
 
 class TestValidate:
     def test_clean_corpus_exits_zero(self, tmp_path, capsys):
-        entities = generate_city(default_fixture())
+        entities = generate_city(CityFixture())
         source = tmp_path / "entities.jsonl"
         write_jsonl(source, [e.to_wire() for e in entities])
         rc = main(["validate", "--schemas", SCHEMAS_DIR, "--input", str(source)])
@@ -70,7 +70,7 @@ class TestValidate:
 
     def test_defective_corpus_exits_one_and_writes_reports(self, tmp_path, capsys):
         plan = {"wrong-type": 2, "not-in-enum": 1, "pattern-mismatch": 1}
-        seeded = seed_defects(generate_city(default_fixture()), plan, seed=42)
+        seeded = seed_defects(generate_city(CityFixture()), plan, seed=42)
         source = tmp_path / "defects.jsonl"
         write_jsonl(source, [e.to_wire() for e in seeded.entities])
         report = tmp_path / "report.jsonl"
@@ -270,6 +270,24 @@ class TestGtfsTools:
         finally:
             router_server.stop()
 
+    def test_gtfs_fetch_refuses_a_reply_without_a_version(self, tmp_path, served_broker,
+                                                         capsys, city_feed):
+        url, broker = served_broker
+        zip_path = tmp_path / "city.zip"
+        zip_path.write_bytes(serialize_feed(city_feed))
+        publish_feed_entity(str(zip_path), broker)
+        stub = JsonHttpServer()
+        stub.add_route("POST", r"/graph/reload", lambda *_: (200, {}))
+        stub.start()
+        try:
+            assert main(["gtfs-fetch", "--broker", url, "--router", stub.url()]) == 1
+        finally:
+            stub.stop()
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert json.loads(line)["outcome"] == "parse-error"
+        assert "Traceback" not in captured.err
+
 
 class TestServe:
     @pytest.fixture
@@ -308,7 +326,7 @@ class TestServe:
         listening, line = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "broker-unreachable"
         with pytest.raises(OSError):  # the server it had started is stopped
-            get_json(listening.rsplit(" ", 1)[1] + "/models")
+            request_json("GET", listening.rsplit(" ", 1)[1] + "/models")
 
     def test_estimator_serve_polls_on_when_a_later_snapshot_fails(self, tmp_path,
                                                                   monkeypatch, caplog):
@@ -422,6 +440,50 @@ class TestServiceErrors:
         error = self._error_line(capsys, command + ["--input", str(source)])
         assert error["error"] == "invalid-entity"
         assert "entityType" in error["detail"]
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--schemas", SCHEMAS_DIR],
+        ["ngsi2ld", "--context", "https://example.org/ctx.jsonld"],
+    ])
+    def test_an_input_line_that_is_not_json(self, tmp_path, capsys, command):
+        source = tmp_path / "in.jsonl"
+        source.write_text("\n{not json\n", encoding="utf-8")
+        error = self._error_line(capsys, command + ["--input", str(source)])
+        assert error["error"] == "invalid-json"
+        assert f"{source} line 2" in error["detail"]
+
+    def test_json2ngsi_input_that_is_not_json(self, tmp_path, capsys):
+        rules = write_json(tmp_path / "rules.json", RULES_DOC)
+        source = tmp_path / "in.json"
+        source.write_text("{not json", encoding="utf-8")
+        error = self._error_line(capsys, ["json2ngsi", "--rules", rules, "--input", str(source)])
+        assert error["error"] == "invalid-json"
+        assert str(source) in error["detail"]
+
+    @pytest.mark.parametrize("text, detail", [
+        ("stopCount = abc", "line 1"),
+        ("bogus = 1", "line 1"),
+        ("stopCount 5", "line 1"),
+        ("stopCount = 1", "two stops"),
+        ("defect.wrong-type = 99", "wrong-type"),
+        ("defect.typo = 1", "typo"),
+    ])
+    def test_a_fixture_file_that_builds_no_city(self, tmp_path, capsys, text, detail):
+        fixture = tmp_path / "city.txt"
+        fixture.write_text(text + "\n", encoding="utf-8")
+        error = self._error_line(capsys, ["feedgen", "--fixture", str(fixture),
+                                          "--out", str(tmp_path / "out")])
+        assert error["error"] == "invalid-fixture"
+        assert detail in error["detail"]
+        assert list(tmp_path.iterdir()) == [fixture]
+
+    def test_estimator_serve_refuses_a_setting_of_the_wrong_type(self, tmp_path, capsys):
+        config = tmp_path / "estimator.conf"
+        config.write_text("windowSize = abc\nbroker = http://127.0.0.1:1\n", encoding="utf-8")
+        error = self._error_line(capsys, ["estimator-serve", "--config", str(config),
+                                          "--listen", "127.0.0.1:0"])
+        assert error["error"] == "invalid-config"
+        assert "line 1" in error["detail"]
 
     def test_json2ngsi_posts_into_a_broker_that_rejects_the_entity(
             self, tmp_path, served_broker, capsys):

@@ -14,7 +14,7 @@ from citykit.datamodels import (
     validate_batch,
     validate_entity,
 )
-from citykit.ngsi import Attribute, make_entity
+from citykit.ngsi import Attribute, KindError, make_entity
 
 PARKING_SCHEMA = {
     "entityType": "OnStreetParking",
@@ -121,8 +121,9 @@ def test_report_document_shape(registry):
 
 
 class TestSchemaParsing:
-    def test_from_json_text(self):
-        schema = DataModelSchema.from_doc(json.dumps(PARKING_SCHEMA))
+    def test_from_json_text(self, tmp_path):
+        (tmp_path / "parking.json").write_text(json.dumps(PARKING_SCHEMA))
+        schema = load_schemas(tmp_path)["OnStreetParking"]
         assert schema.entityType == "OnStreetParking"
         assert schema.attributeRules["status"].enumValues == frozenset({"open", "closed"})
 
@@ -143,12 +144,19 @@ class TestSchemaParsing:
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(SchemaError):
-            DataModelSchema.from_doc("not json")
-        with pytest.raises(SchemaError):
             DataModelSchema.from_doc({"attributeRules": {}})
         with pytest.raises(SchemaError):
             DataModelSchema.from_doc({"entityType": "T",
                                       "attributeRules": {"a": {}}})
+
+
+def test_load_schemas_refuses_a_file_that_is_not_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    with pytest.raises(KindError) as err:
+        load_schemas(tmp_path)
+    assert err.value.kind == "parse-error"
+    assert str(bad) in err.value.message
 
 
 def test_registry_load_dir(tmp_path):

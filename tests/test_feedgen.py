@@ -16,7 +16,6 @@ from citykit.feedgen import (
     SeriesSpec,
     StreamGenerator,
     closed_form,
-    default_fixture,
     generate_city,
     generate_service_entities,
     generate_static_network,
@@ -63,7 +62,7 @@ class TestLcg64:
 class TestFixture:
     def test_bundled_fixture_file_matches_defaults(self):
         path = Path(citykit.__file__).parent / "fixtures" / "default_city.txt"
-        assert load_fixture_file(path) == default_fixture()
+        assert load_fixture_file(path) == CityFixture()
 
     def test_dotted_keys_fill_the_tables(self):
         fixture = parse_fixture_text(
@@ -93,12 +92,12 @@ class TestFixture:
             CityFixture(defectPlan={"wrong-type": -1})
 
     def test_day_start_is_utc_midnight(self):
-        assert default_fixture().day_start() == DAY
+        assert CityFixture().day_start() == DAY
 
 
 class TestTimetable:
     def test_canonical_calls(self):
-        table = network_timetable(default_fixture())
+        table = network_timetable(CityFixture())
         assert table["stops"] == ["S1", "S2", "S3", "S4", "S5"]
         assert table["routes"] == ["R1", "R2"]
         assert table["trips"]["R1-T1"]["calls"] == [
@@ -110,7 +109,7 @@ class TestTimetable:
         assert table["trips"]["R2-T2"]["calls"][-1] == ("S5", 31200)
 
     def test_express_serves_every_other_stop(self):
-        table = network_timetable(default_fixture())
+        table = network_timetable(CityFixture())
         assert [s for s, _ in table["trips"]["R2-T1"]["calls"]] == ["S1", "S3", "S5"]
 
     def test_sparse_route_still_gets_two_stops(self):
@@ -120,7 +119,7 @@ class TestTimetable:
 
 class TestCityEntities:
     def test_static_network_shape(self):
-        entities = generate_static_network(default_fixture())
+        entities = generate_static_network(CityFixture())
         assert len(entities) == 29  # agency+5 stops+2 routes+service+4 trips+16 calls
         by_type: dict = {}
         for entity in entities:
@@ -135,7 +134,7 @@ class TestCityEntities:
         assert by_type["GtfsService"][0].value("weekdays") == [1] * 7
 
     def test_service_entities_start_on_profile(self):
-        entities = {e.id: e for e in generate_service_entities(default_fixture())}
+        entities = {e.id: e for e in generate_service_entities(CityFixture())}
         assert len(entities) == 6
         parking = entities["parking-1"]
         assert parking.value("availableSpotNumber") == 30  # midnight sinusoid
@@ -144,7 +143,7 @@ class TestCityEntities:
         assert entities["spot-1"].value("refOnStreetParking") == "parking-1"
 
     def test_city_is_schema_clean(self):
-        summary = validate_batch(generate_city(default_fixture()),
+        summary = validate_batch(generate_city(CityFixture()),
                                  bundled_registry())
         assert summary["total"] == 35
         assert summary["invalid"] == 0
@@ -180,7 +179,7 @@ class TestProfiles:
 
 class TestStreams:
     def test_noise_free_events_equal_the_closed_form(self):
-        fixture = default_fixture()
+        fixture = CityFixture()
         events = StreamGenerator(fixture).series_events()
         assert len(events) == 384  # 4 sites x 96 samples
         for event in events:
@@ -189,12 +188,12 @@ class TestStreams:
             assert event.attributes[attr].value == closed_form(attr, spec, event.t)
 
     def test_events_sorted_by_time_then_entity(self):
-        events = StreamGenerator(default_fixture()).events()
+        events = StreamGenerator(CityFixture()).events()
         keys = [(e.t, e.entityId) for e in events]
         assert keys == sorted(keys)
 
     def test_arrival_countdowns_tick_down_to_the_call(self):
-        events = StreamGenerator(default_fixture()).arrival_events()
+        events = StreamGenerator(CityFixture()).arrival_events()
         assert all(0 < e.attributes["remainingTime"].value <= 1800
                    for e in events)
         first_call = [e for e in events if e.entityId == "arrival-R1-T1-S1"]
@@ -222,7 +221,7 @@ class TestStreams:
         assert any(d != 0 for d in first.values())
 
     def test_delays_never_perturb_the_sensor_series(self):
-        specs = dict(default_fixture().seriesSpecs)
+        specs = dict(CityFixture().seriesSpecs)
         specs["availableSpotNumber"] = SeriesSpec(30, 12, 3.0, 900)
         quiet = CityFixture(seriesSpecs=dict(specs))
         delayed = CityFixture(seriesSpecs=dict(specs), delayStd=120.0)
@@ -230,7 +229,7 @@ class TestStreams:
             StreamGenerator(delayed).series_events()
 
     def test_emit_replays_into_a_broker(self, broker):
-        fixture = default_fixture()
+        fixture = CityFixture()
         for entity in generate_city(fixture):
             broker.upsert_entity(entity)
         clock = SimulatedClock(DAY + 27000)
@@ -257,7 +256,7 @@ class TestDefectSeeding:
         assert len(DEFECT_KINDS) == 6
 
     def test_per_kind_violation_counts_match_the_plan(self):
-        corpus = generate_city(default_fixture())
+        corpus = generate_city(CityFixture())
         result = seed_defects(corpus, self.PLAN, seed=42)
         summary = validate_batch(result.entities, bundled_registry())
         assert summary["perKindCounts"] == self.PLAN
@@ -265,7 +264,7 @@ class TestDefectSeeding:
         assert summary["total"] == len(corpus)
 
     def test_one_defect_per_entity(self):
-        result = seed_defects(generate_city(default_fixture()), self.PLAN, seed=42)
+        result = seed_defects(generate_city(CityFixture()), self.PLAN, seed=42)
         hosts = [r["entityId"] for r in result.groundTruth]
         assert len(hosts) == len(set(hosts))
 
@@ -279,7 +278,7 @@ class TestDefectSeeding:
         assert summary["invalid"] == 30
 
     def test_seeding_is_deterministic(self):
-        corpus = generate_city(default_fixture())
+        corpus = generate_city(CityFixture())
         first = seed_defects(corpus, self.PLAN, seed=9)
         second = seed_defects(corpus, self.PLAN, seed=9)
         assert first.groundTruth == second.groundTruth
@@ -289,22 +288,22 @@ class TestDefectSeeding:
             != first.groundTruth
 
     def test_input_corpus_is_never_mutated(self):
-        corpus = generate_city(default_fixture())
+        corpus = generate_city(CityFixture())
         before = [e.to_wire() for e in corpus]
         seed_defects(corpus, self.PLAN, seed=42)
         assert [e.to_wire() for e in corpus] == before
 
     def test_exhausted_host_pool_is_an_error(self):
-        corpus = generate_city(default_fixture())
+        corpus = generate_city(CityFixture())
         with pytest.raises(ValueError, match="pattern-mismatch"):
             seed_defects(corpus, {"pattern-mismatch": 3}, seed=1)
 
     def test_unknown_kind_is_an_error(self):
         with pytest.raises(ValueError, match="unknown defect kind"):
-            seed_defects(generate_city(default_fixture()), {"typo": 1}, seed=1)
+            seed_defects(generate_city(CityFixture()), {"typo": 1}, seed=1)
 
     def test_ground_truth_names_the_touched_attribute(self):
-        corpus = generate_city(default_fixture())
+        corpus = generate_city(CityFixture())
         result = seed_defects(corpus, {"wrong-type": 1,
                                        "unknown-entity-type": 1}, seed=3)
         by_kind = {r["kind"]: r for r in result.groundTruth}

@@ -8,6 +8,7 @@ import pytest
 from citykit.broker import ContextBroker
 from citykit.gtfs import FeedError, publish_feed_entity, serialize_feed
 from citykit.gtfs_fetcher import GtfsFetcher
+from citykit.httpd import JsonHttpServer
 from citykit.ngsi import make_entity
 from citykit.routing import ItineraryQuery, Router, RouterClient, RouterServer
 
@@ -111,6 +112,20 @@ def test_attach_reloads_on_pointer_commits(broker, router, feed_zip):
     assert sum(1 for e in fetcher.events if e["outcome"] == "reloaded") == 1
 
 
+def test_attached_fetcher_outlives_damaged_archives(broker, router, feed_zip, flipped_zip,
+                                                    tmp_path):
+    fetcher = GtfsFetcher(router)
+    fetcher.attach(broker)
+    bad = tmp_path / "flipped.zip"
+    bad.write_bytes(flipped_zip)
+    for k in range(3):  # three failures would retire a subscription whose target raises
+        os.utime(bad, (DAY + k, DAY + k))
+        publish_feed_entity(str(bad), broker, feed_id="feed-main")
+    publish_feed_entity(str(feed_zip), broker, feed_id="feed-main")
+    assert [e["outcome"] for e in fetcher.events] == ["parse-error"] * 3 + ["reloaded"]
+    assert router.version == 1
+
+
 def test_attach_ignores_unrelated_commits(broker, router):
     fetcher = GtfsFetcher(router)
     fetcher.attach(broker)
@@ -149,6 +164,19 @@ class TestRemoteRouter:
         assert fetcher.poll(broker) == 0
         assert fetcher.events[-1]["outcome"] == "parse-error"
         assert router.version == 0
+
+    @pytest.mark.parametrize("reply", [{}, {"version": "x"}])
+    def test_a_reply_without_a_version_is_a_parse_error(self, broker, feed_zip, reply):
+        stub = JsonHttpServer()
+        stub.add_route("POST", r"/graph/reload", lambda *_: (200, reply))
+        stub.start()
+        try:
+            publish_feed_entity(str(feed_zip), broker)
+            fetcher = GtfsFetcher(RouterClient(stub.url()))
+            assert fetcher.poll(broker) == 0
+            assert fetcher.events[-1]["outcome"] == "parse-error"
+        finally:
+            stub.stop()
 
     def test_a_router_answering_html_is_reload_failed(self, html_server, feed_zip):
         with pytest.raises(FeedError) as err:

@@ -172,6 +172,19 @@ class TestRoundTrip:
             parse_feed(buf.getvalue())
         assert err.value.kind == "parse-error"
 
+    def test_parse_rejects_damaged_members(self, flipped_zip):
+        with pytest.raises(FeedError) as err:  # the deflate stream does not decode
+            parse_feed(flipped_zip)
+        assert (err.value.kind, "stops.txt" in err.value.message) == ("parse-error", True)
+
+        data = bytearray(serialize_feed(minimal_feed()))
+        with zipfile.ZipFile(BytesIO(data)) as zf:
+            crc = zf.getinfo("stops.txt").CRC.to_bytes(4, "little")
+        data[data.rindex(crc)] ^= 0xFF  # the central directory's copy of the checksum
+        with pytest.raises(FeedError) as err:
+            parse_feed(bytes(data))
+        assert (err.value.kind, "stops.txt" in err.value.message) == ("parse-error", True)
+
     def test_load_feed_from_disk(self, tmp_path):
         target = tmp_path / "feed.zip"
         target.write_bytes(serialize_feed(minimal_feed()))

@@ -10,7 +10,7 @@ from citykit.gtfs_realtime import (
     TripResolver,
     arrival_estimations_to_gtfsrt,
 )
-from citykit.httpd import HttpError, get_json, post_json
+from citykit.httpd import HttpError, request_json
 from citykit.ngsi import Attribute, make_entity
 
 DAY = 1748822400
@@ -157,15 +157,15 @@ class TestRtServer:
         url = server.start()
         try:
             with pytest.raises(HttpError) as err:
-                get_json(f"{url}/gtfs-rt")
+                request_json("GET", f"{url}/gtfs-rt")
             assert err.value.status == 503
 
             broker.upsert_entity(arrival("a1", "S5", "R1", 120))
-            post_json(f"{url}/notify", {"data": []})
-            _, doc = get_json(f"{url}/gtfs-rt")
+            request_json("POST", f"{url}/notify", {"data": []})
+            _, doc = request_json("GET", f"{url}/gtfs-rt")
             assert doc["tripUpdates"][0]["tripId"] == "R1-T1"
 
-            _, status = get_json(f"{url}/status")
+            _, status = request_json("GET", f"{url}/status")
             assert status["refreshCount"] == 1
             assert status["unresolved"] == []
             assert status["headerTimestamp"] == DAY + 28900

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from citykit import httpd
+from citykit.broker import ContextBroker
 from citykit.broker_http import BrokerServer
 from citykit.httpd import JsonHttpServer, request_json
 from citykit.ngsi import KindError
@@ -271,7 +272,7 @@ def test_connection_closed_while_idle_is_replaced_before_a_post(short_idle, conn
 # -- server: bounds -------------------------------------------------------------
 
 def test_a_stopped_server_stops_answering():
-    server = BrokerServer()
+    server = BrokerServer(ContextBroker())
     server.start()
     conn = http.client.HTTPConnection(server.server.host, server.server.port, timeout=3.0)
     try:

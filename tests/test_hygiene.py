@@ -14,6 +14,11 @@
   ``getattr``/``hasattr`` with the name as a literal, or as a name a class
   body reads (``do_GET = _dispatch``). Dunders and the ``http.server`` hooks
   that the server base classes call are exempt.
+- every function and class a module defines at its top level is read
+  somewhere under ``src/``, ``tests/`` or ``perfbench/``: as a name, as an
+  attribute load (``gtfs.parse_feed``), by ``getattr``/``hasattr`` with the
+  name as a literal, or as the original name of an import bound to another
+  (``from m import f as g``).
 - ``tests/oracles.py`` imports from ``citykit`` only inputs and data types,
   never code that computes an answer it checks.
 """
@@ -143,6 +148,35 @@ def test_every_method_and_property_is_read():
               for where, name in class_members(path)
               if name not in reads and name not in HTTP_SERVER_HOOKS
               and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
+
+
+def module_definitions(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` for each function and class ``path`` defines at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef))]
+
+
+def name_reads(path: Path) -> set[str]:
+    """Names ``path`` reads, and the original names of its renamed imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names if alias.asname)
+    return reads
+
+
+def test_every_module_level_function_and_class_is_read():
+    reads = set().union(*(attribute_reads(path) | name_reads(path)
+                          for folder in ("src", "tests", "perfbench")
+                          for path in (ROOT / folder).rglob("*.py")))
+    unread = [f"{path.relative_to(SRC)}:{line}: {name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for line, name in module_definitions(path) if name not in reads]
     assert unread == []
 
 

@@ -23,7 +23,7 @@ from citykit.estimator.ingest import ingest_snapshot
 from citykit.estimator.models import Prediction
 from citykit.estimator.service import writeback
 from citykit.estimator.store import TimeSeriesStore
-from citykit.feedgen import StreamGenerator, default_fixture, generate_city
+from citykit.feedgen import CityFixture, StreamGenerator, generate_city
 from citykit.gtfs import publish_feed_entity, serialize_feed
 from citykit.gtfs_fetcher import GtfsFetcher
 from citykit.ngsi import Attribute, NgsiEntity, iso_utc, make_entity
@@ -43,7 +43,7 @@ def open_broker():
             broker = ContextBroker()
             closers.append(broker.close)
             return broker
-        server = BrokerServer()
+        server = BrokerServer(ContextBroker())
         closers.append(server.stop)
         return BrokerClient(server.start())
 
@@ -164,7 +164,8 @@ def test_ingest_snapshot(open_broker):
                 dateObserved=iso_utc(DAY + 60 * i)))
         store = TimeSeriesStore()
         stats = ingest_snapshot(store, broker, mapping, SimulatedClock(DAY))
-        return stats.as_doc(), {key: store.get(*key) for key in store.keys()}
+        return ({"appended": stats.appended, "skippedNonNumeric": stats.skipped_non_numeric},
+                {key: store.get(*key) for key in store.keys()})
 
     stats, series = on_every_broker(open_broker, scenario)
     assert stats == {"appended": 2, "skippedNonNumeric": 1}
@@ -194,7 +195,7 @@ def test_writeback(open_broker):
 
 
 def test_stream_generator_emit(open_broker):
-    fixture = default_fixture()
+    fixture = CityFixture()
 
     def scenario(broker):
         for entity in generate_city(fixture):

@@ -30,7 +30,7 @@ from citykit.routing import (
     plan,
     walk_seconds,
 )
-from citykit.httpd import HttpError, get_json, post_json
+from citykit.httpd import HttpError, request_json
 
 from oracles import (
     min_arrival,
@@ -181,7 +181,7 @@ def test_max_walk_may_be_unbounded_but_not_nan_or_negative():
 
 class TestTransfers:
     def test_transfer_between_routes(self):
-        graph = build_graph(two_leg_feed())
+        graph = build_graph(two_leg_feed(), date(2025, 6, 2))
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         (best,) = plan(graph, q, max_transfers=1)
         assert best.trip_ids() == ("TA", "TB")
@@ -189,7 +189,7 @@ class TestTransfers:
         assert best.arrival == graph.dayStart + 1400
 
     def test_transfer_cap_prunes_the_journey(self):
-        graph = build_graph(two_leg_feed())
+        graph = build_graph(two_leg_feed(), date(2025, 6, 2))
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         with pytest.raises(PlanError):
             plan(graph, q, max_transfers=0)
@@ -199,7 +199,7 @@ class TestTransfers:
         # connection now departs Y before TA arrives there
         feed.stopTimes[2] = StopTime("TB", 1, "Y", 1050, 1050)
         feed.stopTimes[3] = StopTime("TB", 2, "Z", 1150, 1150)
-        graph = build_graph(feed)
+        graph = build_graph(feed, date(2025, 6, 2))
         q = ItineraryQuery("X", "Z", graph.dayStart + 900, modes={"transit"})
         with pytest.raises(PlanError):
             plan(graph, q)
@@ -274,7 +274,7 @@ class TestOverlay:
         assert city_graph.tripStopTimes == before
 
     def test_non_causal_segment_is_unridable(self):
-        graph = build_graph(two_leg_feed())
+        graph = build_graph(two_leg_feed(), date(2025, 6, 2))
         # pull TB's last arrival before its own departure at Y
         overlay = apply_realtime(graph, {"tripUpdates": [
             {"tripId": "TB",
@@ -290,7 +290,7 @@ class TestAgainstEnumerator:
     def test_planner_matches_the_enumerator(self):
         for seed in range(60):
             rng = Lcg64(seed * 6151 + 17)
-            graph = build_graph(random_network(rng))
+            graph = build_graph(random_network(rng), date(2025, 6, 2))
             overlay = None
             if seed % 2:
                 overlay = apply_realtime(graph, random_trip_updates(rng, graph))
@@ -306,7 +306,7 @@ class TestAgainstEnumerator:
         checked = answered = transferred = 0
         for seed in range(3):
             rng = Lcg64(seed * 7001 + 29)
-            graph = build_graph(random_grid_network(rng))
+            graph = build_graph(random_grid_network(rng), date(2025, 6, 2))
             overlay = apply_realtime(graph, random_trip_updates(rng, graph))
             for _ in range(30):
                 kwargs = random_query(rng, graph, graph.dayStart)
@@ -348,7 +348,8 @@ class TestRoundBoundaries:
 
     def test_a_later_boarding_reaches_what_an_earlier_one_cannot(self):
         # A and B are 200 m apart (160 s on foot); C is far from both
-        graph = build_graph(self.line_feed((40.0, 40.0018, 40.05), (1000, 1300, 1600)))
+        graph = build_graph(self.line_feed((40.0, 40.0018, 40.05), (1000, 1300, 1600)),
+                            date(2025, 6, 2))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "delaySeconds": 600},
             {"stopSequence": 20, "arrivalOverride": graph.dayStart + 1100},
@@ -365,7 +366,8 @@ class TestRoundBoundaries:
     def test_boards_at_the_origin_rather_than_walking_back_a_stop(self):
         # the bus calls at A, then at B (the origin, 300 m on), then at C;
         # walking back to A in time to board there arrives at the same time
-        graph = build_graph(self.line_feed((40.0, 40.0027, 40.05), (1200, 1300, 1500)))
+        graph = build_graph(self.line_feed((40.0, 40.0027, 40.05), (1200, 1300, 1500)),
+                            date(2025, 6, 2))
         walk_back = dict(graph.footpaths["B"])["A"]
         assert 900 + walk_back <= 1200
         q = ItineraryQuery("B", "C", graph.dayStart + 900, modes={"transit"})
@@ -382,7 +384,8 @@ class TestScanWindow:
     def test_a_delay_makes_an_already_departed_trip_catchable(self):
         # no footpaths: the stops are kilometres apart
         line_feed = TestRoundBoundaries.line_feed
-        graph = build_graph(line_feed((40.0, 40.05, 40.10), (1000, 1300, 1600)))
+        graph = build_graph(line_feed((40.0, 40.05, 40.10), (1000, 1300, 1600)),
+                            date(2025, 6, 2))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "delaySeconds": 300}]}]})
         assert overlay.shift == (0, 300)
@@ -400,7 +403,8 @@ class TestScanWindow:
     def test_an_override_pulls_a_trip_ahead_of_the_walk(self):
         # A and B are 400 m apart, so the walk sets the bound of round 1
         line_feed = TestRoundBoundaries.line_feed
-        graph = build_graph(line_feed((40.0, 40.0036, 40.10), (1500, 1600, 1900)))
+        graph = build_graph(line_feed((40.0, 40.0036, 40.10), (1500, 1600, 1900)),
+                            date(2025, 6, 2))
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T", "stopTimeUpdates": [
             {"stopSequence": 10, "arrivalOverride": graph.dayStart + 1100}]}]})
         assert overlay.shift == (-400, 0)
@@ -543,7 +547,7 @@ class TestRouter:
 
     def test_plan_before_load_fails(self):
         with pytest.raises(PlanError):
-            Router().plan(query())
+            Router(date(2025, 6, 2)).plan(query())
 
     def test_load_url_from_file(self, city_feed, tmp_path):
         target = tmp_path / "city.zip"
@@ -564,42 +568,43 @@ class TestRouterServer:
         server.stop()
 
     def test_plan_endpoint(self, served):
-        _, docs = get_json(f"{served}/plan?fromStop=S1&toStop=S5"
-                           f"&departAfter={DAY + 28000}&n=2")
+        _, docs = request_json("GET", f"{served}/plan?fromStop=S1&toStop=S5"
+                                      f"&departAfter={DAY + 28000}&n=2")
         assert [d["legs"][0]["tripId"] for d in docs] == ["R1-T1", "R2-T1"]
 
     def test_plan_unreachable_is_404(self, served):
         with pytest.raises(HttpError) as err:
-            get_json(f"{served}/plan?fromStop=S1&toStop=S5&departAfter={DAY + 80000}")
+            request_json("GET", f"{served}/plan?fromStop=S1&toStop=S5&departAfter={DAY + 80000}")
         assert err.value.status == 404
 
     def test_plan_bad_query_is_400(self, served):
         with pytest.raises(HttpError) as err:
-            get_json(f"{served}/plan?fromStop=S1&toStop=S5&departAfter=noon")
+            request_json("GET", f"{served}/plan?fromStop=S1&toStop=S5&departAfter=noon")
         assert err.value.status == 400
         with pytest.raises(HttpError) as err:
-            get_json(f"{served}/plan?fromStop=S1&departAfter=0")
+            request_json("GET", f"{served}/plan?fromStop=S1&departAfter=0")
         assert err.value.status == 400
 
     def test_reload_endpoint_and_version(self, served, city_feed, tmp_path):
         target = tmp_path / "v2.zip"
         target.write_bytes(serialize_feed(city_feed))
-        _, doc = get_json(f"{served}/version")
+        _, doc = request_json("GET", f"{served}/version")
         before = doc["version"]
-        _, reply = post_json(f"{served}/graph/reload", {"url": str(target)})
+        _, reply = request_json("POST", f"{served}/graph/reload", {"url": str(target)})
         assert reply["version"] == before + 1
         bad = tmp_path / "bad.zip"
         bad.write_bytes(b"junk")
         with pytest.raises(HttpError):
-            post_json(f"{served}/graph/reload", {"url": str(bad)})
-        _, doc = get_json(f"{served}/version")
+            request_json("POST", f"{served}/graph/reload", {"url": str(bad)})
+        _, doc = request_json("GET", f"{served}/version")
         assert doc["version"] == before + 1
 
     def test_reload_body_must_be_an_object(self, served, city_feed, tmp_path):
         target = tmp_path / "v2.zip"
         target.write_bytes(serialize_feed(city_feed))
-        _, doc = get_json(f"{served}/version")
+        _, doc = request_json("GET", f"{served}/version")
         with pytest.raises(HttpError) as err:
-            post_json(f"{served}/graph/reload", str(target))  # a bare string is not {"url": ...}
+            # a bare string is not {"url": ...}
+            request_json("POST", f"{served}/graph/reload", str(target))
         assert (err.value.status, err.value.payload["error"]) == (400, "bad-request")
-        assert get_json(f"{served}/version")[1] == doc
+        assert request_json("GET", f"{served}/version")[1] == doc

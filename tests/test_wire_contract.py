@@ -11,6 +11,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from citykit.broker import ContextBroker
 from citykit.broker_http import BrokerServer
 from citykit.clock import SimulatedClock
 from citykit.estimator.ingest import ingest_historical
@@ -18,7 +19,7 @@ from citykit.estimator.models import TrainingConfig
 from citykit.estimator.scheduler import EstimatorScheduler
 from citykit.estimator.service import EstimatorServer
 from citykit.estimator.store import TimeSeriesStore
-from citykit.feedgen import default_fixture, generate_static_network
+from citykit.feedgen import CityFixture, generate_static_network
 from citykit.gtfs import ngsi_to_gtfs
 from citykit.gtfs_realtime import RtLoader, RtServer, TripResolver
 from citykit.httpd import HttpError, request_json
@@ -39,7 +40,7 @@ def _failure(method: str, url: str, body=None) -> tuple:
 
 @pytest.fixture(scope="module")
 def broker_url():
-    server = BrokerServer()
+    server = BrokerServer(ContextBroker())
     url = server.start()
     server.broker.upsert_entity(make_entity("s-1", "Sensor", level=3))
     yield url
@@ -97,15 +98,16 @@ def test_broker_failures(broker_url, method, path, body, status, kind):
 
 @pytest.fixture(scope="module")
 def feed():
-    return ngsi_to_gtfs(generate_static_network(default_fixture()))[0]
+    return ngsi_to_gtfs(generate_static_network(CityFixture()))[0]
 
 
 @pytest.fixture(scope="module")
-def router_url(tmp_path_factory, feed):
+def router_url(tmp_path_factory, feed, flipped_zip):
     router = Router(service_date=date(2025, 6, 2))
     router.load_feed(feed)
     folder = tmp_path_factory.mktemp("feeds")
     (folder / "junk.zip").write_bytes(b"junk")
+    (folder / "flipped.zip").write_bytes(flipped_zip)
     server = RouterServer(router)
     url = server.start()
     yield url, folder
@@ -125,6 +127,7 @@ def router_url(tmp_path_factory, feed):
     ("POST", "/graph/reload", {"file": "missing.zip"}, 502, "fetch-failed"),
     ("GET", f"/plan?fromStop=S1&toStop=S5&departAfter={DAY}&maxWalk=nan", None, 400, "bad-query"),
     ("GET", f"/plan?fromStop=S1&toStop=S5&departAfter={DAY}&maxWalk=-5", None, 400, "bad-query"),
+    ("POST", "/graph/reload", {"file": "flipped.zip"}, 400, "reload-failed"),
 ])
 def test_router_failures(router_url, method, path, body, status, kind):
     url, folder = router_url
