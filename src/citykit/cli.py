@@ -12,7 +12,7 @@ import logging
 import signal
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -216,7 +216,7 @@ def cmd_scenario(args) -> int:
         report = run_scenario_routing(RoutingScenarioConfig(fixture=_fixture(args)))
     else:
         report = run_scenario_estimation(EstimationScenarioConfig(fixture=_fixture(args)))
-    doc = report.to_doc()
+    doc = asdict(report)
     if args.report:
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")

@@ -132,6 +132,11 @@ class CityFixture:
         for kind, count in self.defectPlan.items():
             if count < 0:
                 raise FixtureError(f"defect count for {kind!r} must be >= 0")
+        if self.arrivalEmitIntervalSeconds <= 0:
+            raise FixtureError("arrivalEmitIntervalSeconds must be > 0")
+        for attr, spec in self.seriesSpecs.items():
+            if spec.samplingIntervalSeconds <= 0:
+                raise FixtureError(f"series {attr!r}: samplingIntervalSeconds must be > 0")
 
     def day_start(self) -> float:
         """Epoch of the service day's UTC midnight."""

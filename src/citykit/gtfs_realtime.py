@@ -19,6 +19,7 @@ broken by smallest tripId, then smallest stopSequence.
 """
 
 import logging
+import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -73,8 +74,9 @@ def arrival_estimations_to_gtfsrt(entities: Iterable[NgsiEntity], now: int,
     """One stop-time update per estimation: arrival = now + remainingTime.
 
     Entities that cannot be resolved to a trip (unknown line, no upcoming
-    call at the stop, missing attributes) are reported, never dropped
-    silently. Later entities override earlier ones on the same (trip, stop).
+    call at the stop, missing attributes, a remainingTime that is not a
+    finite number >= 0) are reported, never dropped silently. Later entities
+    override earlier ones on the same (trip, stop).
     """
     overrides: dict[tuple, int] = {}
     unresolved = []
@@ -86,7 +88,7 @@ def arrival_estimations_to_gtfsrt(entities: Iterable[NgsiEntity], now: int,
             unresolved.append({"entityId": entity.id,
                                "reason": "missing refStop/refLine"})
             continue
-        if not is_number(remaining) or remaining < 0:
+        if not is_number(remaining) or not 0 <= remaining < math.inf:
             unresolved.append({"entityId": entity.id,
                                "reason": f"bad remainingTime {remaining!r}"})
             continue

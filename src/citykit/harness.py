@@ -8,11 +8,12 @@ Two scenarios, each a fixed stage list so reports diff cleanly run to run:
   retrain/inference -> forecast quality versus the naive baseline ->
   write-back onto the source entities.
 
-A stage failure marks that stage and skips the rest, except a failed feed
-update in the routing scenario: the router must keep serving the old graph,
-so later stages still run and the overall outcome becomes "fail-safe" when
-they succeed. Everything runs in-process; no sockets beyond what a test
-explicitly opens.
+A scenario runs as a script: one generator runs its stages in order and
+yields each stage's pass detail. A stage that raises fails and skips the
+rest. The routing scenario's feed update is the one stage that yields its
+failure instead: the router must keep serving the old graph, so later stages
+still run and the overall outcome becomes "fail-safe" when they pass.
+Everything runs in-process; no sockets beyond what a test explicitly opens.
 """
 
 import os
@@ -21,7 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from citykit.broker import ContextBroker
 from citykit.clock import SimulatedClock
@@ -64,16 +65,16 @@ class StageFailure(Exception):
         self.detail = detail
 
 
+def _as_failure(exc: Exception) -> StageFailure:
+    return exc if isinstance(exc, StageFailure) else StageFailure(f"{type(exc).__name__}: {exc}")
+
+
 @dataclass
 class StageResult:
     name: str
     status: str  # pass | fail | skipped
     detail: object = None
     latencySeconds: float = 0.0
-
-    def to_doc(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail,
-                "latencySeconds": round(self.latencySeconds, 6)}
 
 
 @dataclass
@@ -83,44 +84,38 @@ class ScenarioReport:
     outcome: str = "fail"
     generatedAt: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.outcome in ("pass", "fail-safe")
-
     def stage(self, name: str) -> StageResult:
         for result in self.stages:
             if result.name == name:
                 return result
         raise KeyError(name)
 
-    def to_doc(self) -> dict:
-        return {"scenario": self.scenario, "outcome": self.outcome,
-                "generatedAt": self.generatedAt,
-                "stages": [s.to_doc() for s in self.stages]}
 
+def _run_stages(scenario: str, names: tuple, stages: Iterator) -> ScenarioReport:
+    """Pairs the details ``stages`` yields, in order, with ``names``.
 
-def _run_stages(scenario: str, steps: dict, keep_going: tuple = ()) -> ScenarioReport:
-    """steps: stage name -> fn returning the pass detail, in run order. A
-    failed stage skips the rest unless it is named in ``keep_going``."""
+    A yielded ``StageFailure`` fails its stage and the run goes on; if no
+    stage raises, the outcome is then "fail-safe". Once ``stages`` raises,
+    that stage fails and every later one is skipped.
+    """
     report = ScenarioReport(scenario=scenario, generatedAt=iso_utc(time.time()))
-    skipping = False
-    for name, fn in steps.items():
-        if skipping:
+    stopped = False
+    for name in names:
+        if stopped:
             report.stages.append(StageResult(name, "skipped"))
             continue
         t0 = time.perf_counter()
         try:
-            detail = fn()
-            status = "pass"
-        except StageFailure as exc:
-            detail, status = exc.detail, "fail"
+            detail = next(stages)
         except Exception as exc:
-            detail, status = f"{type(exc).__name__}: {exc}", "fail"
-        report.stages.append(
-            StageResult(name, status, detail, time.perf_counter() - t0))
-        if status == "fail" and name not in keep_going:
-            skipping = True
-    report.outcome = "fail" if any(s.status == "fail" for s in report.stages) else "pass"
+            detail, stopped = _as_failure(exc), True
+        latency = round(time.perf_counter() - t0, 6)
+        if isinstance(detail, StageFailure):
+            report.stages.append(StageResult(name, "fail", detail.detail, latency))
+        else:
+            report.stages.append(StageResult(name, "pass", detail, latency))
+    failed = any(s.status == "fail" for s in report.stages)
+    report.outcome = "fail" if stopped else "fail-safe" if failed else "pass"
     return report
 
 
@@ -141,56 +136,52 @@ DELAY_SECONDS = 600
 
 def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> ScenarioReport:
     cfg = config or RoutingScenarioConfig()
-    fixture = cfg.fixture
-    day_start = fixture.day_start()
-    service_date = parse_service_date(fixture.serviceDate)
+    day_start = cfg.fixture.day_start()
     work_dir = Path(tempfile.mkdtemp(prefix="scenario-"))
-    registry = bundled_registry()
     broker = ContextBroker(clock=SimulatedClock(day_start))
-    router = Router(service_date=service_date)
-    zip_path = work_dir / "feed.zip"
-    shared: dict = {}
+    try:
+        return _run_stages("routing", ROUTING_STAGES,
+                           _routing(cfg, day_start, broker, work_dir / "feed.zip"))
+    finally:
+        broker.close()
+        shutil.rmtree(work_dir, ignore_errors=True)
 
-    def generate_city():
-        shared["network"] = generate_static_network(fixture)
-        bad = [e.id for e in shared["network"] if not validate_entity(e, registry).valid]
-        if bad:
-            raise StageFailure({"invalidEntities": bad})
-        return {"entities": len(shared["network"])}
 
-    def publish_entities():
-        for entity in shared["network"]:
-            broker.upsert_entity(entity)
-        return {"published": len(shared["network"])}
+def _routing(cfg: RoutingScenarioConfig, day_start: float, broker: ContextBroker,
+             zip_path: Path) -> Iterator:
+    fixture = cfg.fixture
+    network = generate_static_network(fixture)
+    registry = bundled_registry()
+    bad = [e.id for e in network if not validate_entity(e, registry).valid]
+    if bad:
+        raise StageFailure({"invalidEntities": bad})
+    yield {"entities": len(network)}
 
-    def build_feed():
-        entities = broker.query_entities()
-        feed, zip_bytes = ngsi_to_gtfs(entities)
-        shared["feed"] = feed
-        zip_path.write_bytes(zip_bytes)
-        pointer = publish_feed_entity(str(zip_path), broker, feed_id="feed-city")
-        return {"trips": len(feed.trips), "stopTimes": len(feed.stopTimes),
-                "zipBytes": len(zip_bytes), "pointer": pointer.id}
+    for entity in network:
+        broker.upsert_entity(entity)
+    yield {"published": len(network)}
 
-    def fetch_feed():
-        fetcher = GtfsFetcher(router)
-        shared["fetcher"] = fetcher
-        applied = fetcher.poll(broker)
-        if applied != 1 or router.graph is None:
-            raise StageFailure({"applied": applied, "events": fetcher.events})
-        return {"applied": applied, "graphVersion": router.version}
+    feed, zip_bytes = ngsi_to_gtfs(broker.query_entities())
+    zip_path.write_bytes(zip_bytes)
+    pointer = publish_feed_entity(str(zip_path), broker, feed_id="feed-city")
+    yield {"trips": len(feed.trips), "stopTimes": len(feed.stopTimes),
+           "zipBytes": len(zip_bytes), "pointer": pointer.id}
 
-    def plan_static():
-        query = ItineraryQuery(ORIGIN, DESTINATION,
-                               departAfter=int(day_start + fixture.serviceStartSeconds - 60))
-        shared["query"] = query
-        itineraries = router.plan(query)
-        shared["staticArrival"] = itineraries[0].arrival
-        return {"itineraries": [i.to_doc() for i in itineraries],
-                "bestArrival": itineraries[0].arrival}
+    router = Router(service_date=parse_service_date(fixture.serviceDate))
+    fetcher = GtfsFetcher(router)
+    applied = fetcher.poll(broker)
+    if applied != 1 or router.graph is None:
+        raise StageFailure({"applied": applied, "events": fetcher.events})
+    yield {"applied": applied, "graphVersion": router.version}
 
-    def update_feed():
-        before = router.version
+    query = ItineraryQuery(ORIGIN, DESTINATION,
+                           departAfter=int(day_start + fixture.serviceStartSeconds - 60))
+    itineraries = router.plan(query)
+    static_arrival = itineraries[0].arrival
+    yield {"itineraries": [i.to_doc() for i in itineraries], "bestArrival": static_arrival}
+
+    before = router.version
+    try:
         if cfg.corruptUpdate:
             zip_path.write_bytes(b"\x00not a zip archive\x00")
         else:
@@ -199,71 +190,47 @@ def run_scenario_routing(config: Optional[RoutingScenarioConfig] = None) -> Scen
         # force a visibly newer pointer even on coarse filesystem clocks
         os.utime(zip_path, (stat.st_atime, stat.st_mtime + 2))
         publish_feed_entity(str(zip_path), broker, feed_id="feed-city")
-        shared["fetcher"].poll(broker)
-        outcome = shared["fetcher"].events[-1]["outcome"]
-        detail = {"outcome": outcome, "graphVersion": router.version}
+        fetcher.poll(broker)
+        outcome = fetcher.events[-1]["outcome"]
+        update = {"outcome": outcome, "graphVersion": router.version}
         if cfg.corruptUpdate:
-            detail["note"] = f"feed rejected; graph v{before} retained"
-            raise StageFailure(detail)
-        if outcome != "reloaded" or router.version != before + 1:
-            raise StageFailure(detail)
-        return detail
+            update["note"] = f"feed rejected; graph v{before} retained"
+        if cfg.corruptUpdate or outcome != "reloaded" or router.version != before + 1:
+            update = StageFailure(update)
+    except Exception as exc:
+        update = _as_failure(exc)
+    yield update  # a failed update leaves the old graph serving, so go on
 
-    def commit_arrivals():
-        stream_fixture = replace(fixture, tripDelays={DELAYED_TRIP: DELAY_SECONDS})
-        generator = StreamGenerator(stream_fixture)
-        shared["generator"] = generator
-        interval = fixture.arrivalEmitIntervalSeconds
-        offset = ((fixture.serviceStartSeconds - interval) // interval) * interval
-        now = day_start + offset
-        shared["rtNow"] = now
-        events = [e for e in generator.arrival_events(offset) if e.t == now]
-        for event in events:
-            broker.upsert_entity(NgsiEntity(event.entityId, event.entityType,
-                                            dict(event.attributes)))
-        if not events:
-            raise StageFailure({"committed": 0, "emitTime": now})
-        return {"committed": len(events), "emitTime": now,
-                "groundTruth": generator.ground_truth()}
+    stream = StreamGenerator(replace(fixture, tripDelays={DELAYED_TRIP: DELAY_SECONDS}))
+    interval = fixture.arrivalEmitIntervalSeconds
+    offset = ((fixture.serviceStartSeconds - interval) // interval) * interval
+    now = day_start + offset
+    events = [e for e in stream.arrival_events(offset) if e.t == now]
+    for event in events:
+        broker.upsert_entity(NgsiEntity(event.entityId, event.entityType,
+                                        dict(event.attributes)))
+    if not events:
+        raise StageFailure({"committed": 0, "emitTime": now})
+    yield {"committed": len(events), "emitTime": now, "groundTruth": stream.ground_truth()}
 
-    def build_rt():
-        estimations = broker.query_entities(typeFilter="ArrivalEstimation")
-        resolver = TripResolver(shared["feed"], int(day_start))
-        result = arrival_estimations_to_gtfsrt(estimations, int(shared["rtNow"]),
-                                               resolver)
-        if result.unresolved:
-            raise StageFailure({"unresolved": result.unresolved})
-        shared["rtFeed"] = result.feed
-        return {"tripUpdates": len(result.feed["tripUpdates"]),
-                "estimations": len(estimations)}
+    estimations = broker.query_entities(typeFilter="ArrivalEstimation")
+    result = arrival_estimations_to_gtfsrt(estimations, int(now),
+                                           TripResolver(feed, int(day_start)))
+    if result.unresolved:
+        raise StageFailure({"unresolved": result.unresolved})
+    yield {"tripUpdates": len(result.feed["tripUpdates"]), "estimations": len(estimations)}
 
-    def apply_rt():
-        overlay = router.set_realtime(shared["rtFeed"])
-        return {"effectiveTrips": len(overlay.effective),
-                "unknownTrips": overlay.unknownTrips}
+    overlay = router.set_realtime(result.feed)
+    yield {"effectiveTrips": len(overlay.effective), "unknownTrips": overlay.unknownTrips}
 
-    def plan_realtime():
-        itineraries = router.plan(shared["query"])
-        best = itineraries[0].arrival
-        detail = {"itineraries": [i.to_doc() for i in itineraries],
-                  "bestArrival": best, "graphVersion": router.version,
-                  "arrivalShiftSeconds": best - shared["staticArrival"]}
-        if cfg.corruptUpdate:
-            detail["note"] = f"served stale graph v{router.version}"
-        return detail
-
-    steps = dict(zip(ROUTING_STAGES, (
-        generate_city, publish_entities, build_feed, fetch_feed, plan_static,
-        update_feed, commit_arrivals, build_rt, apply_rt, plan_realtime), strict=True))
-    try:
-        report = _run_stages("routing", steps, keep_going=("update-feed",))
-        # every later stage passed on the old graph, so the router failed safe
-        if [s.name for s in report.stages if s.status == "fail"] == ["update-feed"]:
-            report.outcome = "fail-safe"
-        return report
-    finally:
-        broker.close()
-        shutil.rmtree(work_dir, ignore_errors=True)
+    itineraries = router.plan(query)
+    best = itineraries[0].arrival
+    detail = {"itineraries": [i.to_doc() for i in itineraries],
+              "bestArrival": best, "graphVersion": router.version,
+              "arrivalShiftSeconds": best - static_arrival}
+    if cfg.corruptUpdate:
+        detail["note"] = f"served stale graph v{router.version}"
+    yield detail
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +245,7 @@ class EstimationScenarioConfig:
 
 LIVE_DAYS = 1
 PARKING_NOISE_STD = 2.0
+PARKING_KEY = ("parking-1", "availableSpotNumber")
 
 
 def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -> ScenarioReport:
@@ -286,126 +254,107 @@ def run_scenario_estimation(config: Optional[EstimationScenarioConfig] = None) -
     specs["availableSpotNumber"] = replace(specs["availableSpotNumber"],
                                            noiseStd=PARKING_NOISE_STD)
     fixture = replace(cfg.fixture, seriesSpecs=specs)
-    tcfg = TrainingConfig()
     day_start = fixture.day_start()
-    live_end = day_start + LIVE_DAYS * 86400
     clock = SimulatedClock(day_start)
     broker = ContextBroker(clock=clock)
-    store = TimeSeriesStore()
-    shared: dict = {}
-    parking_key = ("parking-1", "availableSpotNumber")
-
-    def generate_city():
-        shared["sites"] = generate_service_entities(fixture, t0=day_start)
-        return {"entities": len(shared["sites"])}
-
-    def publish_entities():
-        for entity in shared["sites"]:
-            broker.upsert_entity(entity)
-        return {"published": len(shared["sites"])}
-
-    def backfill():
-        # noise sites get no history on purpose: they demo the sample gate
-        generator = StreamGenerator(fixture,
-                                    t0=day_start - cfg.backfillDays * 86400)
-        records = []
-        for event in generator.series_events(cfg.backfillDays * 86400):
-            if event.entityType == "NoiseLevelObserved":
-                continue
-            attr = next(k for k in event.attributes if k != "dateObserved")
-            records.append({"entityId": event.entityId, "attr": attr,
-                            "t": event.t, "value": event.attributes[attr].value})
-        stats = ingest_historical(store, records)
-        return {"appended": stats.appended,
-                "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in store.keys()}}
-
-    def start_scheduler():
-        scheduler = EstimatorScheduler(store, tcfg, clock=clock,
-                                       on_prediction=lambda p: writeback(p, broker))
-        shared["scheduler"] = scheduler
-        scheduler.start(day_start)
-        missing = [k for k in store.keys()
-                   if store.length(*k) >= tcfg.minSamples and k not in scheduler.models]
-        if missing:
-            raise StageFailure({"expectedModels": [f"{a}/{b}" for a, b in missing]})
-        return {"initialFits": scheduler.initial_fits,
-                "models": sorted(f"{a}/{b}" for a, b in scheduler.models)}
-
-    def live_stream():
-        ingest_subscription(store, broker, dict(PROFILES.values()), clock)
-        scheduler = shared["scheduler"]
-        generator = StreamGenerator(fixture, t0=day_start)
-        events = generator.series_events(LIVE_DAYS * 86400)
-        for event in events:
-            if event.t > clock.now():
-                clock.set(event.t)
-            broker.update_attributes(event.entityId, dict(event.attributes))
-            scheduler.advance(event.t)
-        clock.set(live_end)
-        scheduler.advance(live_end)
-        return {"events": len(events),
-                "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in store.keys()}}
-
-    def train_gate():
-        scheduler = shared["scheduler"]
-        rows = {}
-        for key in store.keys():
-            count = store.length(*key)
-            has_model = key in scheduler.models
-            row = {"samples": count, "model": has_model}
-            if count < tcfg.minSamples:
-                row["note"] = f"skipped: below minSamples ({count} < {tcfg.minSamples})"
-            rows[f"{key[0]}/{key[1]}"] = row
-            if (count >= tcfg.minSamples) != has_model:
-                raise StageFailure({"gateViolation": f"{key[0]}/{key[1]}", "series": rows})
-        return {"series": rows}
-
-    def invocation_counts():
-        scheduler = shared["scheduler"]
-        expected_infers = LIVE_DAYS * 86400 // tcfg.inferencePeriodSeconds
-        expected_trains = LIVE_DAYS * 86400 // tcfg.retrainPeriodSeconds
-        detail = {"expectedInfersPerSeries": expected_infers,
-                  "expectedTrainsPerSeries": expected_trains,
-                  "infers": {f"{a}/{b}": n for (a, b), n in sorted(scheduler.infers_by_key.items())},
-                  "trains": {f"{a}/{b}": n for (a, b), n in sorted(scheduler.trains_by_key.items())}}
-        for key in scheduler.models:
-            if scheduler.infers_by_key.get(key) != expected_infers \
-                    or scheduler.trains_by_key.get(key) != expected_trains:
-                raise StageFailure(detail)
-        return detail
-
-    def forecast_quality():
-        scheduler = shared["scheduler"]
-        model = scheduler.models.get(parking_key)
-        if model is None:
-            raise StageFailure({"error": "no parking model"})
-        naive = train(store, parking_key[0], parking_key[1],
-                      replace(tcfg, algorithm="seasonal-naive"), live_end)
-        detail = {"testError": model.testError,
-                  "naiveTestError": naive.testError if naive else None,
-                  "threshold": cfg.rmseThreshold}
-        if model.testError > cfg.rmseThreshold:
-            raise StageFailure(detail)
-        if naive is not None and model.testError > naive.testError:
-            raise StageFailure(detail)
-        return detail
-
-    def check_writeback():
-        entity = broker.get_entity(parking_key[0])
-        name = parking_key[1] + "Forecast"
-        if name not in entity.attributes:
-            raise StageFailure({"missingAttribute": name})
-        attr = entity.attributes[name]
-        for meta in ("horizonStart", "horizonEnd", "issuedAt"):
-            if meta not in attr.metadata:
-                raise StageFailure({"missingMetadata": meta})
-        return {"attribute": name, "value": attr.value, "metadata": attr.metadata,
-                "predictions": sum(shared["scheduler"].infers_by_key.values())}
-
-    steps = dict(zip(ESTIMATION_STAGES, (
-        generate_city, publish_entities, backfill, start_scheduler, live_stream,
-        train_gate, invocation_counts, forecast_quality, check_writeback), strict=True))
     try:
-        return _run_stages("estimation", steps)
+        return _run_stages("estimation", ESTIMATION_STAGES,
+                           _estimation(cfg, fixture, day_start, clock, broker))
     finally:
         broker.close()
+
+
+def _estimation(cfg: EstimationScenarioConfig, fixture: CityFixture, day_start: float,
+                clock: SimulatedClock, broker: ContextBroker) -> Iterator:
+    tcfg = TrainingConfig()
+    live_end = day_start + LIVE_DAYS * 86400
+    store = TimeSeriesStore()
+
+    sites = generate_service_entities(fixture, t0=day_start)
+    yield {"entities": len(sites)}
+
+    for entity in sites:
+        broker.upsert_entity(entity)
+    yield {"published": len(sites)}
+
+    # noise sites get no history on purpose: they demo the sample gate
+    history = StreamGenerator(fixture, t0=day_start - cfg.backfillDays * 86400)
+    records = []
+    for event in history.series_events(cfg.backfillDays * 86400):
+        if event.entityType == "NoiseLevelObserved":
+            continue
+        attr = next(k for k in event.attributes if k != "dateObserved")
+        records.append({"entityId": event.entityId, "attr": attr,
+                        "t": event.t, "value": event.attributes[attr].value})
+    stats = ingest_historical(store, records)
+    yield {"appended": stats.appended,
+           "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in store.keys()}}
+
+    scheduler = EstimatorScheduler(store, tcfg, clock=clock,
+                                   on_prediction=lambda p: writeback(p, broker))
+    scheduler.start(day_start)
+    missing = [k for k in store.keys()
+               if store.length(*k) >= tcfg.minSamples and k not in scheduler.models]
+    if missing:
+        raise StageFailure({"expectedModels": [f"{a}/{b}" for a, b in missing]})
+    yield {"initialFits": scheduler.initial_fits,
+           "models": sorted(f"{a}/{b}" for a, b in scheduler.models)}
+
+    ingest_subscription(store, broker, dict(PROFILES.values()), clock)
+    events = StreamGenerator(fixture, t0=day_start).series_events(LIVE_DAYS * 86400)
+    for event in events:
+        if event.t > clock.now():
+            clock.set(event.t)
+        broker.update_attributes(event.entityId, dict(event.attributes))
+        scheduler.advance(event.t)
+    clock.set(live_end)
+    scheduler.advance(live_end)
+    yield {"events": len(events),
+           "series": {f"{k[0]}/{k[1]}": store.length(*k) for k in store.keys()}}
+
+    rows = {}
+    for key in store.keys():
+        count = store.length(*key)
+        has_model = key in scheduler.models
+        row = {"samples": count, "model": has_model}
+        if count < tcfg.minSamples:
+            row["note"] = f"skipped: below minSamples ({count} < {tcfg.minSamples})"
+        rows[f"{key[0]}/{key[1]}"] = row
+        if (count >= tcfg.minSamples) != has_model:
+            raise StageFailure({"gateViolation": f"{key[0]}/{key[1]}", "series": rows})
+    yield {"series": rows}
+
+    expected_infers = LIVE_DAYS * 86400 // tcfg.inferencePeriodSeconds
+    expected_trains = LIVE_DAYS * 86400 // tcfg.retrainPeriodSeconds
+    counts = {"expectedInfersPerSeries": expected_infers,
+              "expectedTrainsPerSeries": expected_trains,
+              "infers": {f"{a}/{b}": n for (a, b), n in sorted(scheduler.infers_by_key.items())},
+              "trains": {f"{a}/{b}": n for (a, b), n in sorted(scheduler.trains_by_key.items())}}
+    for key in scheduler.models:
+        if scheduler.infers_by_key.get(key) != expected_infers \
+                or scheduler.trains_by_key.get(key) != expected_trains:
+            raise StageFailure(counts)
+    yield counts
+
+    model = scheduler.models.get(PARKING_KEY)
+    if model is None:
+        raise StageFailure({"error": "no parking model"})
+    naive = train(store, *PARKING_KEY, replace(tcfg, algorithm="seasonal-naive"), live_end)
+    quality = {"testError": model.testError,
+               "naiveTestError": naive.testError if naive else None,
+               "threshold": cfg.rmseThreshold}
+    if model.testError > cfg.rmseThreshold:
+        raise StageFailure(quality)
+    if naive is not None and model.testError > naive.testError:
+        raise StageFailure(quality)
+    yield quality
+
+    name = PARKING_KEY[1] + "Forecast"
+    attr = broker.get_entity(PARKING_KEY[0]).attributes.get(name)
+    if attr is None:
+        raise StageFailure({"missingAttribute": name})
+    for meta in ("horizonStart", "horizonEnd", "issuedAt"):
+        if meta not in attr.metadata:
+            raise StageFailure({"missingMetadata": meta})
+    yield {"attribute": name, "value": attr.value, "metadata": attr.metadata,
+           "predictions": sum(scheduler.infers_by_key.values())}

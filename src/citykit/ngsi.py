@@ -235,7 +235,11 @@ def iso_utc(ts: float) -> str:
 
 
 def parse_iso(text: str) -> float:
-    """ISO-8601 timestamp to seconds since the epoch; bare stamps read as UTC."""
+    """ISO-8601 timestamp to seconds since the epoch; bare stamps read as UTC.
+
+    ``ISO_RE`` checks the syntax only: a field out of its range (month 13,
+    hour 24, second 99, offset +24:00) raises ``NgsiError`` here.
+    """
     m = ISO_RE.match(text.strip())
     if not m:
         raise NgsiError(f"not an ISO-8601 timestamp: {text!r}")
@@ -245,16 +249,21 @@ def parse_iso(text: str) -> float:
         whole, _, fracpart = seconds_text.partition(".")
         frac = float("0." + fracpart)
         seconds_text = whole
-    dt = datetime(
-        int(m.group("y")), int(m.group("m")), int(m.group("d")),
-        int(m.group("H")), int(m.group("M")), int(seconds_text),
-        tzinfo=timezone.utc,
-    )
+    try:
+        dt = datetime(
+            int(m.group("y")), int(m.group("m")), int(m.group("d")),
+            int(m.group("H")), int(m.group("M")), int(seconds_text),
+            tzinfo=timezone.utc,
+        )
+    except ValueError as exc:
+        raise NgsiError(f"not a calendar timestamp: {text!r} ({exc})") from None
     ts = dt.timestamp() + frac
     tz = m.group("tz")
     if tz and tz != "Z":
         sign = 1 if tz[0] == "+" else -1
         hh = int(tz[1:3])
         mm = int(tz[-2:])
+        if hh > 23 or mm > 59:
+            raise NgsiError(f"not a UTC offset: {text!r}")
         ts -= sign * (hh * 3600 + mm * 60)
     return ts

@@ -467,6 +467,10 @@ class TestServiceErrors:
         ("stopCount = 1", "two stops"),
         ("defect.wrong-type = 99", "wrong-type"),
         ("defect.typo = 1", "typo"),
+        ("arrivalEmitIntervalSeconds = 0", "arrivalEmitIntervalSeconds"),
+        ("arrivalEmitIntervalSeconds = -300", "arrivalEmitIntervalSeconds"),
+        ("series.LAeq.samplingIntervalSeconds = 0", "samplingIntervalSeconds"),
+        ("series.LAeq.samplingIntervalSeconds = -900", "samplingIntervalSeconds"),
     ])
     def test_a_fixture_file_that_builds_no_city(self, tmp_path, capsys, text, detail):
         fixture = tmp_path / "city.txt"

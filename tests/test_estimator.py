@@ -573,6 +573,27 @@ class TestIngest:
             value="Main St", valueType="Text")})
         assert store.length("p-1", "availableSpotNumber") == 2
 
+    def test_an_impossible_date_falls_back_to_the_clock(self, broker, monkeypatch):
+        subscriptions = []
+        subscribe = broker.subscribe
+        monkeypatch.setattr(broker, "subscribe",
+                            lambda sub: subscriptions.append(sub) or subscribe(sub))
+        store = TimeSeriesStore()
+        ingest_subscription(store, broker, {"OnStreetParking": "availableSpotNumber"},
+                            clock=SimulatedClock(DAY))
+        # the commit check is syntactic, so the broker stores month 13
+        for spots in range(4):
+            broker.upsert_entity(make_entity("p-bad", "OnStreetParking",
+                                             availableSpotNumber=spots,
+                                             dateObserved="2025-13-01T00:00:00Z"))
+        broker.upsert_entity(make_entity("p-good", "OnStreetParking", availableSpotNumber=7,
+                                         dateObserved="2025-06-02T00:15:00Z"))
+        assert [sub.status for sub in subscriptions] == ["active"]
+        assert [(s.t, s.value) for s in store.get("p-bad", "availableSpotNumber")] == [
+            (DAY, 3.0)]
+        assert [(s.t, s.value) for s in store.get("p-good", "availableSpotNumber")] == [
+            (DAY + 900, 7.0)]
+
 
 class TestConfig:
     def test_parse_text_types_and_comments(self):

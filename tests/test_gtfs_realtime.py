@@ -95,6 +95,17 @@ class TestFeedBuild:
         assert result.feed["tripUpdates"] == []
         assert sorted(u["entityId"] for u in result.unresolved) == ["a1", "a2", "a3"]
 
+    def test_a_non_finite_countdown_is_reported(self, resolver):
+        now = DAY + 29000
+        result = arrival_estimations_to_gtfsrt(
+            [arrival("a1", "S5", "R1", float("inf")), arrival("a2", "S3", "R1", 130),
+             arrival("a3", "S5", "R2", float("nan"))], now, resolver)
+        (tu,) = result.feed["tripUpdates"]
+        assert [stu["stopId"] for stu in tu["stopTimeUpdates"]] == ["S3"]
+        assert tu["stopTimeUpdates"][0]["arrivalOverride"] == now + 130
+        assert [(u["entityId"], u["reason"]) for u in result.unresolved] == [
+            ("a1", "bad remainingTime inf"), ("a3", "bad remainingTime nan")]
+
 
 class TestRtLoader:
     def make_loader(self, broker, resolver, t0=DAY + 28900):

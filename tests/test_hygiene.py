@@ -21,10 +21,19 @@
   (``from m import f as g``).
 - ``tests/oracles.py`` imports from ``citykit`` only inputs and data types,
   never code that computes an answer it checks.
+- every top-level module imported under ``tests/`` and ``perfbench/tests/``
+  is in the standard library, is ``citykit`` or a module of the test and
+  benchmark directories, or is declared in ``pyproject.toml``'s
+  ``dependencies`` or ``test`` extra, so ``pip install .[test]`` can run the
+  suite.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "citykit"
@@ -199,3 +208,31 @@ def test_oracles_import_only_inputs_and_data_types_from_citykit():
                if module and module.split(".")[0] == "citykit"
                and name not in ORACLE_INPUTS.get(module, ())]
     assert foreign == []
+
+
+def imported_top_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports anywhere in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_test_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    test_dirs = [ROOT / "tests", ROOT / "perfbench" / "tests"]
+    local = {"citykit"} | {path.stem for folder in test_dirs + [ROOT / "perfbench"]
+                           for path in folder.glob("*.py")}
+    undeclared = sorted(f"{path.relative_to(ROOT)}: {name}"
+                        for folder in test_dirs for path in sorted(folder.glob("*.py"))
+                        for name in imported_top_modules(path)
+                        if name not in sys.stdlib_module_names | local | declared)
+    assert undeclared == []

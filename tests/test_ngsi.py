@@ -144,5 +144,8 @@ def test_parse_iso_accepts_offsets_and_fractions():
     base = parse_iso("2025-06-02T08:00:00Z")
     assert parse_iso("2025-06-02T10:00:00+02:00") == base
     assert parse_iso("2025-06-02T08:00:00.250Z") == base + 0.25
-    with pytest.raises(NgsiError):
-        parse_iso("not a stamp")
+    for text in ("not a stamp", "2025-13-01T00:00:00Z", "2025-06-02T24:00:00Z",
+                 "2025-06-02T08:00:99Z", "2025-02-30T08:00:00Z",
+                 "2025-06-02T08:00:00+24:00", "2025-06-02T08:00:00+01:60"):
+        with pytest.raises(NgsiError):
+            parse_iso(text)
