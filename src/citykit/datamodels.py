@@ -29,7 +29,9 @@ from citykit.ngsi import (
     TEXT,
     KindError,
     NgsiEntity,
+    NgsiError,
     is_number,
+    parse_iso,
 )
 from citykit.textio import read_json
 
@@ -158,8 +160,14 @@ def _type_ok(expected: str, value) -> bool:
         return is_number(value)
     if expected == TEXT:
         return isinstance(value, str)
-    if expected == DATETIME:
-        return isinstance(value, str) and bool(ISO_RE.match(value))
+    if expected == DATETIME:  # a calendar timestamp, not only its syntax
+        if not (isinstance(value, str) and ISO_RE.match(value)):
+            return False
+        try:
+            parse_iso(value)
+        except NgsiError:
+            return False
+        return True
     if expected == BOOLEAN:
         return isinstance(value, bool)
     if expected == REFERENCE:

@@ -73,6 +73,24 @@ def test_wrong_type_on_mismatched_tag(registry):
     assert kinds(validate_entity(entity, registry)) == ["wrong-type"]
 
 
+@pytest.mark.parametrize("stamp, valid", [
+    ("2025-06-02T08:30:00Z", True),
+    ("2025-06-02T08:30:00.25+02:00", True),
+    ("2025-13-01T00:00:00Z", False),  # month 13
+    ("2025-02-30T00:00:00Z", False),  # no such day
+    ("2025-06-02T24:00:00Z", False),  # hour 24
+    ("2025-06-02T08:30:00+24:00", False),  # no such offset
+    ("2025-06-02", False),  # not a timestamp at all
+])
+def test_a_datetime_is_a_calendar_timestamp(stamp, valid):
+    schema = DataModelSchema.from_doc({
+        "entityType": "Reading", "requiredAttributes": [],
+        "attributeRules": {"dateObserved": {"expectedValueType": "DateTime"}}})
+    entity = make_entity("r-1", "Reading", dateObserved=Attribute(stamp, "DateTime"))
+    report = validate_entity(entity, {"Reading": schema})
+    assert kinds(report) == ([] if valid else ["wrong-type"])
+
+
 def test_out_of_range_low_and_high(registry):
     assert kinds(validate_entity(parking(availableSpotNumber=-1), registry)) \
         == ["out-of-range"]

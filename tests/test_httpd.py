@@ -1,14 +1,19 @@
-"""The HTTP transport: keep-alive client connections, and the bounds of the server."""
+"""The HTTP transport: keep-alive client connections, the reply shapes the
+client reads, and the server's request parser and bounds."""
 
 import gc
 import http.client
+import json
 import select
 import socket
+import string
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citykit import httpd
 from citykit.broker import ContextBroker
@@ -117,6 +122,13 @@ def test_unknown_scheme_is_refused():
         request_json("GET", "ftp://127.0.0.1/echo")
 
 
+@pytest.mark.parametrize("path", ["/echo x", "/echo\r\nX-Injected: 1", "/echo\x00"])
+def test_a_target_with_spaces_or_controls_is_refused_unsent(echo, connects, path):
+    with pytest.raises(http.client.InvalidURL):
+        request_json("POST", echo.url(path), body={})
+    assert (echo.seen, connects) == ([], [])
+
+
 def test_error_replies_keep_the_connection(echo, connects):
     def talk():
         with pytest.raises(httpd.HttpError) as err:
@@ -179,16 +191,24 @@ def test_pool_holds_at_most_its_cap_and_drops_dead_connections_first():
             server.stop()
 
 
-# -- client: the retry rule -----------------------------------------------------
+# -- client: foreign reply shapes -------------------------------------------------
 
-class DropFirstServer:
-    """Raw-socket server: reads each request; drops the first without a reply
-    and answers every later one with 200 {"ok": true}."""
+OK_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 12\r\n\r\n{\"ok\": true}")
 
-    def __init__(self):
+
+class StubServer:
+    """Raw-socket server, one connection at a time: reads each request and
+    answers it with ``reply``, closing the connection after the reply when
+    ``close``; with ``drop_first`` it closes at the first request without a
+    reply. Counts the connections it accepts."""
+
+    def __init__(self, reply: bytes = OK_REPLY, close: bool = False, drop_first: bool = False):
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
+        self.reply, self.close_after, self.drop_first = reply, close, drop_first
         self.requests = []
+        self.connections = 0
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
@@ -198,12 +218,9 @@ class DropFirstServer:
                 conn, _ = self.listener.accept()
             except OSError:
                 return
-            with conn:
-                fh = conn.makefile("rb")
-                while True:
-                    line = fh.readline()
-                    if not line:
-                        break
+            self.connections += 1
+            with conn, conn.makefile("rb") as fh:
+                while line := fh.readline():
                     length = 0
                     while (header := fh.readline()) not in (b"\r\n", b""):
                         name, _, value = header.partition(b":")
@@ -211,11 +228,11 @@ class DropFirstServer:
                             length = int(value)
                     fh.read(length)
                     self.requests.append(line.split()[0].decode())
-                    if len(self.requests) == 1:
+                    if self.drop_first and len(self.requests) == 1:
                         break  # close without replying
-                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                                 b"Content-Length: 12\r\n\r\n{\"ok\": true}")
-                fh.close()
+                    conn.sendall(self.reply)
+                    if self.close_after:
+                        break
 
     def url(self, path):
         return f"http://127.0.0.1:{self.port}{path}"
@@ -224,9 +241,52 @@ class DropFirstServer:
         self.listener.close()
 
 
+@pytest.mark.parametrize("reply, close, connections", [
+    # 204 has no body, whatever its head says
+    (b"HTTP/1.1 204 No Content\r\n\r\n", False, 1),
+    # chunked, with a chunk extension and a trailer; the connection is kept
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"5\r\n{\"ok\"\r\n7;ext=1\r\n: true}\r\n0\r\nX-Trailer: 1\r\n\r\n", False, 1),
+    # a 100 Continue before the final reply
+    (b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY, False, 1),
+    # delimited by the close of the connection
+    (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"ok\": true}", True, 2),
+    # HTTP/1.0 closes unless it says keep-alive, even when the server leaves it open
+    (OK_REPLY.replace(b"HTTP/1.1", b"HTTP/1.0"), False, 2),
+    (OK_REPLY.replace(b"HTTP/1.1", b"HTTP/1.0").replace(b"\r\n\r\n",
+                                                       b"\r\nConnection: keep-alive\r\n\r\n"),
+     False, 1),
+    # Connection: close, even when the server leaves it open
+    (OK_REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), False, 2),
+])
+def test_foreign_reply_shapes_are_read(reply, close, connections):
+    server = StubServer(reply, close=close)
+    try:
+        expected = (204, None) if b" 204 " in reply else (200, {"ok": True})
+        assert _in_thread(lambda: [request_json("GET", server.url("/x"), timeout=3.0)
+                                   for _ in range(2)]) == [expected] * 2
+        assert server.connections == connections
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("method, sent", [("POST", ["POST"]), ("GET", ["GET", "GET"])])
+def test_a_reply_with_a_bad_content_length_is_an_http_exception(method, sent):
+    server = StubServer(OK_REPLY.replace(b"Content-Length: 12", b"Content-Length: twelve"),
+                        close=True)
+    try:
+        with pytest.raises(http.client.HTTPException):
+            _in_thread(lambda: request_json(method, server.url("/x"), body={}, timeout=3.0))
+        assert server.requests == sent  # the retry rule holds for it
+    finally:
+        server.close()
+
+
+# -- client: the retry rule -----------------------------------------------------
+
 @pytest.fixture
 def drop_first():
-    server = DropFirstServer()
+    server = StubServer(drop_first=True)
     yield server
     server.close()
 
@@ -323,6 +383,100 @@ def test_stalled_request_is_closed(short_idle, sent):
         assert server.seen == []
     finally:
         server.stop()
+
+
+def _raw_reply(fh) -> tuple:
+    """(status code, body) of one reply framed by its Content-Length, read off ``fh``."""
+    status = fh.readline().split()[1]
+    length = 0
+    while (line := fh.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return status, fh.read(length)
+
+
+def test_expect_100_continue_is_answered_before_the_body(echo):
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock, \
+            sock.makefile("rb") as fh:
+        sock.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 8\r\n"
+                     b"Expect: 100-continue\r\n\r\n")
+        assert (fh.readline(), fh.readline()) == (b"HTTP/1.1 100 Continue\r\n", b"\r\n")
+        sock.sendall(b'{"a": 1}')
+        assert _raw_reply(fh) == (b"200", b'{"n": 1}')
+    assert echo.seen == [{"a": 1}]
+
+
+@pytest.mark.parametrize("sent, status", [
+    (b"GET /echo HTTP/1.0\r\nHost: x\r\n\r\n", 200),  # HTTP/1.0 closes by default
+    (b"GET /echo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 200),
+    (b"GET /echo HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+    (b"GET /echo HTTP/1.1.1\r\nHost: x\r\n\r\n", 400),
+    (b"GET /echo HTTP/1.1\r\nHost : x\r\n\r\n", 400),  # whitespace before the colon
+    (b"GET /echo HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n", 400),  # an obs-fold line
+    (b"GET /echo HTTP/1.1\r\nHost x\r\n\r\n", 400),  # no colon
+    (b"GET /echo HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n", 431),
+    (b"GET /echo HTTP/1.1\r\nX-A: " + b"a" * 65536 + b"\r\n\r\n", 431),
+])
+def test_the_server_answers_and_closes(echo, sent, status):
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
+        sock.sendall(sent)
+        reply = _read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    assert ("error" in json.loads(body)) == (status != 200)
+
+
+@pytest.fixture(scope="module")
+def mirror():
+    """A server whose route answers the query parameters and the body it got."""
+    server = JsonHttpServer()
+    server.add_route("POST", r"/mirror",
+                     lambda match, params, body: (200, {"params": params, "body": body}))
+    server.start()
+    yield server
+    server.stop()
+
+
+@pytest.fixture(scope="module")
+def mirror_conn(mirror):
+    """One keep-alive connection to ``mirror``, sending each write as it comes."""
+    with socket.create_connection((mirror.host, mirror.port), timeout=3.0) as sock, \
+            sock.makefile("rb") as fh:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        yield sock, fh
+
+
+SPLIT_REQUEST = (b"POST /mirror?a=1&b=two HTTP/1.1\r\nHost: x\r\n"
+                 b"Content-Type: application/json\r\nContent-Length: 16\r\n\r\n"
+                 b'{"k": [1, 2, 3]}')
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts=st.sets(st.integers(1, len(SPLIT_REQUEST) - 1), max_size=6))
+def test_a_request_split_anywhere_gets_the_same_reply(mirror_conn, cuts):
+    sock, fh = mirror_conn
+    bounds = [0, *sorted(cuts), len(SPLIT_REQUEST)]
+    for start, end in zip(bounds, bounds[1:]):
+        sock.sendall(SPLIT_REQUEST[start:end])
+    assert _raw_reply(fh) == (b"200", b'{"body": {"k": [1, 2, 3]}, '
+                                      b'"params": {"a": "1", "b": "two"}}')
+
+
+@settings(max_examples=10, deadline=None)
+@given(declared=st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.text(string.digits + string.ascii_letters + string.punctuation + " ", min_size=1)
+    .filter(lambda text: text.strip() and not text.strip().isdigit())))
+def test_a_content_length_that_is_not_a_decimal_number_is_400(mirror, declared):
+    with socket.create_connection((mirror.host, mirror.port), timeout=3.0) as sock:
+        sock.sendall(b"POST /mirror HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                     + declared.encode("ascii") + b"\r\n\r\n{}")
+        reply = _read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ") and b"\r\nConnection: close" in head
+    assert json.loads(body)["error"] == "bad-request"
 
 
 def test_idle_keep_alive_clients_do_not_hold_off_a_new_one(echo):

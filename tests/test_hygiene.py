@@ -127,7 +127,8 @@ def test_every_attribute_set_on_self_is_read():
 
 
 # called by the http.server base classes, never by name in this project
-HTTP_SERVER_HOOKS = {"log_message", "handle_error", "process_request", "shutdown_request"}
+HTTP_SERVER_HOOKS = {"log_message", "handle_error", "process_request", "shutdown_request",
+                     "parse_request"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -196,6 +196,11 @@ def _raw_exchange(url: str, request: bytes) -> tuple:
 @pytest.mark.parametrize("request_bytes, status, kind", [
     (b"OPTIONS / HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not-implemented"),
     (b"GARBAGE\r\n", 400, "bad-request"),
+    # framing the server cannot read: refused, never read as the next request
+    (b"POST /v2/entities HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 501, "not-implemented"),
+    (b"POST /v2/entities HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nContent-Length: 60\r\n"
+     b"\r\n{}", 400, "bad-request"),
 ])
 def test_http_server_refusals_are_json_too(request, server, request_bytes, status, kind):
     url = request.getfixturevalue(server)
