@@ -78,10 +78,15 @@ def ingest_snapshot(store: TimeSeriesStore, broker: Broker, mapping: dict[str, s
 
 
 def ingest_historical(store: TimeSeriesStore, records: Iterable[dict]) -> IngestStats:
-    """Bulk-append records {entityId, attr, t, value}, e.g. ``read_jsonl(path)``."""
+    """Bulk-add records {entityId, attr, t, value}, e.g. ``read_jsonl(path)``.
+
+    Every record is parsed first, so a malformed one adds nothing. The
+    samples are then grouped per (entityId, attr), keeping record order, and
+    each series gets one ``store.extend``. The store ends as if each record
+    had been appended in turn.
+    """
     stats = IngestStats()
-    # parse every record first, so a malformed one appends nothing
-    samples = []
+    series: dict[tuple, list] = {}
     for record in records:
         value = record.get("value")
         if not (is_number(value) and math.isfinite(value)):
@@ -93,10 +98,9 @@ def ingest_historical(store: TimeSeriesStore, records: Iterable[dict]) -> Ingest
         t = float(record["t"])
         if not math.isfinite(t):
             raise ValueError(f"time is not finite: {record!r}")
-        samples.append((entity_id, attribute, t, float(value)))
-    for sample in samples:
-        store.append(*sample)
-    stats.appended = len(samples)
+        series.setdefault((entity_id, attribute), []).append((t, float(value)))
+    for (entity_id, attribute), samples in series.items():
+        stats.appended += store.extend(entity_id, attribute, samples)
     return stats
 
 

@@ -159,10 +159,9 @@ def train(store: TimeSeriesStore, entity_id: str, attribute: str,
 
     The caller keeps any previous model when None comes back.
     """
-    samples = store.get(entity_id, attribute)
-    if len(samples) < config.minSamples:
+    if store.length(entity_id, attribute) < config.minSamples:
         return None
-    window = samples[-config.windowSize:]
+    window = store.get(entity_id, attribute, last=config.windowSize)
     values = [s.value for s in window]
     n = len(values)
     n_train = max(1, int(n * config.trainTestRatio))

@@ -2,8 +2,10 @@
 
 Samples are kept sorted with strictly increasing timestamps; re-ingesting a
 timestamp replaces that sample's value. A time or value that is not finite is
-refused, since it would break the order or poison every fit over the series. Readers get list copies, so training
-and inference work on immutable snapshots while ingestion keeps appending.
+refused, since it would break the order or poison every fit over the series;
+``extend`` checks a whole batch first, so a refused record adds none of it.
+Readers get list copies, so training and inference work on immutable
+snapshots while ingestion keeps appending.
 ``get`` copies only what it returns: it bisects to the ``from``/``to`` bounds
 (inclusive), and ``last=n`` keeps the newest ``n`` samples of that range.
 """
@@ -28,26 +30,26 @@ class TimeSeriesStore:
 
     def append(self, entity_id: str, attribute: str, t: float, value: float) -> None:
         key = (entity_id, attribute)
-        sample = Sample(float(t), float(value))
-        if not (math.isfinite(sample.t) and math.isfinite(sample.value)):
-            raise ValueError(f"sample ({t!r}, {value!r}) for {key} is not finite")
+        sample = _checked(key, t, value)
         with self._lock:
-            series = self._series.setdefault(key, [])
-            if not series or series[-1].t < sample.t:
-                series.append(sample)
-                return
-            idx = bisect_left(series, sample.t, key=lambda s: s.t)
-            if idx < len(series) and series[idx].t == sample.t:
-                series[idx] = sample  # same timestamp: last write wins
-            else:
-                series.insert(idx, sample)
+            _insert(self._series.setdefault(key, []), sample)
 
     def extend(self, entity_id: str, attribute: str, records) -> int:
-        count = 0
-        for t, value in records:
-            self.append(entity_id, attribute, t, value)
-            count += 1
-        return count
+        """Add a batch of ``(t, value)`` records to one series; returns the count.
+
+        Every record is checked before any is stored, so one refused record
+        adds none. The batch then goes in under one lock hold, each record
+        inserted in record order as ``append`` would.
+        """
+        key = (entity_id, attribute)
+        samples = [_checked(key, t, value) for t, value in records]
+        if not samples:
+            return 0
+        with self._lock:
+            series = self._series.setdefault(key, [])
+            for sample in samples:
+                _insert(series, sample)
+        return len(samples)
 
     def get(self, entity_id: str, attribute: str,
             t_from: Optional[float] = None,
@@ -68,3 +70,23 @@ class TimeSeriesStore:
     def keys(self) -> list[tuple]:
         with self._lock:
             return sorted(self._series)
+
+
+def _checked(key: tuple, t, value) -> Sample:
+    """``(t, value)`` as a Sample; ValueError when either is not finite."""
+    sample = Sample(float(t), float(value))
+    if not (math.isfinite(sample.t) and math.isfinite(sample.value)):
+        raise ValueError(f"sample ({t!r}, {value!r}) for {key} is not finite")
+    return sample
+
+
+def _insert(series: list[Sample], sample: Sample) -> None:
+    """Put ``sample`` in its place in ``series``; the caller holds the lock."""
+    if not series or series[-1].t < sample.t:
+        series.append(sample)
+        return
+    idx = bisect_left(series, sample.t, key=lambda s: s.t)
+    if idx < len(series) and series[idx].t == sample.t:
+        series[idx] = sample  # same timestamp: last write wins
+    else:
+        series.insert(idx, sample)

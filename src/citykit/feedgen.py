@@ -320,21 +320,23 @@ def traffic_profile(spec: SeriesSpec, t: float) -> float:
     return spec.baseline + spec.dailyAmplitude * (bump(8.5) + bump(18.0))
 
 
-def _series_value(attribute: str, spec: SeriesSpec, t: float, noise: float):
-    """The profile plus ``noise``, clamped and rounded as the attribute is emitted."""
+def _emission(attribute: str, spec: SeriesSpec):
+    """(profile, clamp): the attribute's noise-free level at ``t``, and the rule
+    that turns a level plus noise into the value emitted (clamped, rounded)."""
     if attribute == "availableSpotNumber":
         total = int(round(spec.baseline + spec.dailyAmplitude))
-        return min(max(int(round(sine_profile(spec, t) + noise)), 0), total)
+        return sine_profile, lambda level: min(max(int(round(level)), 0), total)
     if attribute == "intensity":
-        return max(int(round(traffic_profile(spec, t) + noise)), 0)
+        return traffic_profile, lambda level: max(int(round(level)), 0)
     if attribute == "LAeq":
-        return min(max(round(sine_profile(spec, t) + noise, 1), 0.0), 140.0)
+        return sine_profile, lambda level: min(max(round(level, 1), 0.0), 140.0)
     raise ValueError(f"no profile for attribute {attribute!r}")
 
 
 def closed_form(attribute: str, spec: SeriesSpec, t: float):
     """The exact value emitted at noiseStd = 0, clamping and rounding included."""
-    return _series_value(attribute, spec, t, 0.0)
+    profile, clamp = _emission(attribute, spec)
+    return clamp(profile(spec, t) + 0.0)  # a noise-free sample adds 0.0 noise too
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +381,34 @@ class StreamGenerator:
                 self.trip_delays[trip_id] = 0
 
     def series_events(self, duration: float = DAY_SECONDS) -> list[StreamEvent]:
-        """One sample per site per sampling interval, strictly after t0."""
+        """One sample per site per sampling interval, strictly after t0,
+        sorted by (t, entityId).
+
+        Per attribute, each time step's ``dateObserved`` attribute and profile
+        level are computed once and shared by every site; per sample only the
+        site's noise draw and the clamp remain. Noise is drawn site by site,
+        each site's steps in time order. Events are read-only: the events of
+        one step hold the same ``dateObserved`` Attribute, and a broker copies
+        what it stores.
+        """
         events = []
+        gauss = self._series_rng.gauss
         for id_tpl, entity_type, attribute, count_field in _SITE_ATTRS:
             spec = self.fixture.seriesSpecs.get(attribute)
             if spec is None:
                 continue
+            profile, clamp = _emission(attribute, spec)
+            interval = spec.samplingIntervalSeconds
+            times = (self.t0 + k * interval for k in range(1, int(duration // interval) + 1))
+            steps = [(t, Attribute(iso_utc(t), "DateTime"), profile(spec, t)) for t in times]
+            std = spec.noiseStd
             for i in range(getattr(self.fixture, count_field)):
                 entity_id = id_tpl.format(i + 1)
-                steps = int(duration // spec.samplingIntervalSeconds)
-                for k in range(1, steps + 1):
-                    t = self.t0 + k * spec.samplingIntervalSeconds
-                    noise = self._series_rng.gauss(spec.noiseStd) if spec.noiseStd > 0 else 0.0
-                    value = _series_value(attribute, spec, t, noise)
+                for t, observed, level in steps:
+                    noise = gauss(std) if std > 0 else 0.0
                     events.append(StreamEvent(t, entity_id, entity_type, {
-                        attribute: Attribute(value, "Number"),
-                        "dateObserved": Attribute(iso_utc(t), "DateTime"),
+                        attribute: Attribute(clamp(level + noise), "Number"),
+                        "dateObserved": observed,
                     }))
         events.sort(key=lambda e: (e.t, e.entityId))
         return events

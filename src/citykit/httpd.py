@@ -22,10 +22,12 @@ HTTP/0.9 ``GET``), at most ``MAX_HEADER_LINES`` header lines of at most
 ``MAX_LINE_BYTES`` each (else 431), and a body framed by one
 ``Content-Length``; it refuses ``Transfer-Encoding`` with 501 and a
 ``Content-Length`` that is not one decimal number with 400, and closes the
-connection after every refusal. The client reads a reply framed by
-``Content-Length``, by chunked ``Transfer-Encoding`` or by the close of the
-connection, from HTTP/1.1 or HTTP/1.0 servers, skipping ``1xx`` interim
-replies; a malformed reply is an ``http.client.HTTPException``.
+connection after every refusal. Both ``Content-Length`` refusals (400, and
+413 over ``MAX_BODY_BYTES``) come before any ``100 Continue``. The client
+reads a reply framed by ``Content-Length``, by chunked ``Transfer-Encoding``
+or by the close of the connection, from HTTP/1.1 or HTTP/1.0 servers,
+skipping ``1xx`` interim replies; a malformed reply is an
+``http.client.HTTPException``.
 """
 
 import atexit
@@ -177,7 +179,7 @@ class JsonHttpServer:
                 words = self.raw_requestline.decode("latin-1").split()
                 if len(words) == 2 and words[0] == "GET":  # HTTP/0.9: no headers
                     self.command, self.path = words
-                    self.headers = {}
+                    self.headers, self.body_length = {}, 0
                     return True
                 if len(words) != 3 or not _HTTP_VERSION.fullmatch(words[2]):
                     self.send_error(400, f"bad request line {self.raw_requestline[:80]!r}")
@@ -200,6 +202,15 @@ class JsonHttpServer:
                     self.send_error(501, "Transfer-Encoding is not supported; "
                                          "send a Content-Length")
                     return False
+                declared = self.headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    self.send_error(400, f"bad Content-Length {declared!r}")
+                    return False
+                self.body_length = int(declared)
+                if self.body_length > MAX_BODY_BYTES:
+                    self.send_error(413, f"body of {self.body_length} bytes, "
+                                         f"at most {MAX_BODY_BYTES}")
+                    return False
                 connection = _tokens(self.headers.get("connection", ""))
                 self.close_connection = "close" in connection or (
                     version == "HTTP/1.0" and "keep-alive" not in connection)
@@ -212,14 +223,8 @@ class JsonHttpServer:
                 parsed = urlparse(self.path)
                 params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
                 body = None
-                declared = self.headers.get("content-length") or "0"
-                if not (declared.isascii() and declared.isdigit()):
-                    return self.send_error(400, f"bad Content-Length {declared!r}")
-                length = int(declared)
-                if length > MAX_BODY_BYTES:
-                    return self.send_error(413, f"body of {length} bytes, at most {MAX_BODY_BYTES}")
-                if length:
-                    raw = self.rfile.read(length)
+                if self.body_length:
+                    raw = self.rfile.read(self.body_length)
                     try:
                         body = json.loads(raw)
                     except json.JSONDecodeError:

@@ -244,17 +244,14 @@ def parse_iso(text: str) -> float:
     if not m:
         raise NgsiError(f"not an ISO-8601 timestamp: {text!r}")
     frac = 0.0
-    seconds_text = m.group("S")
+    y, mo, d, h, mi, seconds_text = m.group("y", "m", "d", "H", "M", "S")
     if "." in seconds_text:
         whole, _, fracpart = seconds_text.partition(".")
         frac = float("0." + fracpart)
         seconds_text = whole
     try:
-        dt = datetime(
-            int(m.group("y")), int(m.group("m")), int(m.group("d")),
-            int(m.group("H")), int(m.group("M")), int(seconds_text),
-            tzinfo=timezone.utc,
-        )
+        dt = datetime(int(y), int(mo), int(d), int(h), int(mi), int(seconds_text),
+                      tzinfo=timezone.utc)
     except ValueError as exc:
         raise NgsiError(f"not a calendar timestamp: {text!r} ({exc})") from None
     ts = dt.timestamp() + frac

@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citykit.clock import SimulatedClock
 from citykit.estimator.ingest import (
@@ -124,6 +126,32 @@ class TestStore:
     def test_extend_counts_records(self):
         store = TimeSeriesStore()
         assert store.extend("e", "a", [(1.0, 1.0), (2.0, 2.0)]) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(before=st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 5)), max_size=8),
+           batch=st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 5)), max_size=20))
+    def test_extend_equals_appending_one_by_one(self, before, batch):
+        # small integer times make out-of-order records and duplicates common
+        batched, appended = TimeSeriesStore(), TimeSeriesStore()
+        for store in (batched, appended):
+            for t, value in before:
+                store.append("e", "a", t, value)
+        assert batched.extend("e", "a", batch) == len(batch)
+        for t, value in batch:
+            appended.append("e", "a", t, value)
+        assert batched.keys() == appended.keys()
+        assert batched.get("e", "a") == appended.get("e", "a")
+
+    @pytest.mark.parametrize("bad", [(float("nan"), 1.0), (3.0, float("inf"))])
+    def test_a_batch_with_one_record_not_finite_adds_nothing(self, bad):
+        store = TimeSeriesStore()
+        store.append("e", "a", 0.5, 0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            store.extend("e", "a", [(1.0, 1.0), (2.0, 2.0), bad, (4.0, 4.0)])
+        with pytest.raises(ValueError, match="not finite"):
+            store.extend("new", "a", [(1.0, 1.0), bad])
+        assert [(s.t, s.value) for s in store.get("e", "a")] == [(0.5, 0.5)]
+        assert store.keys() == [("e", "a")]
 
 
 class TestRidgeFit:

@@ -363,3 +363,18 @@ class TestPinnedBytes:
             docs += [e.to_doc() for e in gen.events(2 * 86400)] + gen.ground_truth()
         assert _digest(docs) == \
             "66c5e50e6a0a7775630438a75c5870636cde84a6e480ddb0792626151799f6dc"
+
+    def test_forecast_shaped_series(self):
+        # >= 10 sites per kind, so ids sort as strings (parking-10 < parking-2);
+        # every attribute noisy, two sampling intervals, a t0 off midnight
+        specs = {"availableSpotNumber": SeriesSpec(30, 12, 2.0, 900),
+                 "intensity": SeriesSpec(180, 120, 25.0, 600),
+                 "LAeq": SeriesSpec(55.0, 6.0, 1.5, 900)}
+        docs = []
+        for seed in (1, 7):
+            gen = StreamGenerator(CityFixture(seed=seed, seriesSpecs=specs, parkingSites=12,
+                                              parkingSpots=0, trafficSites=11,
+                                              noiseSites=10), t0=DAY - 3 * 86400 + 450.5)
+            docs += [e.to_doc() for e in gen.series_events(2 * 86400 + 1000)]
+        assert _digest(docs) == \
+            "9f9baa0fa6abd4f1adc3889f1181b0fe6373714b8eb7757775f48cea40c3b77f"

@@ -407,6 +407,17 @@ def test_expect_100_continue_is_answered_before_the_body(echo):
     assert echo.seen == [{"a": 1}]
 
 
+@pytest.mark.parametrize("declared, status", [(b"1000000000", b"413"), (b"1e3", b"400")])
+def test_expect_100_continue_with_a_refused_length_gets_no_100(echo, declared, status):
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
+        sock.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: " + declared
+                     + b"\r\nExpect: 100-continue\r\n\r\n")
+        reply = _read_until_closed(sock)
+    assert reply.split(b"\r\n", 1)[0].split()[1] == status
+    assert b"100 Continue" not in reply
+    assert echo.seen == []
+
+
 @pytest.mark.parametrize("sent, status", [
     (b"GET /echo HTTP/1.0\r\nHost: x\r\n\r\n", 200),  # HTTP/1.0 closes by default
     (b"GET /echo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 200),
