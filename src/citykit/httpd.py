@@ -1,32 +1,35 @@
 """Minimal JSON-over-HTTP plumbing shared by the service facades.
 
-Servers are stdlib ``ThreadingHTTPServer`` instances with regex-dispatched
-routes; handlers receive the path match, parsed query parameters, and the
-decoded JSON body, and return ``(status, payload)``. A handler fails by
-raising a ``KindError``, answered ``{"error": kind, "detail": message}`` with
-the status ``KIND_STATUS`` gives its kind (400 for any kind not listed); any
-other exception is a 500 ``internal``; a refusal before any handler runs, by
-http.server too, gets the kind ``ERROR_KINDS`` names. Sorted keys make every
-reply byte-deterministic.
+Servers route by (method, path regex); handlers receive the path match,
+parsed query parameters, and the decoded JSON body, and return ``(status,
+payload)``. A handler fails by raising a ``KindError``, answered
+``{"error": kind, "detail": message}`` with the status ``KIND_STATUS`` gives
+its kind (400 for any kind not listed); any other exception is a 500
+``internal``; a refusal before any handler runs gets the kind
+``ERROR_KINDS`` names. Sorted keys make every reply byte-deterministic.
 
 Connections are persistent (HTTP/1.1 keep-alive) on both sides. The server
-runs one thread per connection, drops a connection idle or stalled for
-``IDLE_TIMEOUT_SECONDS``, refuses a body over ``MAX_BODY_BYTES`` and closes
-every open connection on ``stop()``. ``request_json`` keeps up to
-``POOL_SIZE`` open connections per thread and reuses them.
+is plain sockets: one thread accepts, and each connection gets a thread that
+reads a request, dispatches it and sends the reply, until either side
+closes. It drops a connection idle or stalled for ``IDLE_TIMEOUT_SECONDS``,
+refuses a body over ``MAX_BODY_BYTES`` and closes every open connection on
+``stop()``. ``request_json`` keeps up to ``POOL_SIZE`` open connections per
+thread and reuses them.
 
 Both sides parse HTTP/1.1 (RFC 9112) themselves, header lines into a plain
 dict with lowercased names, and send each message in one write. The server
-reads a request line of three words with an ``HTTP/1.x`` version (or an
-HTTP/0.9 ``GET``), at most ``MAX_HEADER_LINES`` header lines of at most
-``MAX_LINE_BYTES`` each (else 431), and a body framed by one
-``Content-Length``; it refuses ``Transfer-Encoding`` with 501 and a
-``Content-Length`` that is not one decimal number with 400, and closes the
-connection after every refusal. Both ``Content-Length`` refusals (400, and
-413 over ``MAX_BODY_BYTES``) come before any ``100 Continue``. The client
-reads a reply framed by ``Content-Length``, by chunked ``Transfer-Encoding``
-or by the close of the connection, from HTTP/1.1 or HTTP/1.0 servers,
-skipping ``1xx`` interim replies; a malformed reply is an
+reads a request line of three words with an ``HTTP/1.x`` version (an
+HTTP/0.9 ``GET`` is a 400) of at most ``MAX_LINE_BYTES`` (else 414), at most
+``MAX_HEADER_LINES`` header lines of at most ``MAX_LINE_BYTES`` each (else
+431), and a body framed by one ``Content-Length``; it refuses
+``Transfer-Encoding`` and a method outside ``METHODS`` with 501, a
+``Content-Length`` that is not one decimal number, and a body cut short by
+the close of the client's side, with 400, and closes the connection after
+every refusal. Both ``Content-Length`` refusals (400, and 413 over
+``MAX_BODY_BYTES``) come before any ``100 Continue``. The client reads a
+reply framed by ``Content-Length``, by chunked ``Transfer-Encoding`` or by
+the close of the connection, from HTTP/1.1 or HTTP/1.0 servers, skipping
+``1xx`` interim replies; a malformed reply is an
 ``http.client.HTTPException``.
 """
 
@@ -39,7 +42,7 @@ import select
 import socket
 import threading
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlparse, urlsplit
 
@@ -49,8 +52,6 @@ logger = logging.getLogger(__name__)
 
 Handler = Callable[[re.Match, dict, Any], tuple]
 
-# How often serve_forever checks for shutdown; stop() waits up to this long.
-POLL_SECONDS = 0.02
 # A server connection that sends nothing for this long, idle between requests
 # or stalled inside one, is closed, so a keep-alive client cannot hold its
 # thread forever.
@@ -65,6 +66,8 @@ POOL_SIZE = 4
 # Methods that may be resent after their bytes may have reached the server
 # (RFC 9112 section 9.3.1): POST and PATCH are not idempotent.
 IDEMPOTENT = frozenset({"GET", "PUT", "DELETE"})
+# Methods the server routes; any other is answered 501.
+METHODS = frozenset({"GET", "POST", "PUT", "PATCH", "DELETE"})
 # The kind of a refusal before any handler runs, by status; any other is http-<status>.
 ERROR_KINDS = {400: "bad-request", 413: "payload-too-large", 501: "not-implemented"}
 # The reply status of a handler's KindError by its kind; any other kind is 400.
@@ -106,39 +109,62 @@ def _tokens(value: str) -> set:
     return {token.strip() for token in value.lower().split(",")}
 
 
-class _ConnectionServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` that knows its open connections, to close them."""
+def _refusal(status: int, detail: str) -> "HttpError":
+    """The reply to a request refused before any handler runs."""
+    return HttpError(status, {"error": ERROR_KINDS.get(status, f"http-{status}"),
+                              "detail": detail})
 
-    daemon_threads = True
 
-    def __init__(self, address, handler_class):
-        super().__init__(address, handler_class)
-        self._open: set = set()
-        self._open_lock = threading.Lock()
+def _read_request(conn: socket.socket, rfile) -> Optional[tuple]:
+    """(method, target, body, whether the connection stays open) of the next
+    request on ``conn``, read off ``rfile``; None at the end of the stream. A
+    refused request raises the ``HttpError`` to answer it with."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE_BYTES:
+        raise _refusal(414, f"a request line over {MAX_LINE_BYTES} bytes")
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not _HTTP_VERSION.fullmatch(words[2]):
+        raise _refusal(400, f"bad request line {line[:80]!r}")
+    method, target, version = words
+    if not version.startswith("HTTP/1."):
+        raise _refusal(505, f"{version} is not supported")
+    try:
+        headers = _read_headers(rfile)
+    except _HeadTooLarge as exc:
+        raise _refusal(431, str(exc)) from None
+    except http.client.HTTPException as exc:
+        raise _refusal(400, str(exc)) from None
+    if "transfer-encoding" in headers:
+        raise _refusal(501, "Transfer-Encoding is not supported; send a Content-Length")
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _refusal(400, f"bad Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise _refusal(413, f"body of {length} bytes, at most {MAX_BODY_BYTES}")
+    if method not in METHODS:
+        raise _refusal(501, f"unsupported method {method!r}")
+    if version != "HTTP/1.0" and headers.get("expect", "").lower() == "100-continue":
+        conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    body = rfile.read(length)
+    if len(body) < length:  # the client closed its side inside the body
+        raise _refusal(400, f"a body of {len(body)} bytes, {length} declared")
+    connection = _tokens(headers.get("connection", ""))
+    keep = "close" not in connection and (version != "HTTP/1.0" or "keep-alive" in connection)
+    return method, target, body, keep
 
-    def process_request(self, request, client_address):
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
 
-    def shutdown_request(self, request):
-        with self._open_lock:
-            self._open.discard(request)
-        super().shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        # a transport failure (a reset, a broken pipe); handler errors are 500s
-        logger.debug("connection from %s failed", client_address, exc_info=True)
-
-    def close_connections(self) -> None:
-        """End every open connection; its handler thread then sees EOF and exits."""
-        with self._open_lock:
-            requests = list(self._open)
-        for request in requests:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already closed by its handler
-                pass
+def _reply(status: int, payload, keep: bool) -> bytes:
+    """The head and the body of a reply, to send in one write."""
+    data = b"" if payload is None else json.dumps(payload, sort_keys=True).encode("utf-8")
+    head = (f"HTTP/1.1 {status} {http.client.responses.get(status, '')}\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n")
+    if not keep:
+        head += "Connection: close\r\n"
+    return head.encode("latin-1") + b"\r\n" + data
 
 
 class JsonHttpServer:
@@ -148,8 +174,10 @@ class JsonHttpServer:
         self.host = host
         self.port = port
         self._routes: list[tuple[str, re.Pattern, Handler]] = []
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._listener: Optional[socket.socket] = None
+        self._accepter: Optional[threading.Thread] = None
+        self._open: set = set()
+        self._open_lock = threading.Lock()
 
     def add_route(self, method: str, pattern: str, handler: Handler) -> None:
         """Register a handler; ``pattern`` is matched against the full path."""
@@ -159,138 +187,109 @@ class JsonHttpServer:
         return f"http://{self.host}:{self.port}{path}"
 
     def start(self) -> int:
-        """Start serving on a daemon thread; returns the bound port."""
-        routes = self._routes
-
-        class _RequestHandler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = IDLE_TIMEOUT_SECONDS  # each socket read; a timeout closes
-            # a reply longer than one segment ends in a short one, which Nagle's
-            # algorithm holds until the client's (delayed) ACK of the others
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # quiet by default
-                logger.debug("http " + fmt, *args)
-
-            def parse_request(self):
-                """Read the request line and the header lines into ``self.headers``;
-                False once the request is refused (or the client has gone)."""
-                self.close_connection = True
-                words = self.raw_requestline.decode("latin-1").split()
-                if len(words) == 2 and words[0] == "GET":  # HTTP/0.9: no headers
-                    self.command, self.path = words
-                    self.headers, self.body_length = {}, 0
-                    return True
-                if len(words) != 3 or not _HTTP_VERSION.fullmatch(words[2]):
-                    self.send_error(400, f"bad request line {self.raw_requestline[:80]!r}")
-                    return False
-                self.command, self.path, version = words
-                if not version.startswith("HTTP/1."):
-                    self.send_error(505, f"{version} is not supported")
-                    return False
-                if self.path.startswith("//"):  # not a network-path reference
-                    self.path = "/" + self.path.lstrip("/")
-                try:
-                    self.headers = _read_headers(self.rfile)
-                except _HeadTooLarge as exc:
-                    self.send_error(431, str(exc))
-                    return False
-                except http.client.HTTPException as exc:
-                    self.send_error(400, str(exc))
-                    return False
-                if "transfer-encoding" in self.headers:
-                    self.send_error(501, "Transfer-Encoding is not supported; "
-                                         "send a Content-Length")
-                    return False
-                declared = self.headers.get("content-length") or "0"
-                if not (declared.isascii() and declared.isdigit()):
-                    self.send_error(400, f"bad Content-Length {declared!r}")
-                    return False
-                self.body_length = int(declared)
-                if self.body_length > MAX_BODY_BYTES:
-                    self.send_error(413, f"body of {self.body_length} bytes, "
-                                         f"at most {MAX_BODY_BYTES}")
-                    return False
-                connection = _tokens(self.headers.get("connection", ""))
-                self.close_connection = "close" in connection or (
-                    version == "HTTP/1.0" and "keep-alive" not in connection)
-                if version != "HTTP/1.0" \
-                        and self.headers.get("expect", "").lower() == "100-continue":
-                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                return True
-
-            def _dispatch(self):
-                parsed = urlparse(self.path)
-                params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-                body = None
-                if self.body_length:
-                    raw = self.rfile.read(self.body_length)
-                    try:
-                        body = json.loads(raw)
-                    except json.JSONDecodeError:
-                        body = raw.decode("utf-8", errors="replace")
-                for method, rx, handler in routes:
-                    if method != self.command:
-                        continue
-                    match = rx.fullmatch(parsed.path)
-                    if match is None:
-                        continue
-                    try:
-                        status, payload = handler(match, params, body)
-                    except HttpError as exc:  # a downstream reply let through
-                        status, payload = self._internal(parsed.path, exc)
-                    except KindError as exc:
-                        status = KIND_STATUS.get(exc.kind, 400)
-                        payload = {"error": exc.kind, "detail": exc.message}
-                    except Exception as exc:  # surfaced as 500, not a crash
-                        status, payload = self._internal(parsed.path, exc)
-                    self._reply(status, payload)
-                    return
-                self._reply(404, {"error": "not-found", "detail": parsed.path})
-
-            def _internal(self, path: str, exc: Exception) -> tuple:
-                logger.exception("handler error for %s %s", self.command, path)
-                return 500, {"error": "internal", "detail": str(exc)}
-
-            def send_error(self, code, message=None, explain=None):
-                """Refuse as JSON and close: a body may follow unread. http.server calls it too."""
-                self.close_connection = True
-                self._reply(code, {"error": ERROR_KINDS.get(code, f"http-{int(code)}"),
-                                   "detail": message or self.responses[code][0]})
-
-            def _reply(self, status: int, payload):
-                """Send the head and the body in one write."""
-                logger.debug("http %r %d", self.raw_requestline, status)
-                data = b""
-                if payload is not None:
-                    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-                head = (f"HTTP/1.1 {status} {self.responses.get(status, ('',))[0]}\r\n"
-                        f"Date: {self.date_time_string()}\r\n"
-                        f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n")
-                if self.close_connection:
-                    head += "Connection: close\r\n"
-                self.wfile.write(head.encode("latin-1") + b"\r\n" + data)
-
-            do_GET = _dispatch
-            do_POST = _dispatch
-            do_PATCH = _dispatch
-            do_DELETE = _dispatch
-            do_PUT = _dispatch
-
-        self._httpd = _ConnectionServer((self.host, self.port), _RequestHandler)
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        args=(POLL_SECONDS,), daemon=True)
-        self._thread.start()
+        """Accept connections on a daemon thread; returns the bound port."""
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
+        self._accepter = threading.Thread(target=self._accept, args=(self._listener,),
+                                          daemon=True)
+        self._accepter.start()
         return self.port
 
     def stop(self) -> None:
-        """Stop accepting and close every open connection."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd.close_connections()
-            self._httpd = None
+        """Stop accepting, then close every open connection; its thread then
+        sees the end of the stream and exits."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        with socket.create_connection(listener.getsockname()[:2]):  # wakes accept()
+            pass
+        self._accepter.join()
+        listener.close()
+        with self._open_lock:
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its thread
+                pass
+
+    def _accept(self, listener: socket.socket) -> None:
+        """Give each accepted connection a daemon thread, until ``stop()``."""
+        while True:
+            try:
+                conn, address = listener.accept()
+            except OSError:  # out of descriptors, or the client left first
+                logger.debug("accept failed", exc_info=True)
+                continue
+            if self._listener is not listener:  # the connection stop() made
+                conn.close()
+                return
+            with self._open_lock:
+                self._open.add(conn)
+            threading.Thread(target=self._serve, args=(conn, address), daemon=True).start()
+
+    def _serve(self, conn: socket.socket, address) -> None:
+        """Answer the requests on ``conn`` in order until either side closes it.
+        A connection that sends nothing for ``IDLE_TIMEOUT_SECONDS`` is closed."""
+        try:
+            with conn, conn.makefile("rb") as rfile:
+                conn.settimeout(IDLE_TIMEOUT_SECONDS)
+                # a reply longer than one segment ends in a short one, which Nagle's
+                # algorithm holds until the client's (delayed) ACK of the others
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                keep = True
+                while keep:
+                    try:
+                        request = _read_request(conn, rfile)
+                    except HttpError as refused:
+                        status, payload, keep = refused.status, refused.payload, False
+                    else:
+                        if request is None:
+                            return
+                        method, target, body, keep = request
+                        status, payload = self._dispatch(method, target, body)
+                    logger.debug("http %s %d", address, status)
+                    conn.sendall(_reply(status, payload, keep))
+        except OSError:  # a reset, a broken pipe, the idle timeout
+            logger.debug("connection from %s failed", address, exc_info=True)
+        except Exception:  # a fault of the server's own: the connection closes unanswered
+            logger.exception("connection from %s failed", address)
+        finally:
+            with self._open_lock:
+                self._open.discard(conn)
+
+    def _dispatch(self, method: str, target: str, raw: bytes) -> tuple:
+        """(status, payload) of the route that ``method`` and ``target`` name."""
+        if target.startswith("//"):  # not a network-path reference
+            target = "/" + target.lstrip("/")
+        parsed = urlparse(target)
+        params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        body = None
+        if raw:
+            try:
+                body = json.loads(raw)
+            except json.JSONDecodeError:
+                body = raw.decode("utf-8", errors="replace")
+        for route_method, rx, handler in self._routes:
+            match = rx.fullmatch(parsed.path) if route_method == method else None
+            if match is None:
+                continue
+            try:
+                status, payload = handler(match, params, body)
+            except HttpError as exc:  # a downstream reply let through
+                status, payload = _internal(method, parsed.path, exc)
+            except KindError as exc:
+                status = KIND_STATUS.get(exc.kind, 400)
+                payload = {"error": exc.kind, "detail": exc.message}
+            except Exception as exc:  # surfaced as 500, not a crash
+                status, payload = _internal(method, parsed.path, exc)
+            return status, payload
+        return 404, {"error": "not-found", "detail": parsed.path}
+
+
+def _internal(method: str, path: str, exc: Exception) -> tuple:
+    logger.exception("handler error for %s %s", method, path)
+    return 500, {"error": "internal", "detail": str(exc)}
 
 
 class HttpService:

@@ -77,3 +77,32 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     runs = [r for r in runs if r["side"] == "parent"]
     runs += [run("change", k, stdout(4.0, 100.0)) for k in range(1, 5)]
     assert not bench_pairs.summarise(runs, SPEC)["plan"]["metrics"]["op_p50_ms"]["unresolved"]
+
+
+NAMED_STDOUT = """workload sensors  seed 1  seconds 18  trace 0  wall 30.1 s
+end-to-end metrics
+  setup_s                      0.3584 s     n=3 (median of set-ups)
+  write_p50_ms                 0.7772 ms    n=148
+  write_p95_ms                omitted ms    n=148 (fewer than 10 samples beyond it)
+  notify_p50_ms               29.9070 ms    n=194 (as measured)
+  query_p50_ms                      - ms    n=0
+  train_pass_s                    nan s     n=0
+gated metrics
+  op = PATCH due time until the broker acknowledges it; tail = p80
+  op_p50_ms                    0.7771 ms    n=148
+run record {"seed": 1}
+{"correct": true, "attempted": 180, "failed": 0, "metrics": {}}
+"""
+
+
+def test_named_figures_are_kept_and_summarised_for_information():
+    named = bench_pairs.parse_named(NAMED_STDOUT)
+    assert named == {"setup_s": {"value": 0.3584, "unit": "s"},
+                     "write_p50_ms": {"value": 0.7772, "unit": "ms"},
+                     "notify_p50_ms": {"value": 29.907, "unit": "ms"}}
+    runs = [{**run(side, k, stdout(10.0, 100.0)),
+             "named": {"write_p50_ms": {"value": value + k, "unit": "ms"}}}
+            for side, value in (("parent", 1.0), ("change", 2.0)) for k in range(1, 4)]
+    figure = bench_pairs.summarise(runs, SPEC)["plan"]["named"]["write_p50_ms"]
+    assert figure == {"unit": "ms", "parent": {"n": 3, "median": 3.0, "q1": 2.5, "q3": 3.5},
+                      "change": {"n": 3, "median": 4.0, "q1": 3.5, "q3": 4.5}}

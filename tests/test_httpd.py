@@ -428,6 +428,8 @@ def test_expect_100_continue_with_a_refused_length_gets_no_100(echo, declared, s
     (b"GET /echo HTTP/1.1\r\nHost x\r\n\r\n", 400),  # no colon
     (b"GET /echo HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n", 431),
     (b"GET /echo HTTP/1.1\r\nX-A: " + b"a" * 65536 + b"\r\n\r\n", 431),
+    (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\nHost: x\r\n\r\n", 414),
+    (b"GET /echo\r\n", 400),  # HTTP/0.9
 ])
 def test_the_server_answers_and_closes(echo, sent, status):
     with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
@@ -437,6 +439,40 @@ def test_the_server_answers_and_closes(echo, sent, status):
     assert head.startswith(b"HTTP/1.1 %d " % status)
     assert b"\r\nConnection: close" in head
     assert ("error" in json.loads(body)) == (status != 200)
+
+
+def test_a_body_cut_short_is_400_and_never_dispatched(echo):
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
+        sock.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 20\r\n\r\n[1, 2]")
+        sock.shutdown(socket.SHUT_WR)
+        reply = _read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ") and b"\r\nConnection: close" in head
+    assert json.loads(body)["error"] == "bad-request"
+    assert echo.seen == []
+
+
+def test_stop_is_safe_twice_and_ends_every_thread_the_server_started():
+    server = _echo_server()
+    server.stop()  # before start()
+    before = set(threading.enumerate())
+    server.start()
+    conns = [http.client.HTTPConnection(server.host, server.port, timeout=3.0)
+             for _ in range(3)]
+    try:
+        for conn in conns:
+            conn.request("GET", "/echo")
+            assert conn.getresponse().read()
+        assert len(set(threading.enumerate()) - before) == 4  # accept, and one per connection
+        server.stop()
+        server.stop()
+        deadline = time.monotonic() + 2.0
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) - before == set()
+    finally:
+        for conn in conns:
+            conn.close()
 
 
 @pytest.fixture(scope="module")

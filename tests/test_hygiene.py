@@ -11,9 +11,7 @@
   object), or by ``getattr``/``hasattr`` with the name as a literal.
 - every method and property a class defines is read somewhere under
   ``src/``, ``tests/`` or ``perfbench/``: as an attribute load, by
-  ``getattr``/``hasattr`` with the name as a literal, or as a name a class
-  body reads (``do_GET = _dispatch``). Dunders and the ``http.server`` hooks
-  that the server base classes call are exempt.
+  ``getattr``/``hasattr`` with the name as a literal. Dunders are exempt.
 - every function and class a module defines at its top level is read
   somewhere under ``src/``, ``tests/`` or ``perfbench/``: as a name, as an
   attribute load (``gtfs.parse_feed``), by ``getattr``/``hasattr`` with the
@@ -126,9 +124,6 @@ def test_every_attribute_set_on_self_is_read():
     assert unread == []
 
 
-# called by the http.server base classes, never by name in this project
-HTTP_SERVER_HOOKS = {"log_message", "handle_error", "process_request", "shutdown_request",
-                     "parse_request"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -140,24 +135,14 @@ def class_members(path: Path) -> list[tuple[str, str]]:
             for node in cls.body if isinstance(node, FUNCTIONS)]
 
 
-def class_body_reads(path: Path) -> set[str]:
-    """Names a class body in ``path`` reads outside its methods (``do_GET = _dispatch``)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return {name.id for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for stmt in cls.body if not isinstance(stmt, FUNCTIONS)
-            for name in ast.walk(stmt)
-            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
-
-
 def test_every_method_and_property_is_read():
-    reads = set().union(*(attribute_reads(path) | class_body_reads(path)
+    reads = set().union(*(attribute_reads(path)
                           for folder in ("src", "tests", "perfbench")
                           for path in (ROOT / folder).rglob("*.py")))
     unread = [f"{path.relative_to(SRC)}:{where}.{name}"
               for path in sorted(SRC.rglob("*.py"))
               for where, name in class_members(path)
-              if name not in reads and name not in HTTP_SERVER_HOOKS
-              and not (name.startswith("__") and name.endswith("__"))]
+              if name not in reads and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
 
 

@@ -8,14 +8,16 @@ Each side is a source checkout. For every workload that the change's
 --trace 0`` in both checkouts as subprocesses, one after the other; odd pairs
 run the parent first, even pairs the change. Nothing from ``perfbench/`` is
 imported. Each run keeps its exit code, its last stdout line (the result
-JSON) and its ``run record`` line. A run that fails or is incorrect is
-counted, never dropped. The summary gives, per workload and end-to-end
-metric, each side's median and quartiles, how many pairs the change won,
-whether the change's median is worse than the parent's by more than the
-metric's ``bound``, and whether the parent's own spread (its quartile
-distance over its median) is too wide for that bound to be told. The output
-file is rewritten after every pair, so an interrupted run keeps what it
-measured.
+JSON), its ``run record`` line and the named figures it prints under
+"end-to-end metrics" (``write_p50_ms``, ``plan_p50_ms``, ...). A run that
+fails or is incorrect is counted, never dropped. The summary gives, per
+workload and end-to-end metric, each side's median and quartiles, how many
+pairs the change won, whether the change's median is worse than the
+parent's by more than the metric's ``bound``, and whether the parent's own
+spread (its quartile distance over its median) is too wide for that bound
+to be told; beside them, for information only, each side's median and
+quartiles of every named figure. The output file is rewritten after every
+pair, so an interrupted run keeps what it measured.
 """
 
 import argparse
@@ -48,6 +50,25 @@ def parse_output(stdout: str) -> tuple:
     return (result if isinstance(result, dict) else None), record
 
 
+def parse_named(stdout: str) -> dict:
+    """``{name: {"value", "unit"}}`` of the figures a run prints under
+    "end-to-end metrics"; one shown as ``-`` or ``omitted`` is left out."""
+    named, inside = {}, False
+    for line in stdout.splitlines():
+        if not line.startswith(" "):
+            inside = line.startswith("end-to-end metrics")
+            continue
+        words = line.split()
+        if inside and len(words) >= 4 and words[3].startswith("n="):
+            try:
+                value = float(words[1])
+            except ValueError:  # "-" or "omitted"
+                continue
+            if value == value:  # not NaN
+                named[words[0]] = {"value": value, "unit": words[2]}
+    return named
+
+
 def run_once(checkout: str, command: list, workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
@@ -63,6 +84,7 @@ def run_once(checkout: str, command: list, workload: str, seed: int, seconds: fl
     lines = stdout.strip().splitlines()
     return {"exit": code, "wallSeconds": round(time.monotonic() - started, 2),
             "lastLine": lines[-1] if lines else "", "result": result, "record": record,
+            "named": parse_named(stdout),
             "stderrTail": stderr.strip().splitlines()[-5:] if code != 0 else []}
 
 
@@ -86,8 +108,9 @@ def _worse(change: float, parent: float, better: str, bound: float) -> bool:
 
 
 def summarise(runs: list, spec: dict) -> dict:
-    """Per workload: each side's run outcomes, and per end-to-end metric each
-    side's median and quartiles, the pairs the change won and the bound flag."""
+    """Per workload: each side's run outcomes, per end-to-end metric each
+    side's median and quartiles, the pairs the change won and the bound flag,
+    and per named figure each side's median and quartiles."""
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
@@ -130,7 +153,14 @@ def summarise(runs: list, spec: dict) -> dict:
                 "worseBeyondBound": (parent is not None and change is not None
                                      and _worse(change, parent, better, bound)),
             }
-        summary[workload] = {"runs": outcomes, "metrics": metrics}
+        named = {}  # name -> (unit, values by side)
+        for run in mine:
+            for name, figure in (run.get("named") or {}).items():
+                unit, values = named.setdefault(name, (figure["unit"], {s: [] for s in SIDES}))
+                values[run["side"]].append(figure["value"])
+        summary[workload] = {"runs": outcomes, "metrics": metrics, "named": {
+            name: {"unit": unit, **{side: quartiles(values[side]) for side in SIDES}}
+            for name, (unit, values) in sorted(named.items())}}
     return summary
 
 
