@@ -476,8 +476,6 @@ class ContextBroker:
                 sub.consecutive_failures = 0
                 sub.last_delivery = now
             delivered += 1
-            if throttle:
-                return delivered
 
     def _poll_loop(self):
         while not self._stop_poll.wait(POLL_SECONDS):

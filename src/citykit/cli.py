@@ -11,6 +11,7 @@ import json
 import logging
 import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from datetime import date, datetime, timezone
@@ -53,11 +54,11 @@ def _print(doc) -> None:
 
 
 def _wait_forever(*servers) -> int:
-    stop = []
-    signal.signal(signal.SIGTERM, lambda *a: stop.append(True))
+    stop = threading.Event()
+    # set off the main thread, which may hold the event's lock inside wait()
+    signal.signal(signal.SIGTERM, lambda *a: threading.Thread(target=stop.set).start())
     try:
-        while not stop:
-            time.sleep(0.5)
+        stop.wait()
     except KeyboardInterrupt:
         pass
     for server in servers:
@@ -267,7 +268,7 @@ def cmd_estimator_serve(args) -> int:
         raise KindError("invalid-config",
                         f"unknown profile {profile!r}; pick from {sorted(PROFILES)}")
     broker = BrokerClient(extras["broker"])
-    hook = (lambda p: writeback(p, broker)) if extras.get("writeback", "").lower() == "true" else None
+    hook = (lambda p: writeback(p, broker)) if extras.get("writeback") else None
     scheduler = EstimatorScheduler(TimeSeriesStore(), config, on_prediction=hook)
     watched = dict([PROFILES[profile]])  # {entityType: attribute}
     snapshot = lambda: ingest_snapshot(scheduler.store, broker, watched, scheduler.clock)

@@ -53,20 +53,29 @@ def writeback(prediction: Prediction, broker: Broker) -> bool:
     return True
 
 
+def _flag(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, not {value!r}")
+    return value == "true"
+
+
 def parse_config_text(text: str) -> dict:
-    """`key = value` lines; # starts a comment; TrainingConfig fields are typed."""
-    types = field_types(TrainingConfig)
+    """`key = value` lines; # starts a comment; TrainingConfig fields are typed.
+    Keys besides those, ``profile``, ``broker`` and ``writeback`` are refused."""
+    types = {**field_types(TrainingConfig), "profile": str, "broker": str, "writeback": _flag}
     settings = {}
 
     def apply(key: str, value: str) -> None:
-        settings[key] = types.get(key, str)(value)
+        if key not in types:
+            raise ValueError(f"unknown key {key!r}")
+        settings[key] = types[key](value)
 
     read_settings(text, partial(EstimatorError, "invalid-config"), apply)
     return settings
 
 
 def load_config_file(path) -> tuple[TrainingConfig, dict]:
-    """Returns (TrainingConfig, leftover settings like profile/broker/writeback)."""
+    """Returns (TrainingConfig, the profile/broker/writeback settings given)."""
     settings = parse_config_text(Path(path).read_text(encoding="utf-8"))
     field_names = set(TrainingConfig.__dataclass_fields__)
     config_kwargs = {k: v for k, v in settings.items() if k in field_names}

@@ -1,11 +1,11 @@
 """Embedded time-series store keyed by (entityId, attributeName).
 
-Samples are kept sorted with strictly increasing timestamps; re-ingesting a
-timestamp replaces that sample's value. A time or value that is not finite is
-refused, since it would break the order or poison every fit over the series;
-``extend`` checks a whole batch first, so a refused record adds none of it.
-Readers get list copies, so training and inference work on immutable
-snapshots while ingestion keeps appending.
+Samples are ``(t, value)`` tuples kept sorted with strictly increasing
+timestamps; re-ingesting a timestamp replaces that sample's value. A time or
+value that is not finite is refused, since it would break the order or poison
+every fit over the series; ``extend`` checks a whole batch first, so a refused
+record adds none of it. Readers get list copies, so training and inference
+work on immutable snapshots while ingestion keeps appending.
 ``get`` copies only what it returns: it bisects to the ``from``/``to`` bounds
 (inclusive), and ``last=n`` keeps the newest ``n`` samples of that range.
 """
@@ -13,12 +13,10 @@ snapshots while ingestion keeps appending.
 from bisect import bisect_left, bisect_right
 import math
 import threading
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     t: float
     value: float
 
@@ -29,17 +27,14 @@ class TimeSeriesStore:
         self._lock = threading.Lock()
 
     def append(self, entity_id: str, attribute: str, t: float, value: float) -> None:
-        key = (entity_id, attribute)
-        sample = _checked(key, t, value)
-        with self._lock:
-            _insert(self._series.setdefault(key, []), sample)
+        self.extend(entity_id, attribute, ((t, value),))
 
     def extend(self, entity_id: str, attribute: str, records) -> int:
         """Add a batch of ``(t, value)`` records to one series; returns the count.
 
         Every record is checked before any is stored, so one refused record
         adds none. The batch then goes in under one lock hold, each record
-        inserted in record order as ``append`` would.
+        inserted in record order.
         """
         key = (entity_id, attribute)
         samples = [_checked(key, t, value) for t, value in records]
@@ -48,7 +43,14 @@ class TimeSeriesStore:
         with self._lock:
             series = self._series.setdefault(key, [])
             for sample in samples:
-                _insert(series, sample)
+                if not series or series[-1].t < sample.t:
+                    series.append(sample)
+                    continue
+                idx = bisect_left(series, (sample.t,))
+                if idx < len(series) and series[idx].t == sample.t:
+                    series[idx] = sample  # same timestamp: last write wins
+                else:
+                    series.insert(idx, sample)
         return len(samples)
 
     def get(self, entity_id: str, attribute: str,
@@ -59,8 +61,8 @@ class TimeSeriesStore:
             return []  # a NaN bound compares false with every time
         with self._lock:
             series = self._series.get((entity_id, attribute), [])
-            lo = 0 if t_from is None else bisect_left(series, t_from, key=lambda s: s.t)
-            hi = len(series) if t_to is None else bisect_right(series, t_to, key=lambda s: s.t)
+            lo = 0 if t_from is None else bisect_left(series, (t_from,))
+            hi = len(series) if t_to is None else bisect_right(series, (t_to, math.inf))
             return series[max(lo, hi - last) if last else lo:hi]
 
     def length(self, entity_id: str, attribute: str) -> int:
@@ -79,14 +81,3 @@ def _checked(key: tuple, t, value) -> Sample:
         raise ValueError(f"sample ({t!r}, {value!r}) for {key} is not finite")
     return sample
 
-
-def _insert(series: list[Sample], sample: Sample) -> None:
-    """Put ``sample`` in its place in ``series``; the caller holds the lock."""
-    if not series or series[-1].t < sample.t:
-        series.append(sample)
-        return
-    idx = bisect_left(series, sample.t, key=lambda s: s.t)
-    if idx < len(series) and series[idx].t == sample.t:
-        series[idx] = sample  # same timestamp: last write wins
-    else:
-        series.insert(idx, sample)

@@ -196,11 +196,6 @@ def validate_feed(feed: GtfsFeed) -> None:
             prev = st
 
 
-def _num(x) -> str:
-    # repr round-trips floats exactly; ints stay bare
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def serialize_feed(feed: GtfsFeed) -> bytes:
     """Validate, sort, and pack the feed into deterministic zip bytes."""
     feed.sort()
@@ -212,11 +207,11 @@ def serialize_feed(feed: GtfsFeed) -> bytes:
         ),
         "stops.txt": (
             ["stop_id", "stop_name", "stop_lat", "stop_lon"],
-            [[s.stopId, s.name, _num(s.lat), _num(s.lon)] for s in feed.stops],
+            [[s.stopId, s.name, s.lat, s.lon] for s in feed.stops],
         ),
         "routes.txt": (
             ["route_id", "agency_id", "route_short_name", "route_type"],
-            [[r.routeId, r.agencyId, r.shortName, str(r.routeType)] for r in feed.routes],
+            [[r.routeId, r.agencyId, r.shortName, r.routeType] for r in feed.routes],
         ),
         "trips.txt": (
             ["route_id", "service_id", "trip_id"],
@@ -225,12 +220,12 @@ def serialize_feed(feed: GtfsFeed) -> bytes:
         "stop_times.txt": (
             ["trip_id", "arrival_time", "departure_time", "stop_id", "stop_sequence"],
             [[st.tripId, format_time(st.arrival), format_time(st.departure),
-              st.stopId, str(st.stopSequence)] for st in feed.stopTimes],
+              st.stopId, st.stopSequence] for st in feed.stopTimes],
         ),
         "calendar.txt": (
             ["service_id", "monday", "tuesday", "wednesday", "thursday",
              "friday", "saturday", "sunday", "start_date", "end_date"],
-            [[s.serviceId, *(str(f) for f in s.weekdayFlags), s.startDate, s.endDate]
+            [[s.serviceId, *s.weekdayFlags, s.startDate, s.endDate]
              for s in feed.services],
         ),
     }
@@ -302,12 +297,23 @@ def load_feed(path) -> GtfsFeed:
     return parse_feed(Path(path).read_bytes())
 
 
-def _require(entity: NgsiEntity, name: str):
+def _require(entity: NgsiEntity, name: str, convert=str):
+    """Attribute ``name``'s value through ``convert``; FeedError if missing or unconvertible."""
     attr = entity.attributes.get(name)
     if attr is None:
         raise FeedError("invalid-entity",
                         f"{entity.entityType} {entity.id} lacks attribute {name!r}")
-    return attr.value
+    try:
+        return convert(attr.value)
+    except (TypeError, ValueError) as exc:
+        raise FeedError("invalid-entity",
+                        f"{entity.entityType} {entity.id} attribute {name!r}: {exc}") from exc
+
+
+def _weekday_flags(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 7:
+        raise ValueError("weekdays must have 7 flags")
+    return tuple(int(f) for f in value)
 
 
 def ngsi_to_gtfs(entities: list[NgsiEntity]) -> tuple[GtfsFeed, bytes]:
@@ -323,30 +329,23 @@ def ngsi_to_gtfs(entities: list[NgsiEntity]) -> tuple[GtfsFeed, bytes]:
             feed.agencies.append(Agency(e.id, _require(e, "name"), _require(e, "url"),
                                         _require(e, "timezone")))
         elif t == "GtfsStop":
-            feed.stops.append(Stop(e.id, _require(e, "name"),
-                                   float(_require(e, "latitude")),
-                                   float(_require(e, "longitude"))))
+            feed.stops.append(Stop(e.id, _require(e, "name"), _require(e, "latitude", float),
+                                   _require(e, "longitude", float)))
         elif t == "GtfsRoute":
-            feed.routes.append(Route(e.id, _require(e, "refAgency"),
-                                     _require(e, "shortName"),
-                                     int(_require(e, "routeType"))))
+            feed.routes.append(Route(e.id, _require(e, "refAgency"), _require(e, "shortName"),
+                                     _require(e, "routeType", int)))
         elif t == "GtfsTrip":
             feed.trips.append(Trip(e.id, _require(e, "refRoute"),
                                    _require(e, "refService")))
         elif t == "GtfsStopTime":
             feed.stopTimes.append(StopTime(
-                _require(e, "refTrip"), int(_require(e, "stopSequence")),
-                _require(e, "refStop"), int(_require(e, "arrivalTime")),
-                int(_require(e, "departureTime")),
+                _require(e, "refTrip"), _require(e, "stopSequence", int),
+                _require(e, "refStop"), _require(e, "arrivalTime", int),
+                _require(e, "departureTime", int),
             ))
         elif t == "GtfsService":
-            flags = _require(e, "weekdays")
-            if not isinstance(flags, (list, tuple)) or len(flags) != 7:
-                raise FeedError("invalid-entity",
-                                f"GtfsService {e.id} weekdays must have 7 flags")
-            feed.services.append(Service(e.id, tuple(int(f) for f in flags),
-                                         str(_require(e, "startDate")),
-                                         str(_require(e, "endDate"))))
+            feed.services.append(Service(e.id, _require(e, "weekdays", _weekday_flags),
+                                         _require(e, "startDate"), _require(e, "endDate")))
     data = serialize_feed(feed)
     return feed, data
 

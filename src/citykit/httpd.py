@@ -268,7 +268,7 @@ class JsonHttpServer:
         if raw:
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8
                 body = raw.decode("utf-8", errors="replace")
         for route_method, rx, handler in self._routes:
             match = rx.fullmatch(parsed.path) if route_method == method else None

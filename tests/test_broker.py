@@ -353,6 +353,26 @@ def test_a_commit_that_finds_the_pump_ending_is_still_delivered():
     broker.close()
 
 
+def test_background_delivery_needs_no_pump_call_and_close_ends_it():
+    broker = ContextBroker(delivery="background")
+    delivered = threading.Event()
+    seen = []
+
+    class SignallingSink:
+        def deliver(self, sub_id, issued_at, versions):
+            seen.extend(version.id for version in versions)
+            delivered.set()
+
+    try:
+        broker.subscribe(Subscription(id="", target=SignallingSink()))
+        broker.upsert_entity(make_parking())
+        assert delivered.wait(5.0)  # a failure bound only: the poll thread delivers
+    finally:
+        broker.close()
+    assert seen == ["p-1"]
+    assert not broker._poll_thread.is_alive()
+
+
 # -- journal -----------------------------------------------------------------
 
 def test_journal_replays_entities_on_restart(tmp_path):

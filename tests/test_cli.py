@@ -3,6 +3,9 @@
 import json
 import logging
 import os
+import signal
+import threading
+import time
 from datetime import date, datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,10 +17,10 @@ from citykit import cli
 from citykit.broker import ContextBroker
 from citykit.broker_http import BrokerServer
 from citykit.cli import _parse_listen, build_parser, main
-from citykit.feedgen import CityFixture, generate_city, seed_defects
+from citykit.feedgen import CityFixture, generate_city, generate_static_network, seed_defects
 from citykit.gtfs import parse_feed, publish_feed_entity, serialize_feed
 from citykit.httpd import JsonHttpServer, request_json
-from citykit.ngsi import make_entity
+from citykit.ngsi import Attribute, make_entity
 from citykit.routing import Router, RouterServer
 
 SCHEMAS_DIR = str(Path(citykit.__file__).parent / "schemas")
@@ -299,12 +302,44 @@ class TestServe:
         for server in servers:
             server.stop()
 
+    def test_sigterm_ends_the_serve_wait(self):
+        stopped = []
+        server = SimpleNamespace(stop=lambda: stopped.append(True))
+        previous = signal.getsignal(signal.SIGTERM)
+
+        def terminate():  # once the wait has taken over SIGTERM
+            while signal.getsignal(signal.SIGTERM) is previous:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        threading.Thread(target=terminate, daemon=True).start()
+        try:
+            assert cli._wait_forever(server) == 0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert stopped == [True]
+
     def test_router_serve_defaults_to_today_utc(self, served):
         before = datetime.now(timezone.utc).date()
         assert main(["router-serve", "--listen", "127.0.0.1:0"]) == 0
         after = datetime.now(timezone.utc).date()
         (server,) = served
         assert server.router.serviceDate in (before, after)
+
+    def test_gtfsrt_serve_refreshes_on_each_estimation(self, tmp_path, served_broker,
+                                                       served, city_feed):
+        url, broker = served_broker
+        static = tmp_path / "feed.zip"
+        static.write_bytes(serialize_feed(city_feed))
+        assert main(["gtfsrt-serve", "--broker", url, "--static", str(static),
+                     "--listen", "127.0.0.1:0"]) == 0
+        (server,) = served
+        broker.upsert_entity(make_entity(  # a line the feed lacks: unresolved at any hour
+            "est-1", "ArrivalEstimation", refStop=Attribute("S1", "Reference"),
+            refLine=Attribute("no-such-line", "Reference"), remainingTime=60))
+        _, status = request_json("GET", server.server.url() + "/status")
+        assert status["refreshCount"] == 2
+        assert [u["entityId"] for u in status["unresolved"]] == ["est-1"]
 
     def test_estimator_serve_refuses_a_config_without_broker(self, tmp_path, served,
                                                              capsys):
@@ -488,6 +523,19 @@ class TestServiceErrors:
                                           "--listen", "127.0.0.1:0"])
         assert error["error"] == "invalid-config"
         assert "line 1" in error["detail"]
+
+    def test_gtfs_build_from_a_value_that_does_not_convert(self, tmp_path, served_broker,
+                                                           capsys, city):
+        url, broker = served_broker
+        for entity in generate_static_network(city):
+            if entity.id == "S2":
+                entity.attributes["latitude"] = Attribute("40.004N", "Text")
+            broker.upsert_entity(entity)
+        out = tmp_path / "feed.zip"
+        error = self._error_line(capsys, ["gtfs-build", "--broker", url, "--out", str(out)])
+        assert error["error"] == "invalid-entity"
+        assert "S2" in error["detail"] and "latitude" in error["detail"]
+        assert not out.exists()
 
     def test_json2ngsi_posts_into_a_broker_that_rejects_the_entity(
             self, tmp_path, served_broker, capsys):

@@ -643,6 +643,22 @@ class TestConfig:
         assert err.value.kind == "invalid-config"
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("text, detail", [
+        ("lags = 6\nlgas = 8\n", "line 2: unknown key 'lgas'"),
+        ("broker = http://127.0.0.1:1\nwriteback = yes\n", "line 2"),
+        ("writeback = True\n", "line 1"),
+    ])
+    def test_unknown_key_or_writeback_flag_rejected(self, text, detail):
+        with pytest.raises(EstimatorError) as err:
+            parse_config_text(text)
+        assert err.value.kind == "invalid-config"
+        assert detail in str(err.value)
+
+    def test_writeback_is_true_or_false(self):
+        assert parse_config_text("writeback = true\nbroker = http://b\n") == {
+            "writeback": True, "broker": "http://b"}
+        assert parse_config_text("writeback = false") == {"writeback": False}
+
     def test_load_config_file_splits_leftovers(self, tmp_path):
         path = tmp_path / "estimator.conf"
         path.write_text("lags = 6\nminSamples = 50\nprofile = traffic\n",

@@ -1,11 +1,12 @@
 """Static feed model: validation, deterministic zips, round trips."""
 
+import hashlib
 import zipfile
 from io import BytesIO
 
 import pytest
 
-from citykit.feedgen import Lcg64, generate_static_network
+from citykit.feedgen import CityFixture, Lcg64, generate_static_network
 from citykit.gtfs import (
     Agency,
     FeedError,
@@ -24,7 +25,7 @@ from citykit.gtfs import (
     publish_feed_entity,
     serialize_feed,
 )
-from citykit.ngsi import make_entity
+from citykit.ngsi import Attribute, make_entity
 
 from oracles import random_network
 
@@ -209,6 +210,41 @@ class TestEntityAssembly:
         stop = make_entity("S1", "GtfsStop", name="Centro", latitude=40.0)
         with pytest.raises(FeedError):
             ngsi_to_gtfs([stop])
+
+    @pytest.mark.parametrize("entity_type, attribute, value", [
+        ("GtfsStop", "latitude", "40.004N"),
+        ("GtfsStopTime", "arrivalTime", None),
+        ("GtfsRoute", "routeType", "bus"),
+        ("GtfsService", "weekdays", [1, 1, 1, 1, 1, "x", 0]),
+        ("GtfsService", "weekdays", "1111100"),
+    ])
+    def test_a_value_that_does_not_convert_names_the_entity(self, city, entity_type,
+                                                            attribute, value):
+        entities = generate_static_network(city)
+        target = next(e for e in entities if e.entityType == entity_type)
+        target.attributes[attribute] = Attribute(value, "Text")
+        with pytest.raises(FeedError) as err:
+            ngsi_to_gtfs(entities)
+        assert err.value.kind == "invalid-entity"
+        assert target.id in err.value.message and repr(attribute) in err.value.message
+
+    def test_text_fields_are_built_as_text(self, city):
+        entities = generate_static_network(city)
+        route = next(e for e in entities if e.entityType == "GtfsRoute")
+        route.attributes["shortName"] = Attribute(1, "Number")
+        feed, data = ngsi_to_gtfs(entities)
+        assert [r.shortName for r in feed.routes if r.routeId == route.id] == ["1"]
+        assert parse_feed(data) == feed
+
+
+@pytest.mark.parametrize("fixture, digest", [
+    (CityFixture(), "2b6be61b4e6ae37bc6f03542cb098da9c3e544779f84e3db23b822bef98a84a2"),
+    (CityFixture(stopCount=12, routeCount=3, tripsPerRoute=5),
+     "4a8f366e6217444a427fb6122532da0452442ca08be9b60e971acf40a1189430"),
+])
+def test_generated_feed_bytes_are_pinned(fixture, digest):
+    _, data = ngsi_to_gtfs(generate_static_network(fixture))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_file_url_round_trip(tmp_path):

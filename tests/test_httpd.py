@@ -407,6 +407,14 @@ def test_expect_100_continue_is_answered_before_the_body(echo):
     assert echo.seen == [{"a": 1}]
 
 
+def test_a_body_that_is_not_utf8_reaches_the_handler_as_text(echo):
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock, \
+            sock.makefile("rb") as fh:
+        sock.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 1\r\n\r\n\xff")
+        assert _raw_reply(fh) == (b"200", b'{"n": 1}')
+    assert echo.seen == ["\ufffd"]
+
+
 @pytest.mark.parametrize("declared, status", [(b"1000000000", b"413"), (b"1e3", b"400")])
 def test_expect_100_continue_with_a_refused_length_gets_no_100(echo, declared, status):
     with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
