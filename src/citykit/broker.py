@@ -7,14 +7,14 @@ entity version is never mutated: an upsert copies the entity in and checks
 all of it; a patch copies in and checks only the attributes it changes, and
 its new version shares the rest with the previous one. Subscription queues
 hold the committed versions; reads (``get_entity``, ``query_entities``, the
-result of ``update_attributes``) hand out copies. A sink's ``deliver`` gets
-the committed versions of one delivery; only ``HttpSink`` (the webhook POST)
-and ``CollectSink`` build the NGSI ``notification_doc`` from them, and a
-callable target gets copies it may mutate. Notification
-delivery is FIFO per subscription and at-least-once; a positive
-``throttlingSeconds`` coalesces queued changes into the latest snapshot per
-entity and spaces deliveries at least that far apart. Three consecutive sink
-failures flip a subscription to ``failed`` and stop further attempts.
+result of ``update_attributes``) hand out copies. One delivery rule: a pump
+cycle makes at most one ``deliver`` per subscription, carrying its whole queue
+in commit order; a positive ``throttlingSeconds`` coalesces that batch into the
+latest version per entity and spaces deliveries at least that far apart. A
+failed delivery leaves its batch queued, so delivery is FIFO per subscription
+and at-least-once; three consecutive sink failures flip a subscription to
+``failed``. Only ``HttpSink`` (the webhook POST) and ``CollectSink`` build the
+NGSI ``notification_doc``; a callable target gets copies it may mutate.
 
 An optional JSON-lines journal records accepted writes so a restarted broker
 can replay them through the same commit steps. Subscriptions are runtime
@@ -438,44 +438,33 @@ class ContextBroker:
         return delivered
 
     def _pump_one(self, sub: Subscription, now: float) -> int:
-        delivered = 0
-        while True:
+        """One delivery of everything ``sub`` has queued; returns 1 if it was made."""
+        with self._lock:
+            throttle = sub.throttlingSeconds
+            if sub.status != "active" or not sub.queue or throttle and \
+                    sub.last_delivery is not None and now - sub.last_delivery < throttle:
+                return 0
+            consumed = len(sub.queue)
+            # throttled: the latest version per entity, in order of first appearance
+            batch = list({v.id: v for v in sub.queue}.values()) if throttle else sub.queue[:]
+        try:
+            sub._sink.deliver(sub.id, now, batch)
+        except Exception as exc:
             with self._lock:
-                if sub.status != "active" or not sub.queue:
-                    return delivered
-                throttle = sub.throttlingSeconds
-                if throttle and sub.last_delivery is not None \
-                        and now - sub.last_delivery < throttle:
-                    return delivered
-                if throttle:
-                    # Coalesce everything queued: latest snapshot per entity,
-                    # ordered by each entity's first appearance.
-                    latest: dict[str, NgsiEntity] = {}
-                    for snap in sub.queue:
-                        latest[snap.id] = snap
-                    batch = list(latest.values())
-                    consumed = len(sub.queue)
+                sub.consecutive_failures += 1
+                if sub.consecutive_failures >= FAIL_LIMIT:
+                    sub.status = "failed"
+                    logger.warning("subscription %s failed after %d sink errors: %s",
+                                   sub.id, FAIL_LIMIT, exc)
                 else:
-                    batch = [sub.queue[0]]
-                    consumed = 1
-            try:
-                sub._sink.deliver(sub.id, now, batch)
-            except Exception as exc:
-                with self._lock:
-                    sub.consecutive_failures += 1
-                    if sub.consecutive_failures >= FAIL_LIMIT:
-                        sub.status = "failed"
-                        logger.warning("subscription %s failed after %d sink errors: %s",
-                                       sub.id, FAIL_LIMIT, exc)
-                    else:
-                        logger.debug("sink error for %s (attempt %d): %s",
-                                     sub.id, sub.consecutive_failures, exc)
-                return delivered
-            with self._lock:
-                del sub.queue[:consumed]
-                sub.consecutive_failures = 0
-                sub.last_delivery = now
-            delivered += 1
+                    logger.debug("sink error for %s (attempt %d): %s",
+                                 sub.id, sub.consecutive_failures, exc)
+            return 0
+        with self._lock:
+            del sub.queue[:consumed]
+            sub.consecutive_failures = 0
+            sub.last_delivery = now
+        return 1
 
     def _poll_loop(self):
         while not self._stop_poll.wait(POLL_SECONDS):

@@ -54,11 +54,9 @@ def _print(doc) -> None:
 
 
 def _wait_forever(*servers) -> int:
-    stop = threading.Event()
-    # set off the main thread, which may hold the event's lock inside wait()
-    signal.signal(signal.SIGTERM, lambda *a: threading.Thread(target=stop.set).start())
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # ends the wait as Ctrl-C does
     try:
-        stop.wait()
+        threading.Event().wait()
     except KeyboardInterrupt:
         pass
     for server in servers:
@@ -275,6 +273,7 @@ def cmd_estimator_serve(args) -> int:
     host, port = _parse_listen(args.listen)
     server = EstimatorServer(scheduler, host=host, port=port)
     url = server.start()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # ends it as Ctrl-C does
     print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
     # poll broker snapshots at the inference cadence
     try:
@@ -293,6 +292,7 @@ def cmd_estimator_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)  # as it was, for an in-process caller
         server.stop()
     return 0
 

@@ -143,7 +143,7 @@ def parse_time(text: str) -> int:
 
 
 def validate_feed(feed: GtfsFeed) -> None:
-    """Enforce the feed invariants; raises FeedError on the first kind hit."""
+    """Enforce the invariants of a sorted feed; raises FeedError on the first kind hit."""
     if not feed.agencies:
         raise FeedError("empty-feed", "a feed requires at least one agency")
     agency_ids = {a.agencyId for a in feed.agencies}
@@ -175,25 +175,18 @@ def validate_feed(feed: GtfsFeed) -> None:
             raise FeedError("bad-coordinate",
                             f"stop {stop.stopId} at ({stop.lat}, {stop.lon})")
 
-    by_trip: dict[str, list] = {}
-    for st in feed.stopTimes:
-        by_trip.setdefault(st.tripId, []).append(st)
-    for trip_id, sts in by_trip.items():
-        sts = sorted(sts, key=lambda st: st.stopSequence)
-        prev = None
-        seen_seq = set()
-        for st in sts:
-            if st.stopSequence in seen_seq:
-                raise FeedError("unsorted-stop-times",
-                                f"trip {trip_id}: duplicate stop sequence {st.stopSequence}")
-            seen_seq.add(st.stopSequence)
-            if st.departure < st.arrival:
-                raise FeedError("unsorted-stop-times",
-                                f"trip {trip_id}: departure before arrival at seq {st.stopSequence}")
-            if prev is not None and (st.arrival < prev.departure):
-                raise FeedError("unsorted-stop-times",
-                                f"trip {trip_id}: times decrease at seq {st.stopSequence}")
-            prev = st
+    for prev, st in zip([None, *feed.stopTimes], feed.stopTimes):  # in (trip, sequence) order
+        trip_id, seq = st.tripId, st.stopSequence
+        same_trip = prev is not None and prev.tripId == trip_id
+        if same_trip and prev.stopSequence == seq:
+            raise FeedError("unsorted-stop-times",
+                            f"trip {trip_id}: duplicate stop sequence {seq}")
+        if st.departure < st.arrival:
+            raise FeedError("unsorted-stop-times",
+                            f"trip {trip_id}: departure before arrival at seq {seq}")
+        if same_trip and st.arrival < prev.departure:
+            raise FeedError("unsorted-stop-times",
+                            f"trip {trip_id}: times decrease at seq {seq}")
 
 
 def serialize_feed(feed: GtfsFeed) -> bytes:
@@ -297,7 +290,25 @@ def load_feed(path) -> GtfsFeed:
     return parse_feed(Path(path).read_bytes())
 
 
-def _require(entity: NgsiEntity, name: str, convert=str):
+def _text(value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"{value!r} is not text or a number")
+    return str(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _whole(value) -> int:
+    if not _real(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _require(entity: NgsiEntity, name: str, convert=_text):
     """Attribute ``name``'s value through ``convert``; FeedError if missing or unconvertible."""
     attr = entity.attributes.get(name)
     if attr is None:
@@ -313,7 +324,7 @@ def _require(entity: NgsiEntity, name: str, convert=str):
 def _weekday_flags(value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 7:
         raise ValueError("weekdays must have 7 flags")
-    return tuple(int(f) for f in value)
+    return tuple(_whole(f) for f in value)
 
 
 def ngsi_to_gtfs(entities: list[NgsiEntity]) -> tuple[GtfsFeed, bytes]:
@@ -329,19 +340,19 @@ def ngsi_to_gtfs(entities: list[NgsiEntity]) -> tuple[GtfsFeed, bytes]:
             feed.agencies.append(Agency(e.id, _require(e, "name"), _require(e, "url"),
                                         _require(e, "timezone")))
         elif t == "GtfsStop":
-            feed.stops.append(Stop(e.id, _require(e, "name"), _require(e, "latitude", float),
-                                   _require(e, "longitude", float)))
+            feed.stops.append(Stop(e.id, _require(e, "name"), _require(e, "latitude", _real),
+                                   _require(e, "longitude", _real)))
         elif t == "GtfsRoute":
             feed.routes.append(Route(e.id, _require(e, "refAgency"), _require(e, "shortName"),
-                                     _require(e, "routeType", int)))
+                                     _require(e, "routeType", _whole)))
         elif t == "GtfsTrip":
             feed.trips.append(Trip(e.id, _require(e, "refRoute"),
                                    _require(e, "refService")))
         elif t == "GtfsStopTime":
             feed.stopTimes.append(StopTime(
-                _require(e, "refTrip"), _require(e, "stopSequence", int),
-                _require(e, "refStop"), _require(e, "arrivalTime", int),
-                _require(e, "departureTime", int),
+                _require(e, "refTrip"), _require(e, "stopSequence", _whole),
+                _require(e, "refStop"), _require(e, "arrivalTime", _whole),
+                _require(e, "departureTime", _whole),
             ))
         elif t == "GtfsService":
             feed.services.append(Service(e.id, _require(e, "weekdays", _weekday_flags),

@@ -98,16 +98,15 @@ def arrival_estimations_to_gtfsrt(entities: Iterable[NgsiEntity], now: int,
                                "reason": f"no upcoming trip of line {ref_line!r} "
                                          f"at stop {ref_stop!r}"})
             continue
-        trip_id, stop_id, seq, _ = hit
-        overrides[(trip_id, stop_id, seq)] = int(now + remaining)
+        trip_id, stop_id, seq, _ = hit  # a (trip, sequence) pair names one stop
+        overrides[trip_id, seq] = {"stopId": stop_id, "stopSequence": seq,
+                                   "arrivalOverride": int(now + remaining)}
 
     by_trip: dict[str, list] = {}
-    for (trip_id, stop_id, seq), arrival in sorted(overrides.items()):
-        by_trip.setdefault(trip_id, []).append(
-            {"stopId": stop_id, "stopSequence": seq, "arrivalOverride": arrival})
+    for (trip_id, _), update in sorted(overrides.items(), key=itemgetter(0)):
+        by_trip.setdefault(trip_id, []).append(update)
     feed = {"headerTimestamp": int(now), "tripUpdates": [
-        {"tripId": trip_id, "stopTimeUpdates": sorted(updates, key=itemgetter("stopSequence"))}
-        for trip_id, updates in by_trip.items()]}
+        {"tripId": trip_id, "stopTimeUpdates": updates} for trip_id, updates in by_trip.items()]}
     return RtBuildResult(feed=feed, unresolved=unresolved)
 
 

@@ -263,6 +263,61 @@ def test_throttle_first_delivery_immediate_then_coalesced():
     broker.close()
 
 
+def test_one_notification_carries_the_whole_queue_in_commit_order():
+    broker = ContextBroker(delivery="manual")
+    _, sink = collect_sub(broker)
+    broker.upsert_entity(make_parking(spots=5))
+    broker.upsert_entity(make_entity("q-1", "Sensor", level=1))
+    broker.update_attributes("p-1", {"availableSpotNumber": Attribute(4, "Number")})
+    assert broker.deliver_notifications() == 1
+    (doc,) = sink.notifications
+    assert [(d["id"], d["attributes"].get("availableSpotNumber", {}).get("value"))
+            for d in doc["data"]] == [("p-1", 5), ("q-1", None), ("p-1", 4)]
+    assert broker.deliver_notifications() == 0
+    broker.close()
+
+
+def test_a_webhook_posts_every_queued_version_at_once():
+    broker = ContextBroker(delivery="manual")
+    bodies = []
+    hook = JsonHttpServer()
+    hook.add_route("POST", r"/hook", lambda match, params, body: bodies.append(body) or (200, {}))
+    hook.start()
+    try:
+        broker.subscribe(Subscription(id="", target=hook.url("/hook")))
+        broker.upsert_entity(make_parking(spots=5))
+        broker.update_attributes("p-1", {"availableSpotNumber": Attribute(4, "Number")})
+        assert broker.deliver_notifications() == 1
+    finally:
+        hook.stop()
+        broker.close()
+    (body,) = bodies
+    assert [d["attributes"]["availableSpotNumber"]["value"] for d in body["data"]] == [5, 4]
+
+
+def test_a_failed_delivery_keeps_its_batch_for_the_next_call():
+    calls = []
+
+    class FailsOnce:
+        def deliver(self, sub_id, issued_at, versions):
+            calls.append([v.value("level") for v in versions])
+            if len(calls) == 1:
+                raise RuntimeError("sink down")
+
+    broker = ContextBroker(delivery="manual")
+    sub = Subscription(id="", target=FailsOnce())
+    broker.subscribe(sub)
+    broker.upsert_entity(make_entity("a-1", "Sensor", level=1))
+    broker.upsert_entity(make_entity("b-1", "Sensor", level=2))
+    assert broker.deliver_notifications() == 0
+    assert sub.consecutive_failures == 1
+    broker.upsert_entity(make_entity("a-1", "Sensor", level=3))
+    assert broker.deliver_notifications() == 1
+    assert calls == [[1, 2], [1, 2, 3]]
+    assert (sub.queue, sub.consecutive_failures, sub.status) == ([], 0, "active")
+    broker.close()
+
+
 def test_failing_sink_is_retired_after_three_strikes(broker):
     class Exploding:
         def deliver(self, sub_id, issued_at, versions):
@@ -515,8 +570,9 @@ def test_queued_notification_keeps_the_version_it_committed():
     broker.update_attributes("p-1", {"name": Attribute("Lot B", "Text"),
                                      "availableSpotNumber": Attribute(3, "Number")})
     broker.deliver_notifications()
-    seen = [(doc["data"][0]["attributes"]["availableSpotNumber"]["value"],
-             doc["data"][0]["attributes"]["name"]["value"]) for doc in sink.notifications]
+    delivered = [e for doc in sink.notifications for e in doc["data"]]
+    seen = [(e["attributes"]["availableSpotNumber"]["value"], e["attributes"]["name"]["value"])
+            for e in delivered]
     assert seen == [(9, "Lot"), (6, "Lot"), (3, "Lot B")]
     broker.close()
 
@@ -781,7 +837,7 @@ def test_commits_match_a_deep_copying_full_check_reference(operations):
     broker.deliver_notifications()
     assert [e.to_wire() for e in broker.query_entities()] == \
         [reference.entities[k].to_wire() for k in sorted(reference.entities)]
-    assert [doc["data"][0] for doc in sink.notifications] == reference.commits
+    assert [e for doc in sink.notifications for e in doc["data"]] == reference.commits
     broker.close()
 
 

@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from datetime import date, datetime, timezone
@@ -318,6 +320,45 @@ class TestServe:
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert stopped == [True]
+
+    def test_estimator_serve_stops_and_exits_zero_on_sigterm(self, tmp_path, served_broker):
+        url, _ = served_broker
+        config = tmp_path / "estimator.conf"
+        config.write_text(f"profile = parking\nbroker = {url}\n", encoding="utf-8")
+        src = str(Path(citykit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "citykit.cli", "estimator-serve", "--config", str(config),
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            assert "listening on" in child.stderr.readline()
+            child.send_signal(signal.SIGTERM)
+            _, err = child.communicate(timeout=10)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, err
+        assert "Traceback" not in err
+
+    def test_estimator_serve_leaves_the_sigterm_handler_as_it_found_it(self, tmp_path,
+                                                                       served_broker,
+                                                                       monkeypatch):
+        url, _ = served_broker
+        config = tmp_path / "estimator.conf"
+        config.write_text(f"profile = parking\nbroker = {url}\n", encoding="utf-8")
+        previous, during = signal.getsignal(signal.SIGTERM), []
+
+        def nap(seconds):
+            during.append(signal.getsignal(signal.SIGTERM))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=nap))
+        assert main(["estimator-serve", "--config", str(config), "--listen", "127.0.0.1:0"]) == 0
+        assert during == [signal.default_int_handler]
+        assert signal.getsignal(signal.SIGTERM) is previous
 
     def test_router_serve_defaults_to_today_utc(self, served):
         before = datetime.now(timezone.utc).date()

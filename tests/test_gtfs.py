@@ -1,6 +1,7 @@
 """Static feed model: validation, deterministic zips, round trips."""
 
 import hashlib
+import math
 import zipfile
 from io import BytesIO
 
@@ -235,6 +236,41 @@ class TestEntityAssembly:
         feed, data = ngsi_to_gtfs(entities)
         assert [r.shortName for r in feed.routes if r.routeId == route.id] == ["1"]
         assert parse_feed(data) == feed
+
+    @pytest.mark.parametrize("entity_type, attribute, value", [
+        ("GtfsStop", "name", None),
+        ("GtfsStop", "name", {"en": "Centro"}),
+        ("GtfsStop", "name", True),
+        ("GtfsAgency", "url", ["http://transit.example"]),
+        ("GtfsStop", "latitude", True),
+        ("GtfsStop", "longitude", False),
+        ("GtfsRoute", "routeType", True),
+        ("GtfsStopTime", "stopSequence", 1.7),
+        ("GtfsStopTime", "arrivalTime", 3600.5),
+        ("GtfsStopTime", "departureTime", math.inf),
+        ("GtfsService", "weekdays", [1, 1, 1, 1, 1, True, 0]),
+        ("GtfsService", "weekdays", [1, 1, 1, 1, 1, 0.5, 0]),
+    ])
+    def test_a_loose_value_is_refused_not_coerced(self, city, entity_type, attribute, value):
+        entities = generate_static_network(city)
+        target = next(e for e in entities if e.entityType == entity_type)
+        target.attributes[attribute] = Attribute(value, "Text")
+        with pytest.raises(FeedError) as err:
+            ngsi_to_gtfs(entities)
+        assert err.value.kind == "invalid-entity"
+        assert target.id in err.value.message and repr(attribute) in err.value.message
+
+    def test_whole_floats_and_numeric_text_still_convert(self, city):
+        reference, _ = ngsi_to_gtfs(generate_static_network(city))
+        entities = generate_static_network(city)
+        for e in entities:
+            if e.entityType == "GtfsStopTime":
+                e.attributes["stopSequence"] = Attribute(float(e.value("stopSequence")), "Number")
+                e.attributes["arrivalTime"] = Attribute(str(e.value("arrivalTime")), "Text")
+            elif e.entityType == "GtfsStop":
+                e.attributes["latitude"] = Attribute(str(e.value("latitude")), "Text")
+        feed, _ = ngsi_to_gtfs(entities)
+        assert feed == reference
 
 
 @pytest.mark.parametrize("fixture, digest", [
