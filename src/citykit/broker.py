@@ -13,12 +13,15 @@ in commit order; a positive ``throttlingSeconds`` coalesces that batch into the
 latest version per entity and spaces deliveries at least that far apart. A
 failed delivery leaves its batch queued, so delivery is FIFO per subscription
 and at-least-once; three consecutive sink failures flip a subscription to
-``failed``. Only ``HttpSink`` (the webhook POST) and ``CollectSink`` build the
-NGSI ``notification_doc``; a callable target gets copies it may mutate.
+``failed`` and drop its queue. Only ``HttpSink`` (the webhook POST) and
+``CollectSink`` build the NGSI ``notification_doc``; a callable target gets
+copies it may mutate.
 
 An optional JSON-lines journal records accepted writes so a restarted broker
-can replay them through the same commit steps. Subscriptions are runtime
-state and are not journaled.
+can replay them through the same commit steps. A write is journaled before it
+is stored, so one the journal refuses is not applied; ``close`` closes the
+journal, after which a write fails at its append, before anything is applied.
+Subscriptions are runtime state and are not journaled.
 """
 
 import json
@@ -292,11 +295,11 @@ class ContextBroker:
         return "created" if created else "updated"
 
     def _commit_upsert(self, version: NgsiEntity) -> bool:
-        """Store, journal and enqueue a checked version no caller holds; under ``_lock``."""
+        """Journal, store and enqueue a checked version no caller holds; under ``_lock``."""
         created = version.id not in self._entities
-        self._entities[version.id] = version
         if self._journal_fh is not None:
             self._journal({"op": "upsert", "entity": version.to_wire()})
+        self._entities[version.id] = version
         self._enqueue_matches(version, set(version.attributes))
         return created
 
@@ -355,7 +358,7 @@ class ContextBroker:
         return result
 
     def _commit_patch(self, entity_id: str, changed: dict[str, Attribute]) -> NgsiEntity:
-        """Check, store, journal and enqueue the version ``changed`` makes; under ``_lock``."""
+        """Check, journal, store and enqueue the version ``changed`` makes; under ``_lock``."""
         current = self._entities.get(entity_id)
         if current is None:
             raise NotFound(f"no entity with id {entity_id!r}")
@@ -363,11 +366,11 @@ class ContextBroker:
             check_attributes(changed)  # the rest of ``current`` passed when committed
         except NgsiError as exc:
             raise InvalidEntity(exc.message) from exc
-        version = NgsiEntity(entity_id, current.entityType, {**current.attributes, **changed})
-        self._entities[entity_id] = version
         if self._journal_fh is not None:
             self._journal({"op": "patch", "id": entity_id,
                            "attrs": {n: a.to_wire() for n, a in changed.items()}})
+        version = NgsiEntity(entity_id, current.entityType, {**current.attributes, **changed})
+        self._entities[entity_id] = version
         self._enqueue_matches(version, set(changed))
         return version
 
@@ -454,6 +457,7 @@ class ContextBroker:
                 sub.consecutive_failures += 1
                 if sub.consecutive_failures >= FAIL_LIMIT:
                     sub.status = "failed"
+                    sub.queue.clear()  # nothing will deliver it
                     logger.warning("subscription %s failed after %d sink errors: %s",
                                    sub.id, FAIL_LIMIT, exc)
                 else:
@@ -525,6 +529,6 @@ class ContextBroker:
         self._stop_poll.set()
         if self._poll_thread is not None:
             self._poll_thread.join(timeout=2.0)
-        if self._journal_fh is not None:
-            self._journal_fh.close()
-            self._journal_fh = None
+        with self._lock:  # the closed handle stays: a later write fails at its append
+            if self._journal_fh is not None:
+                self._journal_fh.close()

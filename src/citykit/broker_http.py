@@ -10,14 +10,16 @@ Routes:
 
 A failure is answered as every server answers a ``KindError``: the body's
 ``error`` is the broker exception's ``kind``, with 404 for ``not-found`` and
-400 for invalid input and malformed filters; ``BrokerClient`` raises the
-exception class that kind names. Notifications go out as POSTs of the
-notification document to the subscription's callback URL.
+400 for invalid input and malformed filters. Every ``BrokerClient`` call goes
+through one request helper that raises the exception class that kind names,
+so a client raises what ContextBroker raises, ``unsubscribe`` of an unknown
+id included. ``upsert`` takes an entity and ``patch`` attribute documents.
+Notifications go out as POSTs of the notification document to the
+subscription's callback URL.
 """
 
 import json
 import logging
-from contextlib import contextmanager
 from typing import Optional
 from urllib.parse import quote, unquote, urlencode
 
@@ -38,17 +40,6 @@ logger = logging.getLogger(__name__)
 
 _BY_KIND = {cls.kind: cls for cls in (NotFound, InvalidEntity, MalformedPattern,
                                       TypeMismatch, MalformedSubscription)}
-
-
-@contextmanager
-def _broker_errors():
-    """Re-raise an HTTP error reply as the broker exception its kind names."""
-    try:
-        yield
-    except HttpError as exc:
-        if exc.kind not in _BY_KIND:
-            raise
-        raise _BY_KIND[exc.kind](exc.message) from exc
 
 
 class BrokerServer(HttpService):
@@ -104,86 +95,66 @@ class BrokerServer(HttpService):
 
 
 class BrokerClient:
-    """Talks to a BrokerServer. The ``Broker`` protocol's methods raise
-    ContextBroker's exceptions; the short wire-level ones raise HttpError.
+    """Talks to a BrokerServer. Every method raises what ContextBroker raises
+    for the broker's error kinds; any other error reply is an ``HttpError``,
+    and a transport failure an ``OSError``.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def upsert(self, entity) -> str:
-        doc = entity.to_wire() if isinstance(entity, NgsiEntity) else entity
-        _, payload = request_json("POST", f"{self.base_url}/v2/entities", body=doc,
-                                  timeout=self.timeout)
-        return payload["result"]
+    def _call(self, method: str, path: str, body=None):
+        """The decoded payload of one request to the broker."""
+        try:
+            _, payload = request_json(method, self.base_url + path, body=body,
+                                      timeout=self.timeout)
+        except HttpError as exc:
+            if exc.kind not in _BY_KIND:
+                raise
+            raise _BY_KIND[exc.kind](exc.message) from exc
+        return payload
+
+    def upsert(self, entity: NgsiEntity) -> str:
+        return self._call("POST", "/v2/entities", entity.to_wire())["result"]
 
     def get(self, entity_id: str) -> NgsiEntity:
-        _, payload = request_json(
-            "GET", f"{self.base_url}/v2/entities/{quote(entity_id, safe='')}",
-            timeout=self.timeout,
-        )
-        return NgsiEntity.from_wire(payload)
+        return NgsiEntity.from_wire(self._call("GET", f"/v2/entities/{quote(entity_id, safe='')}"))
 
     def query(self, entity_type: Optional[str] = None,
               id_pattern: Optional[str] = None,
               q: Optional[str] = None) -> list[NgsiEntity]:
-        params = {}
-        if entity_type is not None:
-            params["type"] = entity_type
-        if id_pattern is not None:
-            params["idPattern"] = id_pattern
-        if q is not None:
-            params["q"] = q
-        url = f"{self.base_url}/v2/entities"
-        if params:
-            url += "?" + urlencode(params)
-        _, payload = request_json("GET", url, timeout=self.timeout)
-        return [NgsiEntity.from_wire(doc) for doc in payload]
+        params = {name: value for name, value in
+                  (("type", entity_type), ("idPattern", id_pattern), ("q", q))
+                  if value is not None}
+        path = "/v2/entities" + ("?" + urlencode(params) if params else "")
+        return [NgsiEntity.from_wire(doc) for doc in self._call("GET", path)]
 
-    def patch(self, entity_id: str, attrs: dict) -> NgsiEntity:
-        doc = {
-            name: (a.to_wire() if isinstance(a, Attribute) else a)
-            for name, a in attrs.items()
-        }
-        _, payload = request_json(
-            "PATCH",
-            f"{self.base_url}/v2/entities/{quote(entity_id, safe='')}/attrs",
-            body=doc, timeout=self.timeout,
-        )
-        return NgsiEntity.from_wire(payload)
+    def patch(self, entity_id: str, docs: dict) -> NgsiEntity:
+        """Replace/add attributes given as wire documents."""
+        return NgsiEntity.from_wire(
+            self._call("PATCH", f"/v2/entities/{quote(entity_id, safe='')}/attrs", docs))
+
+    def subscribe(self, doc: dict) -> str:
+        return self._call("POST", "/v2/subscriptions", doc)["id"]
+
+    def unsubscribe(self, sub_id: str) -> bool:
+        self._call("DELETE", f"/v2/subscriptions/{quote(sub_id, safe='')}")
+        return True
+
+    # -- the Broker protocol, through the traced methods above ---------------
 
     def upsert_entity(self, entity: NgsiEntity) -> str:
-        with _broker_errors():
-            return self.upsert(entity)
+        return self.upsert(entity)
 
     def get_entity(self, entity_id: str) -> NgsiEntity:
-        with _broker_errors():
-            return self.get(entity_id)
+        return self.get(entity_id)
 
     def query_entities(self, typeFilter: Optional[str] = None,
                        idPattern: Optional[str] = None,
                        attrFilter: Optional[list] = None) -> list[NgsiEntity]:
-        q = ";".join(f"{name}{op}{json.dumps(literal)}"
-                     for name, op, literal in attrFilter) if attrFilter else None
-        with _broker_errors():
-            return self.query(typeFilter, idPattern, q)
+        q = ";".join(f"{name}{op}{json.dumps(literal)}" for name, op, literal in attrFilter or ())
+        return self.query(typeFilter, idPattern, q or None)
 
     def update_attributes(self, entity_id: str, patch: dict[str, Attribute]) -> NgsiEntity:
-        with _broker_errors():
-            return self.patch(entity_id, patch)
-
-    def subscribe(self, doc: dict) -> str:
-        _, payload = request_json("POST", f"{self.base_url}/v2/subscriptions",
-                                  body=doc, timeout=self.timeout)
-        return payload["id"]
-
-    def unsubscribe(self, sub_id: str) -> bool:
-        try:
-            request_json("DELETE", f"{self.base_url}/v2/subscriptions/{quote(sub_id, safe='')}",
-                         timeout=self.timeout)
-        except HttpError as exc:
-            if exc.status == 404:
-                return False
-            raise
-        return True
+        return self.patch(entity_id, {name: a.to_wire() for name, a in patch.items()})

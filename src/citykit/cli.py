@@ -53,13 +53,19 @@ def _print(doc) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def _wait_forever(*servers) -> int:
-    signal.signal(signal.SIGTERM, signal.default_int_handler)  # ends the wait as Ctrl-C does
+def _serve(server, banner: str, loop=None) -> int:
+    """Print ``banner`` and run ``loop`` (else wait) until SIGTERM or Ctrl-C,
+    then stop ``server``. SIGTERM ends the run as Ctrl-C does from before the
+    banner is printed until the previous handler is put back."""
+    previous = signal.getsignal(signal.SIGTERM)
     try:
-        threading.Event().wait()
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(banner, file=sys.stderr)
+        (loop or threading.Event().wait)()
     except KeyboardInterrupt:
         pass
-    for server in servers:
+    finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
     return 0
 
@@ -144,8 +150,7 @@ def cmd_gtfsrt_serve(args) -> int:
     client.subscribe({"entityTypeFilter": "ArrivalEstimation",
                       "target": f"{url}/notify"})
     loader.refresh()
-    print(f"serving GTFS-RT on {url}/gtfs-rt", file=sys.stderr)
-    return _wait_forever(server)
+    return _serve(server, f"serving GTFS-RT on {url}/gtfs-rt")
 
 
 def cmd_gtfs_fetch(args) -> int:
@@ -231,9 +236,7 @@ def cmd_broker_serve(args) -> int:
     host, port = _parse_listen(args.listen)
     broker = ContextBroker(journal_path=args.journal, delivery="background")
     server = BrokerServer(broker, host=host, port=port)
-    url = server.start()
-    print(f"broker listening on {url}", file=sys.stderr)
-    return _wait_forever(server)
+    return _serve(server, f"broker listening on {server.start()}")
 
 
 def cmd_router_serve(args) -> int:
@@ -245,9 +248,7 @@ def cmd_router_serve(args) -> int:
         print(f"loaded graph v{version} from {args.feed}", file=sys.stderr)
     host, port = _parse_listen(args.listen)
     server = RouterServer(router, host=host, port=port)
-    url = server.start()
-    print(f"router listening on {url}", file=sys.stderr)
-    return _wait_forever(server)
+    return _serve(server, f"router listening on {server.start()}")
 
 
 def cmd_estimator_serve(args) -> int:
@@ -270,13 +271,8 @@ def cmd_estimator_serve(args) -> int:
     scheduler = EstimatorScheduler(TimeSeriesStore(), config, on_prediction=hook)
     watched = dict([PROFILES[profile]])  # {entityType: attribute}
     snapshot = lambda: ingest_snapshot(scheduler.store, broker, watched, scheduler.clock)
-    host, port = _parse_listen(args.listen)
-    server = EstimatorServer(scheduler, host=host, port=port)
-    url = server.start()
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # ends it as Ctrl-C does
-    print(f"estimator ({profile}) listening on {url}", file=sys.stderr)
-    # poll broker snapshots at the inference cadence
-    try:
+
+    def poll():  # broker snapshots at the inference cadence
         try:
             snapshot()
         except OSError as exc:
@@ -289,12 +285,10 @@ def cmd_estimator_serve(args) -> int:
             except (KindError, OSError) as exc:  # KindError: the broker's error reply
                 logger.warning("broker snapshot failed, polling on: %s", exc)
             scheduler.run_pending()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)  # as it was, for an in-process caller
-        server.stop()
-    return 0
+
+    host, port = _parse_listen(args.listen)
+    server = EstimatorServer(scheduler, host=host, port=port)
+    return _serve(server, f"estimator ({profile}) listening on {server.start()}", poll)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,18 @@ run record {"seed": 1}
 """
 
 
+def test_the_report_names_worse_and_unresolved_metrics(capsys):
+    runs = [run("parent", k, stdout(p50, 100.0)) for k, p50 in enumerate((5, 10, 15, 20), 1)]
+    runs += [run("change", k, stdout(p50, 70.0)) for k, p50 in enumerate((6, 11, 14, 19), 1)]
+    assert bench_pairs.report(bench_pairs.summarise(runs, SPEC)) == 1
+    assert capsys.readouterr().err.splitlines() == ["unresolved: plan op_p50_ms",
+                                                   "worse beyond bound: plan ops_per_s"]
+    runs = [r for r in runs if r["side"] == "parent"]
+    runs += [run("change", k, stdout(p50, 100.0)) for k, p50 in enumerate((6, 11, 14, 19), 1)]
+    assert bench_pairs.report(bench_pairs.summarise(runs, SPEC)) == 0  # unresolved alone
+    assert capsys.readouterr().err.splitlines() == ["unresolved: plan op_p50_ms"]
+
+
 def test_named_figures_are_kept_and_summarised_for_information():
     named = bench_pairs.parse_named(NAMED_STDOUT)
     assert named == {"setup_s": {"value": 0.3584, "unit": "s"},

@@ -328,6 +328,7 @@ def test_failing_sink_is_retired_after_three_strikes(broker):
     for spots in (3, 2, 1):
         broker.upsert_entity(make_parking(spots=spots))
     assert sub.status == "failed"
+    assert sub.queue == []  # nothing would ever deliver it
     # a failed subscription no longer receives anything, but stays inspectable
     broker.upsert_entity(make_parking(spots=0))
     assert sub.status == "failed"
@@ -542,6 +543,41 @@ def test_replay_skips_an_unknown_op(tmp_path, caplog):
     assert "skipping unknown journal op 'delete'" in caplog.text
     assert broker.get_entity("p-1").value("availableSpotNumber") == 9
     broker.close()
+
+
+def test_a_write_the_journal_refuses_is_not_applied(tmp_path, monkeypatch):
+    broker = ContextBroker(journal_path=tmp_path / "journal.jsonl")
+    broker.upsert_entity(make_entity("b", "Sensor", level=1))
+    seen = []
+    broker.subscribe(Subscription(id="", target=seen.extend))
+
+    def disk_full(text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(broker._journal_fh, "write", disk_full)
+    with pytest.raises(OSError):
+        broker.upsert_entity(make_entity("a", "Sensor", level=5))
+    with pytest.raises(OSError):
+        broker.update_attributes("b", {"level": Attribute(2, "Number")})
+    assert [e.to_wire() for e in broker.query_entities()] == [
+        make_entity("b", "Sensor", level=1).to_wire()]
+    assert seen == []
+    broker.close()
+
+
+def test_a_closed_broker_takes_no_writes(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    broker = ContextBroker(journal_path=path)
+    broker.upsert_entity(make_parking(spots=9))
+    broker.close()
+    with pytest.raises(ValueError):  # the append to the closed journal
+        broker.upsert_entity(make_entity("q-1", "Sensor", level=3))
+    with pytest.raises(ValueError):
+        broker.update_attributes("p-1", {"availableSpotNumber": Attribute(6, "Number")})
+    reborn = ContextBroker(journal_path=path)
+    for handle in (broker, reborn):
+        assert [e.to_wire() for e in handle.query_entities()] == [make_parking(spots=9).to_wire()]
+    reborn.close()
 
 
 def test_replay_copies_no_entity(tmp_path, monkeypatch):

@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from citykit.broker import ContextBroker
+from citykit.broker import (ContextBroker, InvalidEntity, MalformedPattern,
+                            MalformedSubscription, NotFound)
 from citykit.broker_http import BrokerClient, BrokerServer
 from citykit.httpd import HttpError, JsonHttpServer, request_json
-from citykit.ngsi import Attribute, make_entity
+from citykit.ngsi import Attribute, KindError, NgsiEntity, make_entity
 
 
 @pytest.fixture
@@ -33,17 +34,14 @@ def test_upsert_then_get_round_trips(served):
 
 def test_get_unknown_is_404(served):
     _, client = served
-    with pytest.raises(HttpError) as err:
+    with pytest.raises(NotFound):
         client.get("ghost")
-    assert err.value.status == 404
 
 
 def test_upsert_invalid_entity_is_400(served):
     _, client = served
-    with pytest.raises(HttpError) as err:
-        client.upsert({"id": "x", "entityType": "T",
-                       "attributes": {"n": {"value": "s", "valueType": "Number"}}})
-    assert err.value.status == 400
+    with pytest.raises(InvalidEntity):
+        client.upsert(NgsiEntity("x", "T", {"n": Attribute("s", "Number")}))
 
 
 def test_query_with_type_pattern_and_q(served):
@@ -59,27 +57,25 @@ def test_query_with_type_pattern_and_q(served):
 
 def test_query_bad_pattern_is_400(served):
     _, client = served
-    with pytest.raises(HttpError) as err:
+    with pytest.raises(MalformedPattern):
         client.query(id_pattern="(")
-    assert err.value.status == 400
 
 
 def test_patch_updates_attributes(served):
     _, client = served
     client.upsert(make_entity("p-1", "ParkingSite", availableSpotNumber=5, name="A"))
-    after = client.patch("p-1", {"availableSpotNumber": Attribute(2, "Number")})
+    after = client.patch("p-1", {"availableSpotNumber": {"value": 2, "valueType": "Number"}})
     assert after.value("availableSpotNumber") == 2
     assert after.value("name") == "A"
-    with pytest.raises(HttpError) as err:
-        client.patch("ghost", {"x": Attribute(1, "Number")})
-    assert err.value.status == 404
+    with pytest.raises(NotFound):
+        client.patch("ghost", {"x": {"value": 1, "valueType": "Number"}})
 
 
 def test_entity_ids_with_slashes_survive_the_url(served):
     _, client = served
     client.upsert(make_entity("zone/a/1", "Sensor", level=0))
     assert client.get("zone/a/1").id == "zone/a/1"
-    assert client.patch("zone/a/1", {"level": Attribute(2, "Number")}).value("level") == 2
+    assert client.patch("zone/a/1", {"level": {"value": 2}}).value("level") == 2
 
 
 def test_webhook_subscription_delivers_commits(served):
@@ -106,7 +102,8 @@ def test_webhook_subscription_delivers_commits(served):
         assert hits[0]["subscriptionId"] == sub_id
 
         assert client.unsubscribe(sub_id) is True
-        assert client.unsubscribe(sub_id) is False
+        with pytest.raises(NotFound):
+            client.unsubscribe(sub_id)
         client.upsert(make_entity("s-2", "Sensor", level=5))
         assert len(hits) == 1
     finally:
@@ -118,14 +115,31 @@ def test_client_chosen_subscription_ids_survive_the_url(served, sub_id):
     _, client = served
     assert client.subscribe({"id": sub_id, "target": "http://127.0.0.1:1/hook"}) == sub_id
     assert client.unsubscribe(sub_id) is True
-    assert client.unsubscribe(sub_id) is False
+    with pytest.raises(NotFound):
+        client.unsubscribe(sub_id)
 
 
 def test_subscribe_rejects_unknown_fields(served):
     _, client = served
-    with pytest.raises(HttpError) as err:
+    with pytest.raises(MalformedSubscription):
         client.subscribe({"bogus": 1, "target": "http://localhost:1/x"})
-    assert err.value.status == 400
+
+
+def test_other_error_replies_stay_http_errors():
+    def busy(match, params, body):
+        raise KindError("busy", "try later")
+
+    stub = JsonHttpServer()
+    stub.add_route("GET", r"/v2/entities/(?P<id>[^/]+)", busy)
+    stub.start()
+    try:
+        with pytest.raises(HttpError) as err:
+            BrokerClient(stub.url()).get("s-1")
+    finally:
+        stub.stop()
+    assert (err.value.status, err.value.kind) == (400, "busy")
+    with pytest.raises(OSError):  # nothing listens there
+        BrokerClient("http://127.0.0.1:1").get("s-1")
 
 
 def test_http_layer_details(served):

@@ -297,9 +297,10 @@ class TestGtfsTools:
 class TestServe:
     @pytest.fixture
     def served(self, monkeypatch):
-        """Servers a command hands to ``_wait_forever``, stopped at teardown."""
+        """Servers a command hands to ``_serve``, stopped at teardown."""
         servers = []
-        monkeypatch.setattr(cli, "_wait_forever", lambda *s: servers.extend(s) or 0)
+        monkeypatch.setattr(cli, "_serve", lambda server, banner, loop=None:
+                            servers.append(server) or 0)
         yield servers
         for server in servers:
             server.stop()
@@ -316,10 +317,47 @@ class TestServe:
 
         threading.Thread(target=terminate, daemon=True).start()
         try:
-            assert cli._wait_forever(server) == 0
+            assert cli._serve(server, "serving") == 0
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert stopped == [True]
+
+    @pytest.mark.parametrize("command", ["broker-serve", "router-serve", "gtfsrt-serve",
+                                         "estimator-serve"])
+    def test_sigterm_is_handled_from_the_banner_on(self, command, tmp_path, served_broker,
+                                                   city_feed, monkeypatch):
+        url, _ = served_broker
+        static = tmp_path / "feed.zip"
+        static.write_bytes(serialize_feed(city_feed))
+        config = tmp_path / "estimator.conf"
+        config.write_text(f"profile = parking\nbroker = {url}\n", encoding="utf-8")
+        options = {"gtfsrt-serve": ["--broker", url, "--static", str(static)],
+                   "estimator-serve": ["--config", str(config)]}.get(command, [])
+        previous, at_banner = signal.getsignal(signal.SIGTERM), []
+
+        class Stderr:  # records the SIGTERM handler as the banner is written
+            def write(self, text):
+                if " on " in text:
+                    at_banner.append(signal.getsignal(signal.SIGTERM))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def terminate():  # once the command has taken over SIGTERM
+            while signal.getsignal(signal.SIGTERM) is previous:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        threading.Thread(target=terminate, daemon=True).start()
+        try:
+            assert main([command, *options, "--listen", "127.0.0.1:0"]) == 0
+        finally:
+            after = signal.getsignal(signal.SIGTERM)
+            signal.signal(signal.SIGTERM, previous)
+        assert at_banner == [signal.default_int_handler]
+        assert after is previous
 
     def test_estimator_serve_stops_and_exits_zero_on_sigterm(self, tmp_path, served_broker):
         url, _ = served_broker
@@ -676,7 +714,7 @@ class TestServiceErrors:
         assert "weather" in error["detail"]
 
     def test_broker_serve_on_a_corrupt_journal(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_wait_forever", lambda *servers: [s.stop() for s in servers])
+        monkeypatch.setattr(cli, "_serve", lambda server, banner, loop=None: server.stop())
         journal = tmp_path / "state.jsonl"
         journal.write_text("{not json\n{}\n", encoding="utf-8")
         error = self._error_line(capsys, ["broker-serve", "--listen", "127.0.0.1:0",

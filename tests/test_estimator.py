@@ -382,6 +382,12 @@ class TestScheduler:
         assert sched.infer_passes == 1
         sched.run_pending(DAY + 3600)
         assert sched.infer_passes == 2
+        sched.run_pending(DAY + 3 * 86400 + 100)  # three retrain boundaries behind
+        assert (sched.train_passes, sched.infer_passes) == (1, 3)
+        sched.run_pending(DAY + 3 * 86400 + 200)  # neither due again
+        assert (sched.train_passes, sched.infer_passes) == (1, 3)
+        sched.run_pending(DAY + 4 * 86400)
+        assert sched.train_passes == 2
 
     def test_advance_before_start_raises(self):
         sched, _ = self.make()

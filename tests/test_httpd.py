@@ -407,6 +407,16 @@ def test_expect_100_continue_is_answered_before_the_body(echo):
     assert echo.seen == [{"a": 1}]
 
 
+def test_a_target_that_starts_with_two_slashes_is_routed_by_its_path(echo):
+    # urlparse would read "echo" as a host name and leave an empty path
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock, \
+            sock.makefile("rb") as fh:
+        sock.sendall(b"POST //echo HTTP/1.1\r\nHost: x\r\nContent-Length: 8\r\n\r\n"
+                     b'{"a": 1}')
+        assert _raw_reply(fh) == (b"200", b'{"n": 1}')
+    assert echo.seen == [{"a": 1}]
+
+
 def test_a_body_that_is_not_utf8_reaches_the_handler_as_text(echo):
     with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock, \
             sock.makefile("rb") as fh:

@@ -17,7 +17,9 @@ parent's by more than the metric's ``bound``, and whether the parent's own
 spread (its quartile distance over its median) is too wide for that bound
 to be told; beside them, for information only, each side's median and
 quartiles of every named figure. The output file is rewritten after every
-pair, so an interrupted run keeps what it measured.
+pair, so an interrupted run keeps what it measured. At the end, every metric
+worse beyond its bound and every unresolved one is named on stderr; the exit
+status is 1 when any is worse beyond its bound.
 """
 
 import argparse
@@ -203,11 +205,21 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-    flagged = [(w, m) for w, s in doc["summary"].items()
-               for m, stats in s["metrics"].items() if stats["worseBeyondBound"]]
-    for workload, metric in flagged:
-        print(f"worse beyond bound: {workload} {metric}", file=sys.stderr)
-    return 1 if flagged else 0
+    return report(doc["summary"])
+
+
+def report(summary: dict) -> int:
+    """Name on stderr each metric worse beyond its bound and each unresolved
+    one; the exit status is 1 when any is worse beyond its bound."""
+    worse = False
+    for workload, stats in summary.items():
+        for metric, figures in stats["metrics"].items():
+            for flag, label in (("worseBeyondBound", "worse beyond bound"),
+                                ("unresolved", "unresolved")):
+                if figures[flag]:
+                    print(f"{label}: {workload} {metric}", file=sys.stderr)
+            worse = worse or figures["worseBeyondBound"]
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
