@@ -15,13 +15,14 @@ failed delivery leaves its batch queued, so delivery is FIFO per subscription
 and at-least-once; three consecutive sink failures flip a subscription to
 ``failed`` and drop its queue. Only ``HttpSink`` (the webhook POST) and
 ``CollectSink`` build the NGSI ``notification_doc``; a callable target gets
-copies it may mutate.
+copies it may mutate. A webhook's 2xx reply is a delivery, whatever its body.
 
-An optional JSON-lines journal records accepted writes so a restarted broker
-can replay them through the same commit steps. A write is journaled before it
-is stored, so one the journal refuses is not applied; ``close`` closes the
-journal, after which a write fails at its append, before anything is applied.
-Subscriptions are runtime state and are not journaled.
+An optional JSON-lines journal records accepted writes, each in one unbuffered
+append, so a restarted broker can replay them through the same commit steps. A
+write is journaled before it is stored, so one the journal refuses is not
+applied: a failed or short append is cut back off the file, and the journal
+closes if that fails too. After ``close``, a write fails at its append, before
+anything is applied. Subscriptions are runtime state and are not journaled.
 """
 
 import json
@@ -45,7 +46,7 @@ COMPARATORS = ("==", "!=", "<=", ">=", "<", ">")
 
 FAIL_LIMIT = 3  # consecutive sink failures before a subscription is failed
 POLL_SECONDS = 0.05  # how often background delivery looks for queued notifications
-SINK_TIMEOUT_SECONDS = 5.0  # how long a webhook POST may take
+SINK_TIMEOUT_SECONDS = 5.0  # how long each socket operation of a webhook POST may wait
 
 
 class BrokerError(KindError):
@@ -120,8 +121,12 @@ class HttpSink:
         self.url = url
 
     def deliver(self, sub_id: str, issued_at: float, versions: list[NgsiEntity]) -> None:
-        httpd.request_json("POST", self.url, notification_doc(sub_id, issued_at, versions),
-                           timeout=SINK_TIMEOUT_SECONDS)
+        try:
+            httpd.request_json("POST", self.url, notification_doc(sub_id, issued_at, versions),
+                               timeout=SINK_TIMEOUT_SECONDS)
+        except httpd.HttpError as exc:  # a 2xx reply is a delivery, whatever its body
+            if not 200 <= exc.status < 300:
+                raise
 
 
 def _as_sink(target):
@@ -274,7 +279,7 @@ class ContextBroker:
         self._poll_thread = None
         if self._journal_path:
             self._replay_journal()
-            self._journal_fh = open(self._journal_path, "a", encoding="utf-8")
+            self._journal_fh = open(self._journal_path, "ab", buffering=0)
         if delivery == "background":
             self._poll_thread = threading.Thread(
                 target=self._poll_loop, daemon=True
@@ -480,8 +485,19 @@ class ContextBroker:
     # -- journal --------------------------------------------------------------
 
     def _journal(self, record: dict) -> None:
-        self._journal_fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._journal_fh.flush()
+        """Append ``record`` in one write; one that fails or comes up short is cut
+        back off the file, and if that fails too the journal closes."""
+        data = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        start = self._journal_fh.seek(0, os.SEEK_END)
+        try:
+            if self._journal_fh.write(data) != len(data):
+                raise OSError(f"a short journal write at byte {start}")
+        except OSError:
+            try:
+                self._journal_fh.truncate(start)
+            except OSError:
+                self._journal_fh.close()
+            raise
 
     def _replay_journal(self) -> None:
         """Re-commit journaled writes through the commit steps; a torn last

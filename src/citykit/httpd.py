@@ -26,11 +26,12 @@ HTTP/0.9 ``GET`` is a 400) of at most ``MAX_LINE_BYTES`` (else 414), at most
 ``Content-Length`` that is not one decimal number, and a body cut short by
 the close of the client's side, with 400, and closes the connection after
 every refusal. Both ``Content-Length`` refusals (400, and 413 over
-``MAX_BODY_BYTES``) come before any ``100 Continue``. The client reads a
-reply framed by ``Content-Length``, by chunked ``Transfer-Encoding`` or by
-the close of the connection, from HTTP/1.1 or HTTP/1.0 servers, skipping
-``1xx`` interim replies; a malformed reply is an
-``http.client.HTTPException``.
+``MAX_BODY_BYTES``) come before any ``100 Continue``. The client, likewise,
+reads only a body framed by one ``Content-Length`` of at most
+``MAX_BODY_BYTES``, from HTTP/1.1 or HTTP/1.0 servers, skipping ``1xx``
+interim replies; any other reply is its status alone: its body is not read
+and its connection closes. A malformed reply, or one declaring a longer
+body, is an ``http.client.HTTPException``.
 """
 
 import atexit
@@ -56,7 +57,8 @@ Handler = Callable[[re.Match, dict, Any], tuple]
 # or stalled inside one, is closed, so a keep-alive client cannot hold its
 # thread forever.
 IDLE_TIMEOUT_SECONDS = 30.0
-# A request declaring a larger body is answered 413 and closed unread.
+# A request declaring a larger body is answered 413 and closed unread; a reply
+# declaring one is an http.client.HTTPException, read no further.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 # Bounds of a message head on both sides: header lines, and bytes in one line.
 MAX_HEADER_LINES = 100
@@ -75,7 +77,6 @@ KIND_STATUS = {"not-found": 404, "unknown-series": 404, "unreachable": 404,
                "model-not-trained": 409, "fetch-failed": 502, "no-feed": 503}
 
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
-_HEX = re.compile(rb"[0-9A-Fa-f]+")
 # bytes that may not appear in a request target or a Host (http.client refuses them too)
 _UNSAFE_URL = re.compile(r"[\x00-\x20\x7f]")
 
@@ -391,33 +392,11 @@ def _connect(scheme: str, host: str, port: Optional[int],
     return conn
 
 
-def _read_body(fp, n: int) -> bytes:
-    data = fp.read(n)
-    if len(data) < n:
-        raise http.client.IncompleteRead(data, n - len(data))
-    return data
-
-
-def _read_chunked(fp) -> bytes:
-    """A chunked body (RFC 9112 section 7.1); chunk extensions and trailers are dropped."""
-    chunks = []
-    while True:
-        line = fp.readline(MAX_LINE_BYTES + 1)
-        size = line.split(b";", 1)[0].strip()
-        if len(line) > MAX_LINE_BYTES or not _HEX.fullmatch(size):
-            raise http.client.HTTPException(f"bad chunk size line {line[:80]!r}")
-        n = int(size, 16)
-        if not n:
-            _read_headers(fp)  # the trailer section
-            return b"".join(chunks)
-        chunks.append(_read_body(fp, n))
-        if fp.readline(3).strip():
-            raise http.client.HTTPException("a chunk not ended by CRLF")
-
-
 def _read_reply(sock) -> tuple:
     """(status, body, whether the connection stays open) of the reply on
-    ``sock``, after any ``1xx`` interim replies."""
+    ``sock``, after any ``1xx`` interim replies. Only a body framed by
+    ``Content-Length`` is read (RFC 9112 section 6.3); any other reply raises
+    ``HttpError`` with its status, its body unread."""
     with sock.makefile("rb") as fp:  # bytes past the reply's end are dropped with it
         while True:
             line = fp.readline(MAX_LINE_BYTES + 1)
@@ -434,31 +413,34 @@ def _read_reply(sock) -> tuple:
         connection = _tokens(headers.get("connection", ""))
         keep = "close" not in connection and (
             words[0] != b"HTTP/1.0" or "keep-alive" in connection)
-        coding = headers.get("transfer-encoding", "").lower()
         declared = headers.get("content-length")
         if status in (204, 304):
-            body = b""
-        elif coding.rsplit(",", 1)[-1].strip() == "chunked":
-            body = _read_chunked(fp)
-        elif not coding and declared is not None:
-            if not (declared.isascii() and declared.isdigit()):
-                raise http.client.HTTPException(f"bad Content-Length {declared!r}")
-            body = _read_body(fp, int(declared))
-        else:  # delimited by the close (RFC 9112 section 6.3)
-            body, keep = fp.read(), False
+            return status, b"", keep
+        if declared is None or "transfer-encoding" in headers:
+            raise HttpError(status, "a reply body not framed by Content-Length")
+        if not (declared.isascii() and declared.isdigit()):
+            raise http.client.HTTPException(f"bad Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise http.client.HTTPException(f"body of {length} bytes, at most {MAX_BODY_BYTES}")
+        body = fp.read(length)
+        if len(body) < length:
+            raise http.client.IncompleteRead(body, length - len(body))
     return status, body, keep
 
 
 def request_json(method: str, url: str, body=None, timeout: float = 10.0):
     """Issue a JSON request; returns (status, decoded payload).
 
-    Raises ``HttpError`` for a non-2xx status or a body that is not JSON, and
-    ``OSError`` when the host is unreachable or the connection fails. The
-    request goes over the calling thread's open connection to the same
-    (scheme, host, port) when the server has kept it open. If the connection
-    fails after the request may have reached the server, a GET, PUT or DELETE
-    is sent once more on a fresh connection; a POST or PATCH is never resent.
-    A reply that is not HTTP/1.x is an ``http.client.HTTPException``.
+    Raises ``HttpError`` for a non-2xx status, a body that is not JSON or a
+    body not framed by ``Content-Length`` (left unread), and ``OSError`` when
+    the host is unreachable or the connection fails. The request goes over the
+    calling thread's open connection to the same (scheme, host, port) when the
+    server has kept it open. If the connection fails after the request may
+    have reached the server, a GET, PUT or DELETE is sent once more on a fresh
+    connection; a POST or PATCH is never resent. A reply that is not HTTP/1.x,
+    or that declares a body over ``MAX_BODY_BYTES``, is an
+    ``http.client.HTTPException``.
     """
     method = method.upper()
     parts = urlsplit(url)
@@ -488,7 +470,7 @@ def request_json(method: str, url: str, body=None, timeout: float = 10.0):
                 raise
             retries -= 1
             conn = _connect(*key, timeout)
-        except BaseException:
+        except BaseException:  # a timeout, or a reply taken as its status alone
             conn.close()
             raise
     if not keep:

@@ -565,6 +565,59 @@ def test_a_write_the_journal_refuses_is_not_applied(tmp_path, monkeypatch):
     broker.close()
 
 
+def test_a_failed_or_short_journal_write_is_cut_off_and_not_replayed(tmp_path, monkeypatch):
+    path = tmp_path / "journal.jsonl"
+    broker = ContextBroker(journal_path=path)
+    broker.upsert_entity(make_entity("ok", "Sensor", level=1))
+    real_write = broker._journal_fh.write
+
+    def disk_full(data):
+        raise OSError(28, "No space left on device")
+
+    def half(data):  # a short write: half the record reaches the file
+        return real_write(data[:len(data) // 2])
+
+    faults = iter([disk_full, half])
+    monkeypatch.setattr(broker._journal_fh, "write", lambda data: next(faults, real_write)(data))
+    with pytest.raises(OSError):
+        broker.upsert_entity(make_entity("refused", "Sensor", level=2))
+    with pytest.raises(OSError):
+        broker.update_attributes("ok", {"level": Attribute(3, "Number")})
+    broker.upsert_entity(make_entity("later", "Sensor", level=4))
+    acknowledged = [make_entity("later", "Sensor", level=4).to_wire(),
+                    make_entity("ok", "Sensor", level=1).to_wire()]
+    assert [e.to_wire() for e in broker.query_entities()] == acknowledged
+    broker.close()
+    reborn = ContextBroker(journal_path=path)
+    assert [e.to_wire() for e in reborn.query_entities()] == acknowledged
+    reborn.close()
+
+
+def test_a_journal_that_cannot_cut_off_a_short_write_refuses_every_later_write(
+        tmp_path, monkeypatch, caplog):
+    path = tmp_path / "journal.jsonl"
+    broker = ContextBroker(journal_path=path)
+    broker.upsert_entity(make_entity("ok", "Sensor", level=1))
+    real_write = broker._journal_fh.write
+
+    def read_only(size):
+        raise OSError(30, "Read-only file system")
+
+    monkeypatch.setattr(broker._journal_fh, "write", lambda data: real_write(data[:5]))
+    monkeypatch.setattr(broker._journal_fh, "truncate", read_only)
+    with pytest.raises(OSError):
+        broker.upsert_entity(make_entity("torn", "Sensor", level=2))
+    with pytest.raises(ValueError):  # the append to the closed journal
+        broker.upsert_entity(make_entity("later", "Sensor", level=3))
+    assert [e.id for e in broker.query_entities()] == ["ok"]
+    broker.close()
+    reborn = ContextBroker(journal_path=path)
+    assert "torn record at line 2" in caplog.text
+    assert [e.to_wire() for e in reborn.query_entities()] == [
+        make_entity("ok", "Sensor", level=1).to_wire()]
+    reborn.close()
+
+
 def test_a_closed_broker_takes_no_writes(tmp_path):
     path = tmp_path / "journal.jsonl"
     broker = ContextBroker(journal_path=path)

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citykit import httpd
-from citykit.broker import ContextBroker
+from citykit.broker import ContextBroker, Subscription
 from citykit.broker_http import BrokerServer
 from citykit.httpd import JsonHttpServer, request_json
-from citykit.ngsi import KindError
+from citykit.ngsi import KindError, make_entity
 
 
 def _echo_server() -> JsonHttpServer:
@@ -241,15 +241,26 @@ class StubServer:
         self.listener.close()
 
 
+OK = (200, {"ok": True})
+
+
+def _status_alone(url: str):
+    """``request_json``'s result for GET ``url``, or the status of its ``HttpError``."""
+    try:
+        return request_json("GET", url, timeout=3.0)
+    except httpd.HttpError as exc:
+        return exc.status
+
+
 @pytest.mark.parametrize("reply, close, connections", [
     # 204 has no body, whatever its head says
     (b"HTTP/1.1 204 No Content\r\n\r\n", False, 1),
-    # chunked, with a chunk extension and a trailer; the connection is kept
+    # chunked: its status alone, the connection closed
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-     b"5\r\n{\"ok\"\r\n7;ext=1\r\n: true}\r\n0\r\nX-Trailer: 1\r\n\r\n", False, 1),
+     b"5\r\n{\"ok\"\r\n7;ext=1\r\n: true}\r\n0\r\nX-Trailer: 1\r\n\r\n", False, 2),
     # a 100 Continue before the final reply
     (b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY, False, 1),
-    # delimited by the close of the connection
+    # delimited by the close of the connection: its status alone
     (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"ok\": true}", True, 2),
     # HTTP/1.0 closes unless it says keep-alive, even when the server leaves it open
     (OK_REPLY.replace(b"HTTP/1.1", b"HTTP/1.0"), False, 2),
@@ -260,26 +271,140 @@ class StubServer:
     (OK_REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), False, 2),
 ])
 def test_foreign_reply_shapes_are_read(reply, close, connections):
+    """A body framed by Content-Length is read; any other reply is its status alone."""
     server = StubServer(reply, close=close)
     try:
-        expected = (204, None) if b" 204 " in reply else (200, {"ok": True})
-        assert _in_thread(lambda: [request_json("GET", server.url("/x"), timeout=3.0)
+        expected = (204, None) if b" 204 " in reply else \
+            OK if b"Content-Length" in reply else 200
+        assert _in_thread(lambda: [_status_alone(server.url("/x"))
                                    for _ in range(2)]) == [expected] * 2
         assert server.connections == connections
     finally:
         server.close()
 
 
-@pytest.mark.parametrize("method, sent", [("POST", ["POST"]), ("GET", ["GET", "GET"])])
-def test_a_reply_with_a_bad_content_length_is_an_http_exception(method, sent):
-    server = StubServer(OK_REPLY.replace(b"Content-Length: 12", b"Content-Length: twelve"),
-                        close=True)
+BAD_LENGTH = OK_REPLY.replace(b"Content-Length: 12", b"Content-Length: twelve")
+CUT_SHORT = OK_REPLY.replace(b"Content-Length: 12", b"Content-Length: 20")  # then the close
+BAD_STATUS = OK_REPLY.replace(b"HTTP/1.1 200", b"HTTP/1.1 2OO")
+
+
+@pytest.mark.parametrize("reply, method, sent", [
+    pytest.param(BAD_LENGTH, "POST", ["POST"], id="POST-sent0"),
+    pytest.param(BAD_LENGTH, "GET", ["GET", "GET"], id="GET-sent1"),
+    pytest.param(CUT_SHORT, "POST", ["POST"], id="incomplete-POST"),
+    pytest.param(CUT_SHORT, "GET", ["GET", "GET"], id="incomplete-GET"),
+    pytest.param(BAD_STATUS, "POST", ["POST"], id="bad-status-line-POST"),
+    pytest.param(BAD_STATUS, "GET", ["GET", "GET"], id="bad-status-line-GET"),
+])
+def test_a_reply_with_a_bad_content_length_is_an_http_exception(reply, method, sent):
+    server = StubServer(reply, close=True)
     try:
         with pytest.raises(http.client.HTTPException):
             _in_thread(lambda: request_json(method, server.url("/x"), body={}, timeout=3.0))
         assert server.requests == sent  # the retry rule holds for it
     finally:
         server.close()
+
+
+def test_a_reply_declaring_a_body_over_the_cap_is_an_http_exception(monkeypatch):
+    monkeypatch.setattr(httpd, "MAX_BODY_BYTES", 11)  # OK_REPLY's body is 12 bytes
+    server = StubServer()
+    try:
+        with pytest.raises(http.client.HTTPException, match="body of 12 bytes, at most 11"):
+            _in_thread(lambda: request_json("POST", server.url("/x"), timeout=3.0))
+        monkeypatch.setattr(httpd, "MAX_BODY_BYTES", 12)
+        assert _in_thread(lambda: request_json("POST", server.url("/x"), timeout=3.0)) == OK
+    finally:
+        server.close()
+
+
+class FloodPeer:
+    """Raw-socket server that answers one request with ``head`` and then up to
+    ``FLOOD_BYTES`` of body, stopping when the client goes away; ``sent``
+    counts the body bytes it got out."""
+
+    FLOOD_BYTES = 40 * 1024 * 1024
+
+    def __init__(self, head: bytes):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.head, self.sent = head, 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        try:
+            conn, _ = self.listener.accept()
+        except OSError:  # closed before any client came
+            return
+        block = b"x" * 65536
+        with conn:
+            conn.recv(65536)  # the request
+            try:
+                conn.sendall(self.head)
+                while self.sent < self.FLOOD_BYTES:
+                    conn.sendall(block)
+                    self.sent += len(block)
+            except OSError:  # the client closed the connection with the body unread
+                pass
+
+    def url(self, path):
+        return f"http://127.0.0.1:{self.listener.getsockname()[1]}{path}"
+
+    def close(self):
+        self._thread.join(10.0)
+        self.listener.close()
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n",  # delimited by the close
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % FloodPeer.FLOOD_BYTES,
+], ids=["close-delimited", "chunked"])
+def test_a_reply_not_framed_by_content_length_is_its_status_alone_unread(head):
+    peer = FloodPeer(head)
+
+    def fetch():
+        with pytest.raises(httpd.HttpError) as err:
+            request_json("GET", peer.url("/x"), timeout=3.0)
+        return err.value.status, list(httpd._pool())
+
+    try:
+        assert _in_thread(fetch) == (200, [])  # the connection is not kept
+    finally:
+        peer.close()
+    assert peer.sent < FloodPeer.FLOOD_BYTES
+
+
+# -- client: webhook replies ---------------------------------------------------
+
+@pytest.mark.parametrize("reply, close, failures", [
+    (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nOK",
+     False, [0, 0, 0]),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nOK\r\n0\r\n\r\n",
+     False, [0, 0, 0]),
+    (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nOK", True, [0, 0, 0]),
+    (b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n", False, [1, 2, 3]),
+], ids=["text", "chunked", "close-delimited", "500"])
+def test_a_webhook_delivery_is_its_2xx_status_whatever_the_body(reply, close, failures):
+    receiver = StubServer(reply, close=close)
+    broker = ContextBroker(delivery="manual")
+    sub = Subscription(id="", target=receiver.url("/notify"))
+    broker.subscribe(sub)
+
+    def deliver_three():
+        seen = []
+        for level in range(3):
+            broker.upsert_entity(make_entity("s-1", "Sensor", level=level))
+            broker.deliver_notifications()
+            seen.append(sub.consecutive_failures)
+        return seen
+
+    try:
+        assert _in_thread(deliver_three) == failures
+        assert receiver.requests == ["POST"] * 3
+        assert sub.status == ("failed" if failures[-1] else "active")
+    finally:
+        broker.close()
+        receiver.close()
 
 
 # -- client: the retry rule -----------------------------------------------------
@@ -360,13 +485,14 @@ def test_oversized_body_is_413_and_closed_before_it_is_read(echo):
 
 
 def test_body_at_the_cap_is_read(echo, monkeypatch):
-    monkeypatch.setattr(httpd, "MAX_BODY_BYTES", 16)
-    status, _ = request_json("POST", echo.url("/echo"), body="x" * 14)  # 16 bytes quoted
+    # the cap bounds replies too, so it stays above the 413 reply's body
+    monkeypatch.setattr(httpd, "MAX_BODY_BYTES", 128)
+    status, _ = request_json("POST", echo.url("/echo"), body="x" * 126)  # 128 bytes quoted
     assert status == 200
     with pytest.raises(httpd.HttpError) as err:
-        request_json("POST", echo.url("/echo"), body="x" * 15)
+        request_json("POST", echo.url("/echo"), body="x" * 127)
     assert err.value.status == 413
-    assert echo.seen == ["x" * 14]
+    assert echo.seen == ["x" * 126]
 
 
 @pytest.mark.parametrize("sent", [
@@ -457,6 +583,32 @@ def test_the_server_answers_and_closes(echo, sent, status):
     assert head.startswith(b"HTTP/1.1 %d " % status)
     assert b"\r\nConnection: close" in head
     assert ("error" in json.loads(body)) == (status != 200)
+
+
+@pytest.mark.parametrize("sent, status", [
+    (b"GET /echo HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 200),
+    (b"GET /nowhere HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 404),
+    (b"GET /boom HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 500),
+    (b"GET /echo\r\n", 400),
+    (b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000\r\n\r\n", 413),
+    (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\nHost: x\r\n\r\n", 414),
+    (b"GET /echo HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n", 431),
+    (b"BREW /echo HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+    (b"POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 501),
+    (b"GET /echo HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+])
+def test_every_reply_is_framed_by_its_content_length(echo, sent, status):
+    """The client reads only Content-Length bodies, so every reply a server sends has one."""
+    echo.add_route("GET", r"/boom", lambda match, params, body: 1 / 0)
+    with socket.create_connection((echo.host, echo.port), timeout=3.0) as sock:
+        sock.sendall(sent)
+        reply = _read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0].startswith(b"HTTP/1.1 %d " % status)
+    lengths = [line.partition(b":")[2] for line in lines[1:]
+               if line.partition(b":")[0].lower() == b"content-length"]
+    assert lengths == [b" %d" % len(body)]
 
 
 def test_a_body_cut_short_is_400_and_never_dispatched(echo):
