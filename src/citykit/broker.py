@@ -17,12 +17,14 @@ and at-least-once; three consecutive sink failures flip a subscription to
 ``CollectSink`` build the NGSI ``notification_doc``; a callable target gets
 copies it may mutate. A webhook's 2xx reply is a delivery, whatever its body.
 
-An optional JSON-lines journal records accepted writes, each in one unbuffered
-append, so a restarted broker can replay them through the same commit steps. A
-write is journaled before it is stored, so one the journal refuses is not
-applied: a failed or short append is cut back off the file, and the journal
-closes if that fails too. After ``close``, a write fails at its append, before
-anything is applied. Subscriptions are runtime state and are not journaled.
+An optional JSON-lines journal holds each committed version's ``to_wire``
+document, one unbuffered append each. A restart loads every line's entity,
+checked as its commit was, and the last line for an id wins; a line that is
+not a version (an older journal's operation record) is refused. A write is
+journaled before it is stored, so one the journal refuses is not applied: a
+failed or short append is cut back off the file, and the journal closes if
+that fails too. After ``close``, a write fails at its append, before anything
+is applied. Subscriptions are runtime state and are not journaled.
 """
 
 import json
@@ -294,19 +296,12 @@ class ContextBroker:
             check_entity(entity)  # outside the lock: it reads only the caller's entity
         except NgsiError as exc:
             raise InvalidEntity(exc.message) from exc
+        version = entity.copy()
         with self._lock:
-            created = self._commit_upsert(entity.copy())
+            created = version.id not in self._entities
+            self._commit(version, set(version.attributes))
         self._after_commit()
         return "created" if created else "updated"
-
-    def _commit_upsert(self, version: NgsiEntity) -> bool:
-        """Journal, store and enqueue a checked version no caller holds; under ``_lock``."""
-        created = version.id not in self._entities
-        if self._journal_fh is not None:
-            self._journal({"op": "upsert", "entity": version.to_wire()})
-        self._entities[version.id] = version
-        self._enqueue_matches(version, set(version.attributes))
-        return created
 
     def get_entity(self, entity_id: str) -> NgsiEntity:
         with self._lock:
@@ -358,26 +353,25 @@ class ContextBroker:
                 raise InvalidEntity(f"patch value for {name!r} is not an attribute")
             changed[name] = attr.copy()
         with self._lock:
-            result = self._commit_patch(entity_id, changed).copy()
+            current = self._entities.get(entity_id)
+            if current is None:
+                raise NotFound(f"no entity with id {entity_id!r}")
+            try:
+                check_attributes(changed)  # the rest of ``current`` passed when committed
+            except NgsiError as exc:
+                raise InvalidEntity(exc.message) from exc
+            version = NgsiEntity(entity_id, current.entityType, {**current.attributes, **changed})
+            self._commit(version, set(changed))
+            result = version.copy()
         self._after_commit()
         return result
 
-    def _commit_patch(self, entity_id: str, changed: dict[str, Attribute]) -> NgsiEntity:
-        """Check, journal, store and enqueue the version ``changed`` makes; under ``_lock``."""
-        current = self._entities.get(entity_id)
-        if current is None:
-            raise NotFound(f"no entity with id {entity_id!r}")
-        try:
-            check_attributes(changed)  # the rest of ``current`` passed when committed
-        except NgsiError as exc:
-            raise InvalidEntity(exc.message) from exc
+    def _commit(self, version: NgsiEntity, changed: set) -> None:
+        """Journal, store and enqueue a checked version no caller holds; under ``_lock``."""
         if self._journal_fh is not None:
-            self._journal({"op": "patch", "id": entity_id,
-                           "attrs": {n: a.to_wire() for n, a in changed.items()}})
-        version = NgsiEntity(entity_id, current.entityType, {**current.attributes, **changed})
-        self._entities[entity_id] = version
-        self._enqueue_matches(version, set(changed))
-        return version
+            self._journal(version.to_wire())
+        self._entities[version.id] = version
+        self._enqueue_matches(version, changed)
 
     def entity_count(self) -> int:
         with self._lock:
@@ -500,10 +494,9 @@ class ContextBroker:
             raise
 
     def _replay_journal(self) -> None:
-        """Re-commit journaled writes through the commit steps; a torn last
-        record (a crash mid-write) is cut off. This runs before the journal
-        opens and before any subscription exists, so the steps neither journal
-        nor enqueue, and a decoded record is fresh, so nothing is copied."""
+        """Store each journaled version, checked as its commit was; the last line
+        for an id wins, and a torn last line (a crash mid-write) is cut off. A
+        decoded version is fresh and no subscription exists yet: nothing is copied."""
         try:
             fh = open(self._journal_path, "rb")
         except FileNotFoundError:
@@ -513,7 +506,7 @@ class ContextBroker:
                 try:
                     if not line.endswith(b"\n"):
                         raise ValueError("record has no line end")
-                    record = json.loads(line) if line.strip() else None
+                    doc = json.loads(line)
                 except ValueError as exc:
                     if fh.read(1):
                         raise BrokerError(f"journal {self._journal_path} line {lineno} "
@@ -523,23 +516,13 @@ class ContextBroker:
                     # else the next append would be glued onto the torn record
                     os.truncate(self._journal_path, fh.tell() - len(line))
                     return
-                if record is None:
-                    continue
                 try:
-                    if record["op"] == "upsert":
-                        entity = NgsiEntity.from_wire(record["entity"])
-                        check_entity(entity)
-                        self._commit_upsert(entity)
-                    elif record["op"] == "patch":
-                        self._commit_patch(record["id"], {
-                            n: Attribute.from_wire(doc) for n, doc in record["attrs"].items()})
-                    else:
-                        logger.warning("skipping unknown journal op %r", record["op"])
-                except NotFound:
-                    logger.warning("journal patch for unknown id %s", record["id"])
-                except (KindError, KeyError, TypeError, AttributeError) as exc:
+                    version = NgsiEntity.from_wire(doc)
+                    check_entity(version)
+                except NgsiError as exc:
                     raise BrokerError(f"journal {self._journal_path} line {lineno} "
                                       f"is invalid: {exc!r}") from exc
+                self._entities[version.id] = version
 
     def close(self) -> None:
         self._stop_poll.set()

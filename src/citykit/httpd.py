@@ -28,10 +28,11 @@ the close of the client's side, with 400, and closes the connection after
 every refusal. Both ``Content-Length`` refusals (400, and 413 over
 ``MAX_BODY_BYTES``) come before any ``100 Continue``. The client, likewise,
 reads only a body framed by one ``Content-Length`` of at most
-``MAX_BODY_BYTES``, from HTTP/1.1 or HTTP/1.0 servers, skipping ``1xx``
-interim replies; any other reply is its status alone: its body is not read
-and its connection closes. A malformed reply, or one declaring a longer
-body, is an ``http.client.HTTPException``.
+``MAX_BODY_BYTES``, from HTTP/1.1 or HTTP/1.0 servers, after at most
+``MAX_INTERIM_REPLIES`` ``1xx`` replies; any other reply is its status alone:
+its body is not read and its connection closes. A malformed reply, or one
+declaring a longer body or more interim replies, is an
+``http.client.HTTPException``.
 """
 
 import atexit
@@ -63,6 +64,7 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 # Bounds of a message head on both sides: header lines, and bytes in one line.
 MAX_HEADER_LINES = 100
 MAX_LINE_BYTES = 64 * 1024
+MAX_INTERIM_REPLIES = 8  # 1xx replies the client skips; one more is an HTTPException
 # Open client connections each thread keeps; the least recently used goes first.
 POOL_SIZE = 4
 # Methods that may be resent after their bytes may have reached the server
@@ -394,11 +396,11 @@ def _connect(scheme: str, host: str, port: Optional[int],
 
 def _read_reply(sock) -> tuple:
     """(status, body, whether the connection stays open) of the reply on
-    ``sock``, after any ``1xx`` interim replies. Only a body framed by
-    ``Content-Length`` is read (RFC 9112 section 6.3); any other reply raises
-    ``HttpError`` with its status, its body unread."""
+    ``sock``, after at most ``MAX_INTERIM_REPLIES`` ``1xx`` interim replies.
+    Only a body framed by ``Content-Length`` is read (RFC 9112 section 6.3);
+    any other reply raises ``HttpError`` with its status, its body unread."""
     with sock.makefile("rb") as fp:  # bytes past the reply's end are dropped with it
-        while True:
+        for _ in range(MAX_INTERIM_REPLIES + 1):
             line = fp.readline(MAX_LINE_BYTES + 1)
             if not line:
                 raise http.client.RemoteDisconnected("closed without a reply")
@@ -410,6 +412,8 @@ def _read_reply(sock) -> tuple:
             status = int(words[1])
             if status >= 200:
                 break
+        else:
+            raise http.client.HTTPException(f"more than {MAX_INTERIM_REPLIES} interim replies")
         connection = _tokens(headers.get("connection", ""))
         keep = "close" not in connection and (
             words[0] != b"HTTP/1.0" or "keep-alive" in connection)

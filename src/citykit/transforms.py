@@ -3,7 +3,8 @@
 The legacy mapper is rule-driven: a ruleset names an id template (with
 `{path}` placeholders resolved against each source record), an entity type,
 and per-attribute mappings carrying one of four transforms: identity,
-scale(factor), enumMap(table), parseTimestamp(format). An array at the
+scale(factor), enumMap(table), parseTimestamp(format). Each transform and its
+parameter are checked once, when the ruleset loads. An array at the
 document root fans out to one record per element; a record whose id template
 cannot be resolved is reported (with its index) instead of producing an
 entity, so records = entities + id failures always holds.
@@ -28,9 +29,6 @@ _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 _PATH_STEP_RE = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
 _URN_RE = re.compile(r"^urn:[A-Za-z0-9][A-Za-z0-9-]*:.+")
 
-TRANSFORM_NAMES = ("identity", "scale", "enumMap", "parseTimestamp")
-
-
 class TransformError(KindError):
     """Mapper failures; ``kind`` names the failure class."""
 
@@ -52,36 +50,51 @@ def resolve_path(doc: Any, path: str):
     return True, node
 
 
-def _apply_transform(spec, value):
-    name = spec if isinstance(spec, str) else spec.get("name")
-    if name == "identity" or name is None:
+# per transform: the parameter an object spec may give it, its default and its type
+_TRANSFORMS = {
+    "identity": (None, None, object, "anything"),
+    "scale": ("factor", 1, (int, float), "a number"),
+    "enumMap": ("table", {}, dict, "an object"),
+    "parseTimestamp": ("format", "%Y-%m-%d %H:%M:%S", str, "a string"),
+}
+
+
+def _check_transform(spec) -> tuple:
+    """A spec's ``(name, parameter)``; ``invalid-rules`` when the spec cannot run."""
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    name = spec.get("name") if isinstance(spec, dict) else None
+    if not isinstance(name, str) or name not in _TRANSFORMS:
+        raise TransformError("invalid-rules", f"unknown transform {spec!r}")
+    param, default, kind, what = _TRANSFORMS[name]
+    arg = spec.get(param, default)
+    if not isinstance(arg, kind) or isinstance(arg, bool):  # a bool is not a number
+        raise TransformError("invalid-rules", f"{name} {param} must be {what}: {arg!r}")
+    return name, arg
+
+
+def _apply_transform(name: str, arg, value):
+    """Run one checked transform, with its parameter ``arg``, on a source value."""
+    if name == "identity":
         return value
     if name == "scale":
-        factor = spec.get("factor", 1)
         if not is_number(value):
             raise TransformError("transform-error", f"scale needs a number, got {value!r}")
-        result = value * factor
-        if isinstance(result, float):
-            result = round(result, 12)  # trim float dirt so 37*0.01 is 0.37
-        return result
+        result = value * arg
+        return round(result, 12) if isinstance(result, float) else result  # 37*0.01 -> 0.37
     if name == "enumMap":
-        table = spec.get("table") or {}
         key = value if isinstance(value, str) else json.dumps(value)
-        if key not in table:
+        if key not in arg:
             raise TransformError("transform-error", f"enumMap has no entry for {key!r}")
-        return table[key]
-    if name == "parseTimestamp":
-        fmt = spec.get("format", "%Y-%m-%d %H:%M:%S")
-        if not isinstance(value, str):
-            raise TransformError("transform-error", f"parseTimestamp needs a string, got {value!r}")
-        try:
-            dt = datetime.strptime(value, fmt)
-        except ValueError as exc:
-            raise TransformError("transform-error", str(exc)) from exc
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    raise TransformError("invalid-rules", f"unknown transform {name!r}")
+        return arg[key]
+    if not isinstance(value, str):  # parseTimestamp
+        raise TransformError("transform-error", f"parseTimestamp needs a string, got {value!r}")
+    try:
+        dt = datetime.strptime(value, arg)
+    except ValueError as exc:
+        raise TransformError("transform-error", str(exc)) from exc
+    dt = dt.replace(tzinfo=dt.tzinfo or timezone.utc)  # a stamp with no zone is UTC
+    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 @dataclass
@@ -90,6 +103,9 @@ class AttributeMapping:
     targetAttribute: str
     valueType: str
     transform: Any = "identity"
+
+    def __post_init__(self):
+        self._transform = _check_transform(self.transform)  # checked once, at load
 
 
 @dataclass
@@ -105,10 +121,6 @@ class MappingRuleSet:
         dupes = {t for t in targets if targets.count(t) > 1}
         if dupes:
             raise TransformError("invalid-rules", f"duplicate target attributes {sorted(dupes)}")
-        for m in self.attributeMappings:
-            name = m.transform if isinstance(m.transform, str) else m.transform.get("name")
-            if name not in TRANSFORM_NAMES:
-                raise TransformError("invalid-rules", f"unknown transform {name!r}")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MappingRuleSet":
@@ -182,7 +194,7 @@ def json_to_ngsi(document, rules: MappingRuleSet) -> MappingOutcome:
             if not found:
                 continue
             try:
-                value = _apply_transform(mapping.transform, raw)
+                value = _apply_transform(*mapping._transform, raw)
             except TransformError as exc:
                 out.errors.append({
                     "index": index,

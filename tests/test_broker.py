@@ -151,6 +151,7 @@ def test_parse_q_literals_and_clauses():
     assert parse_q("open==true") == [("open", "==", True)]
     with pytest.raises(MalformedPattern):
         parse_q("no comparator here")
+    assert parse_q("a==1;;b==2; ;") == [("a", "==", 1), ("b", "==", 2)]  # empty clauses
 
 
 def test_query_matches_linear_scan_on_random_stores():
@@ -358,6 +359,24 @@ def test_subscription_rejects_bad_pattern_and_negative_throttle(broker):
         broker.subscribe(Subscription(id="", throttlingSeconds=-1, target=lambda d: None))
 
 
+@pytest.mark.parametrize("target", [None, 5])
+def test_a_target_that_is_no_sink_url_or_callable_is_refused(broker, target):
+    with pytest.raises(MalformedSubscription, match="unusable notification target"):
+        broker.subscribe(Subscription(id="", target=target))
+
+
+def test_a_duplicate_subscription_id_is_refused(broker):
+    first = broker.subscribe(Subscription(id="", target=lambda d: None))
+    with pytest.raises(MalformedSubscription, match=f"duplicate subscription id '{first}'"):
+        broker.subscribe(Subscription(id=first, target=lambda d: None))
+    assert broker.unsubscribe(first)
+
+
+def test_an_unknown_delivery_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown delivery mode 'eager'"):
+        ContextBroker(delivery="eager")
+
+
 def test_notification_completeness_under_many_commits(broker):
     """No commit matching an active subscription is ever dropped."""
     _, sink = collect_sub(broker, entityTypeFilter="Sensor")
@@ -493,56 +512,71 @@ def test_corrupt_record_inside_the_journal_fails_loudly(tmp_path):
         ContextBroker(journal_path=path)
 
 
-@pytest.mark.parametrize("record", [
-    {"op": "upsert", "entity": {"id": "q-1", "entityType": "Sensor", "attributes": {
-        "level": {"value": "high", "valueType": "Number"}}}},
-    {"op": "upsert", "entity": {"id": "q 1", "entityType": "Sensor"}},
-    {"op": "upsert"},
-    {"op": "patch", "id": "p-1", "attrs": {"type": {"value": "Lot", "valueType": "Text"}}},
-    {"op": "patch", "id": "p-1", "attrs": {
-        "opened": {"value": "yesterday", "valueType": "DateTime"}}},
-    ["op", "upsert"],
+@pytest.mark.parametrize("record, rule", [
+    ({"id": "q-1", "entityType": "Sensor", "attributes": {
+        "level": {"value": "high", "valueType": "Number"}}}, "tagged Number holds 'high'"),
+    ({"id": "q 1", "entityType": "Sensor", "attributes": {}}, "without whitespace: 'q 1'"),
+    ({"id": "q-1", "attributes": {}}, r"missing \['entityType'\]"),
+    ({"id": "p-1", "entityType": "ParkingSite", "attributes": {
+        "type": {"value": "Lot", "valueType": "Text"}}}, "name 'type' is reserved"),
+    ({"id": "p-1", "entityType": "ParkingSite", "attributes": {
+        "opened": {"value": "yesterday", "valueType": "DateTime"}}}, "non-ISO value 'yesterday'"),
+    ([{"id": "q-1", "entityType": "Sensor", "attributes": {}}], "must be an object"),
 ])
-def test_invalid_record_inside_the_journal_fails_loudly(tmp_path, record):
-    """Replay checks each record as its commit was checked."""
+def test_invalid_record_inside_the_journal_fails_loudly(tmp_path, record, rule):
+    """Replay checks each version as its commit was checked."""
     path = tmp_path / "journal.jsonl"
     first = ContextBroker(journal_path=path)
     first.upsert_entity(make_parking())
     first.close()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
-    with pytest.raises(BrokerError, match=f"journal {path} line 2 is invalid"):
+    with pytest.raises(BrokerError, match=f"journal {path} line 2 is invalid: .*{rule}"):
         ContextBroker(journal_path=path)
 
 
-def write_journal(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-
-
-def test_replay_skips_a_patch_for_an_id_never_created(tmp_path, caplog):
+def test_a_journal_line_is_the_version_a_get_returns(tmp_path):
     path = tmp_path / "journal.jsonl"
-    write_journal(path, [
-        {"op": "patch", "id": "ghost", "attrs": {"level": Attribute(1, "Number").to_wire()}},
-        {"op": "upsert", "entity": make_parking(spots=9).to_wire()},
-        {"op": "patch", "id": "p-1", "attrs": {
-            "availableSpotNumber": Attribute(4, "Number").to_wire()}},
-    ])
     broker = ContextBroker(journal_path=path)
-    assert "journal patch for unknown id ghost" in caplog.text
-    assert [e.to_wire() for e in broker.query_entities()] == [make_parking(spots=4).to_wire()]
+    broker.upsert_entity(make_parking(spots=9))
+    upserted = broker.get_entity("p-1").to_wire()
+    broker.update_attributes("p-1", {"availableSpotNumber": Attribute(6, "Number")})
+    patched = broker.get_entity("p-1").to_wire()
+    broker.close()
+    assert path.read_bytes().splitlines() == [
+        json.dumps(doc, sort_keys=True).encode("utf-8") for doc in (upserted, patched)]
+
+
+def test_replay_loads_each_version_and_runs_no_commit_step(tmp_path, monkeypatch):
+    path = tmp_path / "journal.jsonl"
+    path.write_text("".join(json.dumps(e.to_wire()) + "\n" for e in [
+        make_parking(spots=9), make_entity("q-1", "Sensor", level=3),
+        make_entity("p-1", "Lot", open=True)]), encoding="utf-8")
+
+    def no_commit(self, version, changed):
+        raise AssertionError("replay ran a commit step")
+
+    monkeypatch.setattr(ContextBroker, "_commit", no_commit)
+    broker = ContextBroker(journal_path=path)
+    assert [e.to_wire() for e in broker.query_entities()] == [  # the last line for p-1 wins
+        make_entity("p-1", "Lot", open=True).to_wire(),
+        make_entity("q-1", "Sensor", level=3).to_wire()]
     broker.close()
 
 
-def test_replay_skips_an_unknown_op(tmp_path, caplog):
+@pytest.mark.parametrize("text, reason", [
+    # the operation records of the journal format before versions
+    pytest.param(json.dumps({"op": "upsert", "entity": make_parking().to_wire()}) + "\n",
+                 "line 1 is invalid", id="op-record"),
+    pytest.param("\n" + json.dumps(make_parking().to_wire()) + "\n",
+                 "line 1 is corrupt", id="blank-line"),
+])
+def test_a_journal_of_anything_but_versions_is_refused_at_start(tmp_path, text, reason):
     path = tmp_path / "journal.jsonl"
-    write_journal(path, [
-        {"op": "upsert", "entity": make_parking(spots=9).to_wire()},
-        {"op": "delete", "id": "p-1"},
-    ])
-    broker = ContextBroker(journal_path=path)
-    assert "skipping unknown journal op 'delete'" in caplog.text
-    assert broker.get_entity("p-1").value("availableSpotNumber") == 9
-    broker.close()
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(BrokerError, match=reason):
+        ContextBroker(journal_path=path)
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_a_write_the_journal_refuses_is_not_applied(tmp_path, monkeypatch):
@@ -928,6 +962,53 @@ def test_commits_match_a_deep_copying_full_check_reference(operations):
         [reference.entities[k].to_wire() for k in sorted(reference.entities)]
     assert [e for doc in sink.notifications for e in doc["data"]] == reference.commits
     broker.close()
+
+
+def disk_full(data):
+    raise OSError(28, "No space left on device")
+
+
+JOURNALED_WRITES = st.lists(st.tuples(
+    st.sampled_from(["upsert", "patch"]),
+    st.sampled_from(["p-1", "p-2", "p-3"]),  # a patch before its id's upsert is not-found
+    st.dictionaries(st.sampled_from(["level", "name", "layout"]), st.one_of(
+        st.builds(Attribute, st.one_of(st.integers(-3, 3), st.floats(allow_nan=False)),
+                  st.just("Number")),
+        st.builds(Attribute, st.text(max_size=3), st.just("Text")),
+        TREE_ATTRIBUTES), max_size=3),
+    st.sampled_from(["ok", "invalid", "disk-full"]),
+), max_size=20)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(JOURNALED_WRITES)
+def test_a_broker_restarted_on_its_journal_has_the_live_state(tmp_path_factory, writes):
+    """Upserts and patches, among them refused writes (an invalid entity, an
+    unknown id, a journal append that fails once), leave a journal of one line
+    per acknowledged commit that rebuilds the live state."""
+    path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+    live = ContextBroker(journal_path=path, delivery="manual")
+    acknowledged = 0
+    for op, entity_id, attrs, fault in writes:
+        if fault == "invalid":
+            attrs = {**attrs, "level": Attribute("high", "Number")}
+        elif fault == "disk-full":
+            live._journal_fh.write = disk_full
+        try:
+            if op == "upsert":
+                live.upsert_entity(NgsiEntity(entity_id, "Sensor", attributes=attrs))
+            else:
+                live.update_attributes(entity_id, attrs)
+            acknowledged += bool(attrs) or op == "upsert"  # an empty patch commits nothing
+        except (InvalidEntity, NotFound, OSError):
+            pass
+        vars(live._journal_fh).pop("write", None)
+    want = [e.to_wire() for e in live.query_entities()]
+    live.close()
+    assert len(path.read_bytes().splitlines()) == acknowledged
+    reborn = ContextBroker(journal_path=path)
+    assert [e.to_wire() for e in reborn.query_entities()] == want
+    reborn.close()
 
 
 @pytest.mark.parametrize("cls, kind", [

@@ -128,6 +128,9 @@ class TestJsonMapping:
     @pytest.mark.parametrize("text", [
         "{not json", json.dumps({"idTemplate": "x"}), "5",
         json.dumps({**RULES_DOC, "attributeMappings": [5]}),
+        json.dumps({**RULES_DOC, "attributeMappings": [
+            {"sourcePath": "a", "targetAttribute": "x", "valueType": "Number",
+             "transform": None}]}),
     ])
     def test_bad_rules_print_one_error_line(self, tmp_path, capsys, text):
         rules = tmp_path / "rules.json"

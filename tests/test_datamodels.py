@@ -91,6 +91,22 @@ def test_a_datetime_is_a_calendar_timestamp(stamp, valid):
     assert kinds(report) == ([] if valid else ["wrong-type"])
 
 
+@pytest.mark.parametrize("tag, value, valid", [
+    ("Boolean", True, True),
+    ("Boolean", 1, False),  # a number is not a bool
+    ("geo:json", {"type": "Point", "coordinates": [-3.7, 40.4]}, True),
+    ("geo:json", {"coordinates": [-3.7, 40.4]}, False),
+    ("geo:json", "POINT (-3.7 40.4)", False),
+    ("Postcode", ["any", "value"], True),  # an unknown tag asks only for itself
+])
+def test_a_value_is_checked_against_its_expected_tag(tag, value, valid):
+    schema = DataModelSchema.from_doc({
+        "entityType": "Reading", "requiredAttributes": [],
+        "attributeRules": {"reading": {"expectedValueType": tag}}})
+    entity = make_entity("r-1", "Reading", reading=Attribute(value, tag))
+    assert kinds(validate_entity(entity, {"Reading": schema})) == ([] if valid else ["wrong-type"])
+
+
 def test_out_of_range_low_and_high(registry):
     assert kinds(validate_entity(parking(availableSpotNumber=-1), registry)) \
         == ["out-of-range"]

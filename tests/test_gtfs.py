@@ -80,6 +80,22 @@ class TestValidation:
             serialize_feed(feed)
         assert "trip alpha -> route R8" in err.value.message
 
+    @pytest.mark.parametrize("mutate, first", [
+        (lambda f: f.routes.append(Route("R2", "A9", "2", 3)), "route R2 -> agency A9"),
+        (lambda f: f.trips.append(Trip("R1-T2", "R1", "WE")), "trip R1-T2 -> service WE"),
+        (lambda f: f.stopTimes.append(StopTime("R1-T9", 1, "S1", 28800, 28800)),
+         "stop_time -> trip R1-T9"),
+        (lambda f: f.stopTimes.append(StopTime("R1-T1", 3, "S9", 29000, 29000)),
+         "stop_time R1-T1#3 -> stop S9"),
+    ])
+    def test_each_kind_of_dangling_reference_is_refused(self, mutate, first):
+        feed = minimal_feed()
+        mutate(feed)
+        with pytest.raises(FeedError) as err:
+            serialize_feed(feed)
+        assert err.value.kind == "dangling-reference"
+        assert err.value.message == f"1 unresolved references, first {first}"
+
     def test_bad_coordinates(self):
         feed = minimal_feed()
         feed.stops[0] = Stop("S1", "First", 91.0, -3.0)

@@ -318,6 +318,24 @@ def test_a_reply_declaring_a_body_over_the_cap_is_an_http_exception(monkeypatch)
         server.close()
 
 
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def test_interim_replies_past_the_cap_are_an_http_exception():
+    """A peer cannot hold a request by sending interim replies before its final one."""
+    cap = httpd.MAX_INTERIM_REPLIES
+    at_cap, past_cap = StubServer(CONTINUE * cap + OK_REPLY), StubServer(
+        CONTINUE * (cap + 1) + OK_REPLY, close=True)
+    try:
+        assert _in_thread(lambda: request_json("POST", at_cap.url("/x"), timeout=3.0)) == OK
+        with pytest.raises(http.client.HTTPException, match=f"more than {cap} interim replies"):
+            _in_thread(lambda: request_json("POST", past_cap.url("/x"), timeout=3.0))
+        assert past_cap.requests == ["POST"]
+    finally:
+        at_cap.close()
+        past_cap.close()
+
+
 class FloodPeer:
     """Raw-socket server that answers one request with ``head`` and then up to
     ``FLOOD_BYTES`` of body, stopping when the client goes away; ``sent``

@@ -428,6 +428,12 @@ class TestRouter:
         assert router.load_feed(city_feed) == 1
         assert router.load_feed(city_feed) == 2
 
+    def test_realtime_before_any_feed_is_refused(self):
+        router = Router(service_date=date(2025, 6, 2))
+        with pytest.raises(PlanError) as err:
+            router.set_realtime({"tripUpdates": []})
+        assert (err.value.kind, err.value.message) == ("unreachable", "no graph loaded")
+
     def test_reload_clears_the_overlay(self, city_feed):
         router = Router(service_date=date(2025, 6, 2))
         router.load_feed(city_feed)

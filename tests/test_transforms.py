@@ -112,9 +112,9 @@ class TestJsonToNgsi:
         assert outcome.errors[0]["error"] == "transform-error"
 
     def test_bad_timestamp_reported(self, rules):
-        record = dict(RECORD, read_at="junk")
-        outcome = json_to_ngsi(record, rules)
-        assert outcome.errors[0]["attribute"] == "dateObserved"
+        for read_at in ("junk", 20250602):  # not in the format, not a string
+            outcome = json_to_ngsi(dict(RECORD, read_at=read_at), rules)
+            assert outcome.errors[0]["attribute"] == "dateObserved"
 
     def test_records_equals_entities_plus_id_failures(self, rules):
         records = [RECORD, {}, dict(RECORD, state="9"), {}]
@@ -161,9 +161,44 @@ class TestRuleParsing:
         with pytest.raises(TransformError):
             MappingRuleSet.from_doc(doc)
 
+    @pytest.mark.parametrize("transform", [
+        None, ["scale"], 5,
+        {"name": "scale", "factor": "ab"}, {"name": "scale", "factor": True},
+        {"name": "scale", "factor": None},
+        {"name": "enumMap", "table": [["0", "closed"]]}, {"name": "enumMap", "table": None},
+        {"name": "parseTimestamp", "format": 5},
+        {"factor": 2}, {"name": ["scale"]},
+    ])
+    def test_rejects_a_transform_it_cannot_run_when_the_rules_load(self, transform):
+        doc = dict(RULES_DOC)
+        doc["attributeMappings"] = [
+            {"sourcePath": "a", "targetAttribute": "x", "valueType": "Number",
+             "transform": transform},
+        ]
+        with pytest.raises(TransformError) as err:
+            MappingRuleSet.from_doc(doc)
+        assert err.value.kind == "invalid-rules"
+
+    @pytest.mark.parametrize("transform, source, value", [
+        ("scale", 7, 7),
+        ({"name": "scale"}, 2.5, 2.5),
+        ({"name": "identity", "factor": "ignored"}, "x", "x"),
+        ("parseTimestamp", "2025-06-02 08:15:00", "2025-06-02T08:15:00Z"),
+    ])
+    def test_a_transform_named_without_its_parameter_takes_the_default(
+            self, transform, source, value):
+        rules = MappingRuleSet.from_doc({**RULES_DOC, "attributeMappings": [
+            {"sourcePath": "a", "targetAttribute": "x", "valueType": "Number",
+             "transform": transform}]})
+        outcome = json_to_ngsi({"meta": {"code": "A7"}, "a": source}, rules)
+        assert outcome.errors == []
+        assert outcome.entities[0].value("x") == value
+
     def test_rejects_missing_fields_and_bad_json(self):
         with pytest.raises(TransformError):
             MappingRuleSet.from_doc({"idTemplate": "x"})
+        with pytest.raises(TransformError, match=r"mapping missing \['targetAttribute'"):
+            MappingRuleSet.from_doc({**RULES_DOC, "attributeMappings": [{"sourcePath": "a"}]})
 
     def test_entity_type_template_is_templated_too(self):
         rules = MappingRuleSet.from_doc({
