@@ -97,10 +97,10 @@ class Attribute:
             value_type = infer_value_type(doc["value"])
         if not isinstance(value_type, str) or not value_type:
             raise NgsiError(f"attribute valueType must be a non-empty string: {doc!r}")
-        metadata = doc.get("metadata") or {}
-        if not isinstance(metadata, dict):
+        metadata = doc.get("metadata")  # absent or null: none
+        if not isinstance(metadata, (dict, type(None))):
             raise NgsiError(f"attribute metadata must be an object: {doc!r}")
-        return cls(value=doc["value"], valueType=value_type, metadata=dict(metadata))
+        return cls(value=doc["value"], valueType=value_type, metadata=dict(metadata or {}))
 
 
 @dataclass
@@ -144,10 +144,10 @@ class NgsiEntity:
         missing = {"id", "entityType"} - set(doc)
         if missing:
             raise NgsiError(f"entity document missing {sorted(missing)}: {doc!r}")
-        attrs_doc = doc.get("attributes") or {}
-        if not isinstance(attrs_doc, dict):
+        attrs_doc = doc.get("attributes")  # absent or null: none
+        if not isinstance(attrs_doc, (dict, type(None))):
             raise NgsiError(f"entity attributes must be an object: {doc!r}")
-        attributes = {n: Attribute.from_wire(a) for n, a in attrs_doc.items()}
+        attributes = {n: Attribute.from_wire(a) for n, a in (attrs_doc or {}).items()}
         for text, label in ((doc["id"], "entity id"), (doc["entityType"], "entity type"),
                             *((name, "attribute name") for name in attributes)):
             if not text or not isinstance(text, str):

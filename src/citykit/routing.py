@@ -10,11 +10,14 @@ static view.
 Search is round-based, after RAPTOR: round k finds, for each (stop,
 arrived-by-walk) state, the earliest arrival with k boardings. It scans only
 the states the previous round improved, rides each trip once per round, and
-prunes on the best arrival found so far. Two walk moves never follow each
-other: access, footpath, and egress walks all count. At equal arrival and
-boardings a state keeps the label whose parent arrived first, the answer a
-label-setting search gives. Alternatives come from re-running the search
-while banning the trips used by earlier answers.
+prunes on the best arrival found so far. From a stop it boards only the
+earliest catchable trip of each FIFO pattern (trips with one stop sequence,
+causal, each strictly ahead of the next at every stop): a later trip of the
+pattern arrives everywhere later, so none of its labels could win. Two walk
+moves never follow each other: access, footpath, and egress walks all count.
+At equal arrival and boardings a state keeps the label whose parent arrived
+first, the answer a label-setting search gives. Alternatives come from
+re-running the search while banning the trips used by earlier answers.
 """
 
 import logging
@@ -74,6 +77,20 @@ class TransitGraph:
         self.departuresByStop: dict[str, list] = {}  # stopId -> [(dep, tripId, seq)]
         self.seqIndex: dict[str, dict] = {}  # tripId -> {seq: position in its stop times}
         self.footpaths: dict[str, list] = {}  # stopId -> [(other, walkSeconds)]
+        self.patterns: list[list[str]] = []  # FIFO patterns, each its tripIds in static order
+        self.patternOf: dict[str, int] = {}  # tripId -> index of its FIFO pattern
+
+
+def _causal(times: list) -> bool:
+    """No stop time runs backwards: arrival <= departure <= next arrival."""
+    return times[-1].arrival <= times[-1].departure and all(
+        a.arrival <= a.departure <= b.arrival for a, b in zip(times, times[1:]))
+
+
+def _precedes(first: list, second: list) -> bool:
+    """``first`` arrives and departs strictly before ``second`` at every stop."""
+    return all(a.arrival < b.arrival and a.departure < b.departure
+               for a, b in zip(first, second))
 
 
 def _service_active(service, d: date) -> bool:
@@ -108,14 +125,24 @@ def build_graph(feed: GtfsFeed, service_date: date) -> TransitGraph:
     if not graph.tripStopTimes:
         logger.warning("no service active on %s; timetable is empty", service_date)
 
+    by_stops: dict[tuple, list] = {}  # stop sequence -> its trips
     for trip_id in sorted(graph.tripStopTimes):
         times = graph.tripStopTimes[trip_id]
         graph.seqIndex[trip_id] = {tst.seq: pos for pos, tst in enumerate(times)}
         for tst in times:
             graph.departuresByStop.setdefault(tst.stopId, []).append(
                 (tst.departure, trip_id, tst.seq))
+        by_stops.setdefault(tuple(tst.stopId for tst in times), []).append(trip_id)
     for events in graph.departuresByStop.values():
         events.sort()
+    # A pattern is FIFO when its trips are causal and, in static order, each
+    # arrives and departs strictly before the next at every stop.
+    for trips in by_stops.values():
+        trips.sort(key=lambda t: (graph.tripStopTimes[t][0].departure, t))
+        timetables = [graph.tripStopTimes[t] for t in trips]
+        if all(map(_causal, timetables)) and all(map(_precedes, timetables, timetables[1:])):
+            graph.patternOf.update(dict.fromkeys(trips, len(graph.patterns)))
+            graph.patterns.append(trips)
 
     stop_ids = sorted(graph.stops)
     for i, a in enumerate(stop_ids):
@@ -139,6 +166,7 @@ class Overlay:
         self.effective: dict[str, list[TripStopTime]] = {}
         self.unknownTrips: list[str] = []
         self.shift: tuple = (0, 0)  # (earliest, latest) change to any stop time, seconds
+        self.patternOf: dict[str, int] = {}  # the graph's, less patterns the updates break
 
 
 def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
@@ -146,7 +174,10 @@ def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
 
     An update pins its stop's arrival (absolute override or signed delay);
     later stops of the trip shift by the same delta until another update
-    takes over. Updates for unknown trips are collected, not fatal.
+    takes over. Updates for unknown trips are collected, not fatal. A FIFO
+    pattern stays FIFO unless an updated trip is no longer causal or no longer
+    strictly between its neighbours in static order, the order the search
+    scans.
     """
     overlay = Overlay()
     for tu in rt.get("tripUpdates", []):
@@ -178,6 +209,19 @@ def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
             shifted.append(TripStopTime(tst.seq, tst.stopId,
                                         tst.arrival + delta, tst.departure + delta))
         overlay.effective[trip_id] = shifted
+    dropped = set()
+    for trip_id, times in overlay.effective.items():
+        pattern = graph.patternOf.get(trip_id)
+        if pattern is None or pattern in dropped:
+            continue
+        trips = graph.patterns[pattern]
+        i = trips.index(trip_id)
+        near = [overlay.effective.get(t) or graph.tripStopTimes[t]
+                for t in trips[max(i - 1, 0):i + 2]]
+        if not (_causal(times) and all(map(_precedes, near, near[1:]))):
+            dropped.add(pattern)
+    overlay.patternOf = ({t: p for t, p in graph.patternOf.items() if p not in dropped}
+                         if dropped else graph.patternOf)
     return overlay
 
 
@@ -262,7 +306,8 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
     start, tripId, from stop) of the leg that ends at the label.
     """
     (origin_stop, access), (dest_stop, egress) = origin, destination
-    effective, (early, late) = (overlay.effective, overlay.shift) if overlay else ({}, (0, 0))
+    effective, (early, late), fifo = ((overlay.effective, overlay.shift, overlay.patternOf)
+                                      if overlay else ({}, (0, 0), graph.patternOf))
     best: dict = {}    # (stop, by_walk) -> earliest-arriving label so far
     ridden: dict = {}  # tripId -> [(position, departure)] boarded in earlier rounds
     answer = None      # (arrival, boardings, label, egress secs or None)
@@ -302,15 +347,22 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
         for label in marked.values():
             arrival = label[0]
             events = graph.departuresByStop.get(label[4][0], ())  # sorted by static time
+            caught = set()  # (FIFO pattern, position) of the catchable trips seen so far
             # keep those the overlay's shift can move into [arrival, limit)
             for dep, trip_id, seq in events[bisect_left(events, (arrival - late,)):
                                             bisect_left(events, (limit - early,))]:
-                times = effective.get(trip_id)
                 pos = graph.seqIndex[trip_id][seq]
+                key = (fifo.get(trip_id), pos)
+                if key in caught:
+                    continue  # an earlier trip of its pattern gets everywhere first
+                times = effective.get(trip_id)
                 d = times[pos].departure if times else dep
-                if trip_id in banned or not arrival <= d < limit or (trip_id in ridden and any(
-                        p <= pos and t <= d for p, t in ridden[trip_id])):
-                    continue  # banned, missed, too late, or ridden from here before
+                if trip_id in banned or not arrival <= d < limit:
+                    continue  # banned, missed or too late
+                if key[0] is not None:
+                    caught.add(key)  # even when ridden: that ride dominates too
+                if trip_id in ridden and any(p <= pos and t <= d for p, t in ridden[trip_id]):
+                    continue  # ridden from here before
                 boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
                     (d, label, dep, seq))
         rode: dict = {}

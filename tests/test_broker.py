@@ -522,6 +522,9 @@ def test_corrupt_record_inside_the_journal_fails_loudly(tmp_path):
     ({"id": "p-1", "entityType": "ParkingSite", "attributes": {
         "opened": {"value": "yesterday", "valueType": "DateTime"}}}, "non-ISO value 'yesterday'"),
     ([{"id": "q-1", "entityType": "Sensor", "attributes": {}}], "must be an object"),
+    ({"id": "q-1", "entityType": "Sensor", "attributes": ""}, "attributes must be an object"),
+    ({"id": "q-1", "entityType": "Sensor", "attributes": {
+        "level": {"value": 3, "metadata": False}}}, "metadata must be an object"),
 ])
 def test_invalid_record_inside_the_journal_fails_loudly(tmp_path, record, rule):
     """Replay checks each version as its commit was checked."""

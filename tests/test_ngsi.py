@@ -40,6 +40,24 @@ def test_attribute_from_wire_rejects_bad_metadata():
         Attribute.from_wire({"value": 1, "metadata": "oops"})
 
 
+@pytest.mark.parametrize("metadata", [False, 0, "", []])
+def test_attribute_from_wire_refuses_falsy_metadata(metadata):
+    with pytest.raises(NgsiError, match="metadata must be an object"):
+        Attribute.from_wire({"value": 1, "metadata": metadata})
+
+
+@pytest.mark.parametrize("attributes", [0, False, "", []])
+def test_entity_from_wire_refuses_falsy_attributes(attributes):
+    with pytest.raises(NgsiError, match="attributes must be an object"):
+        NgsiEntity.from_wire({"id": "e1", "entityType": "T", "attributes": attributes})
+
+
+def test_null_attributes_and_metadata_read_as_none():
+    assert Attribute.from_wire({"value": 1, "metadata": None}).metadata == {}
+    entity = NgsiEntity.from_wire({"id": "e1", "entityType": "T", "attributes": None})
+    assert entity.attributes == {}
+
+
 def test_entity_wire_round_trip():
     entity = make_entity("stop-1", "GtfsStop", name="Centro", latitude=40.1)
     doc = entity.to_wire()

@@ -1,5 +1,7 @@
 """Journey planner: graph building, search, overlays, alternatives, HTTP."""
 
+import hashlib
+import json
 import sys
 import threading
 import time
@@ -328,6 +330,46 @@ class TestAgainstEnumerator:
         assert checked == 720 and answered > 600 and transferred > 10
 
 
+def whole_trip_delays(rng: Lcg64, graph) -> dict:
+    """A realtime document delaying about half the trips as a whole, by -10 to
+    +59 minutes: enough for a trip to overtake the one before it on its route."""
+    return {"tripUpdates": [
+        {"tripId": trip_id, "stopTimeUpdates": [{"stopSequence": times[0].seq,
+                                                 "delaySeconds": (rng.randrange(70) - 10) * 60}]}
+        for trip_id, times in sorted(graph.tripStopTimes.items()) if rng.random() < 0.5]}
+
+
+class TestPinnedAnswers:
+    """Every answer of a seeded corpus, hashed: each itinerary with all its
+    legs, in order, or the error kind. The enumerator tests check the first
+    arrival only; this pins the alternatives and the tie order too."""
+
+    DIGEST = "79ca5374ac4c9fd28fc0116eda0a84f32f951c945361583736ec2272aeda9b8f"
+
+    def test_answers_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(400):
+            rng = Lcg64(seed * 4099 + 11)
+            grid = seed % 3 == 0
+            graph = build_graph((random_grid_network if grid else random_network)(rng),
+                                date(2025, 6, 2))
+            updates = (random_trip_updates, whole_trip_delays, None, None)[seed % 4]
+            overlay = apply_realtime(graph, updates(rng, graph)) if updates else None
+            for _ in range(4):
+                kwargs = random_query(rng, graph, graph.dayStart)
+                if grid:  # while the grid's trips run
+                    kwargs["departAfter"] = graph.dayStart + 6 * 3600 + rng.randrange(16) * 600
+                kwargs["maxItineraries"] = 1 + rng.randrange(3)
+                cap = rng.choice((None, 0, 1, 2))
+                try:
+                    answer = [itin.to_doc() for itin in
+                              plan(graph, ItineraryQuery(**kwargs), overlay, max_transfers=cap)]
+                except PlanError as exc:
+                    answer = exc.kind
+                digest.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestRoundBoundaries:
     """Cases a round-based search can get wrong while a label-setting one
     cannot: a trip made non-causal by an overlay, and a tie between boarding
@@ -375,6 +417,81 @@ class TestRoundBoundaries:
         (leg,) = best.legs
         assert (leg.mode, leg.boardStopId, leg.alightStopId) == ("transit", "B", "C")
         assert (leg.startTime, leg.endTime) == (graph.dayStart + 1300, graph.dayStart + 1500)
+
+
+class TestFifoPatterns:
+    """The trips of one stop sequence form a pattern. From each stop the
+    search boards only the earliest catchable trip of a FIFO pattern, so an
+    overlay that breaks the order drops the pattern, and a pattern whose
+    trips tie at a stop is not FIFO."""
+
+    @staticmethod
+    def route_graph(first, second):
+        """Stops A, B, C kilometres apart; trips T1 and T2 of route R call at
+        them at the given times."""
+        feed = GtfsFeed(
+            agencies=[Agency("A1", "M", "https://m.example", "UTC")],
+            stops=[Stop(s, s, 40.0 + 0.05 * i, -3.0) for i, s in enumerate("ABC")],
+            routes=[Route("R", "A1", "r", 3)],
+            trips=[Trip("T1", "R", "ALL"), Trip("T2", "R", "ALL")],
+            stopTimes=[StopTime(trip, seq, s, t, t)
+                       for trip, times in (("T1", first), ("T2", second))
+                       for seq, (s, t) in enumerate(zip("ABC", times), start=1)],
+            services=[Service("ALL", (1,) * 7, "20250101", "20261231")],
+        )
+        return build_graph(feed, date(2025, 6, 2))
+
+    @staticmethod
+    def answers(graph, origin, destination, depart, overlay=None):
+        q = ItineraryQuery(origin, destination, graph.dayStart + depart, modes={"transit"})
+        return [itin.to_doc() for itin in plan(graph, q, overlay)]
+
+    @staticmethod
+    def ride(graph, depart, trip_id, board, alight, start, end):
+        """The answer riding one trip from ``board`` to ``alight``."""
+        return {"legs": [{"mode": "transit", "startTime": graph.dayStart + start,
+                          "endTime": graph.dayStart + end, "routeId": "R",
+                          "tripId": trip_id, "boardStopId": board, "alightStopId": alight}],
+                "transfers": 0, "totalSeconds": end - depart}
+
+    def test_an_overlay_that_overtakes_drops_the_pattern(self):
+        graph = self.route_graph((1000, 1300, 1600), (1600, 1900, 2200))
+        assert graph.patternOf["T1"] == graph.patternOf["T2"]
+        assert self.answers(graph, "A", "C", 900) == [
+            self.ride(graph, 900, "T1", "A", "C", 1000, 1600),
+            self.ride(graph, 900, "T2", "A", "C", 1600, 2200)]
+        # T1 now runs 300 s behind T2 at every stop: FIFO, but not in static order
+        overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T1", "stopTimeUpdates": [
+            {"stopSequence": 1, "delaySeconds": 900}]}]})
+        assert "T1" not in overlay.patternOf and "T2" not in overlay.patternOf
+        assert self.answers(graph, "A", "C", 900, overlay) == [
+            self.ride(graph, 900, "T2", "A", "C", 1600, 2200),
+            self.ride(graph, 900, "T1", "A", "C", 1900, 2500)]
+
+    def test_an_overlay_that_makes_a_trip_non_causal_drops_the_pattern(self):
+        graph = self.route_graph((1000, 1300, 1600), (1600, 1900, 2200))
+        # T1 leaves A at 1300 but reaches B at 1100; it stays ahead of T2 everywhere
+        overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T1", "stopTimeUpdates": [
+            {"stopSequence": 1, "delaySeconds": 300},
+            {"stopSequence": 2, "arrivalOverride": graph.dayStart + 1100}]}]})
+        assert [t.arrival - graph.dayStart for t in overlay.effective["T1"]] \
+            == [1300, 1100, 1400]
+        assert "T1" not in overlay.patternOf and "T2" not in overlay.patternOf
+        assert self.answers(graph, "A", "B", 900, overlay) == [
+            self.ride(graph, 900, "T2", "A", "B", 1600, 1900)]
+        assert self.answers(graph, "A", "C", 900, overlay) == [
+            self.ride(graph, 900, "T1", "A", "C", 1300, 1400),
+            self.ride(graph, 900, "T2", "A", "C", 1600, 2200)]
+
+    def test_trips_that_tie_at_a_stop_are_not_fifo(self):
+        graph = self.route_graph((1000, 1300, 1600), (1200, 1300, 1900))
+        assert "T1" not in graph.patternOf and "T2" not in graph.patternOf
+        assert self.answers(graph, "A", "C", 900) == [
+            self.ride(graph, 900, "T1", "A", "C", 1000, 1600),
+            self.ride(graph, 900, "T2", "A", "C", 1200, 1900)]
+        assert self.answers(graph, "B", "C", 1300) == [
+            self.ride(graph, 1300, "T1", "B", "C", 1300, 1600),
+            self.ride(graph, 1300, "T2", "B", "C", 1300, 1900)]
 
 
 class TestScanWindow:

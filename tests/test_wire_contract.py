@@ -54,6 +54,11 @@ def broker_url():
      {"id": "x", "entityType": "T", "attributes": {"n": {"value": "s", "valueType": "Number"}}},
      400, "invalid-entity"),
     ("POST", "/v2/entities", {"id": "x y", "entityType": "T"}, 400, "invalid-entity"),
+    ("POST", "/v2/entities", {"id": "x", "entityType": "T", "attributes": 0},
+     400, "invalid-entity"),
+    ("POST", "/v2/entities",
+     {"id": "x", "entityType": "T", "attributes": {"n": {"value": 1, "metadata": False}}},
+     400, "invalid-entity"),
     ("GET", "/v2/entities?q=level", None, 400, "malformed-pattern"),
     ("GET", "/v2/entities?q=level~3", None, 400, "malformed-pattern"),
     ("GET", "/v2/entities?idPattern=(", None, 400, "malformed-pattern"),
