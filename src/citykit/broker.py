@@ -204,7 +204,7 @@ class Subscription:
 def compare_values(value, op: str, literal) -> bool:
     """Apply one comparator; raises TypeMismatch for unordered operand pairs."""
     if op == "==":
-        return value == literal and (isinstance(value, type(literal))
+        return value == literal and (type(value) is type(literal)  # a bool is not a number
                                      or is_number(value) and is_number(literal))
     if op == "!=":
         return not compare_values(value, "==", literal)

@@ -15,6 +15,7 @@ import threading
 import time
 from dataclasses import asdict, replace
 from datetime import date, datetime, timezone
+from http.client import HTTPException
 from pathlib import Path
 
 from citykit.ngsi import KindError, NgsiEntity, check_entity
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (KindError, OSError) as exc:  # OSError: an unreadable file, a server not answering
+    except (KindError, OSError, HTTPException) as exc:  # a file unread, a peer down or garbled
         kind, detail = ((exc.kind, exc.message) if isinstance(exc, KindError)
                         else ("io-error", str(exc)))
         print(json.dumps({"error": kind, "detail": detail}, sort_keys=True), file=sys.stderr)

@@ -10,6 +10,7 @@ is logged as an event and the previous graph keeps serving. The router is a
 
 import logging
 import threading
+from http.client import HTTPException
 from typing import Union
 
 from citykit.broker import Broker, Subscription
@@ -69,7 +70,7 @@ class GtfsFetcher:
         except FeedError as exc:
             logger.warning("feed at %s was rejected: %s", url, exc)
             return {"outcome": "parse-error", "detail": str(exc)}
-        except (OSError, ValueError) as exc:  # URLError is an OSError
+        except (OSError, ValueError, HTTPException) as exc:  # URLError is an OSError
             logger.warning("could not fetch %s: %s", url, exc)
             return {"outcome": "fetch-error", "detail": str(exc)}
         return {"outcome": "reloaded", "version": version}

@@ -114,8 +114,9 @@ class RtLoader:
     """Keeps a current real-time feed built from the latest estimations.
 
     ``get_entities`` pulls the present ArrivalEstimation set (usually a
-    broker query); ``refresh`` rebuilds the snapshot from it. Readers always
-    see a complete feed document, and the header timestamp never moves
+    broker query); ``refresh`` reads it and rebuilds the snapshot under one
+    lock, so no older set lands after a newer one. Readers take no lock and
+    always see a complete feed document, whose header timestamp never moves
     backwards. The document is shared with readers, who must not modify it.
     """
 
@@ -130,8 +131,8 @@ class RtLoader:
         self.refresh_count = 0
 
     def refresh(self) -> dict:
-        entities = self.get_entities()
         with self._lock:
+            entities = self.get_entities()
             now = int(self.clock.now())
             if self._current is not None:
                 now = max(now, self._current["headerTimestamp"])

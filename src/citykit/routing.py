@@ -10,11 +10,13 @@ static view.
 Search is round-based, after RAPTOR: round k finds, for each (stop,
 arrived-by-walk) state, the earliest arrival with k boardings. It scans only
 the states the previous round improved, rides each trip once per round, and
-prunes on the best arrival found so far. From a stop it boards only the
-earliest catchable trip of each FIFO pattern (trips with one stop sequence,
-causal, each strictly ahead of the next at every stop): a later trip of the
-pattern arrives everywhere later, so none of its labels could win. Two walk
-moves never follow each other: access, footpath, and egress walks all count.
+prunes on the best arrival found so far. Every trip belongs to one route
+pattern: its stop sequence's trips if they are FIFO (causal, each strictly
+ahead of the next at every stop in static order), else itself alone. From a
+stop the search asks each pattern for its earliest catchable trip, since a
+later one arrives everywhere later; a pattern an overlay breaks offers every
+catchable trip. Two walk moves never follow each other: access, footpath,
+and egress walks all count.
 At equal arrival and boardings a state keeps the label whose parent arrived
 first, the answer a label-setting search gives. Alternatives come from
 re-running the search while banning the trips used by earlier answers.
@@ -74,11 +76,10 @@ class TransitGraph:
         self.stops: dict[str, tuple] = {}  # stopId -> (lat, lon, name)
         self.tripStopTimes: dict[str, list[TripStopTime]] = {}
         self.tripRoute: dict[str, str] = {}
-        self.departuresByStop: dict[str, list] = {}  # stopId -> [(dep, tripId, seq)]
-        self.seqIndex: dict[str, dict] = {}  # tripId -> {seq: position in its stop times}
         self.footpaths: dict[str, list] = {}  # stopId -> [(other, walkSeconds)]
-        self.patterns: list[list[str]] = []  # FIFO patterns, each its tripIds in static order
-        self.patternOf: dict[str, int] = {}  # tripId -> index of its FIFO pattern
+        self.patterns: list[list[str]] = []  # each pattern's tripIds in static order
+        self.patternOf: dict[str, int] = {}  # tripId -> index of its pattern
+        self.stopPatterns: dict[str, list] = {}  # stopId -> [(pattern, position, departures)]
 
 
 def _causal(times: list) -> bool:
@@ -127,22 +128,19 @@ def build_graph(feed: GtfsFeed, service_date: date) -> TransitGraph:
 
     by_stops: dict[tuple, list] = {}  # stop sequence -> its trips
     for trip_id in sorted(graph.tripStopTimes):
-        times = graph.tripStopTimes[trip_id]
-        graph.seqIndex[trip_id] = {tst.seq: pos for pos, tst in enumerate(times)}
-        for tst in times:
-            graph.departuresByStop.setdefault(tst.stopId, []).append(
-                (tst.departure, trip_id, tst.seq))
-        by_stops.setdefault(tuple(tst.stopId for tst in times), []).append(trip_id)
-    for events in graph.departuresByStop.values():
-        events.sort()
-    # A pattern is FIFO when its trips are causal and, in static order, each
-    # arrives and departs strictly before the next at every stop.
-    for trips in by_stops.values():
+        by_stops.setdefault(tuple(tst.stopId for tst in graph.tripStopTimes[trip_id]),
+                            []).append(trip_id)
+    for sequence, trips in by_stops.items():
         trips.sort(key=lambda t: (graph.tripStopTimes[t][0].departure, t))
         timetables = [graph.tripStopTimes[t] for t in trips]
-        if all(map(_causal, timetables)) and all(map(_precedes, timetables, timetables[1:])):
-            graph.patternOf.update(dict.fromkeys(trips, len(graph.patterns)))
-            graph.patterns.append(trips)
+        fifo = all(map(_causal, timetables)) and all(map(_precedes, timetables, timetables[1:]))
+        for group in [trips] if fifo else [[t] for t in trips]:  # else one pattern a trip
+            pattern = len(graph.patterns)
+            graph.patterns.append(group)
+            graph.patternOf.update(dict.fromkeys(group, pattern))
+            for pos, stop_id in enumerate(sequence):
+                graph.stopPatterns.setdefault(stop_id, []).append(
+                    (pattern, pos, [graph.tripStopTimes[t][pos].departure for t in group]))
 
     stop_ids = sorted(graph.stops)
     for i, a in enumerate(stop_ids):
@@ -166,7 +164,7 @@ class Overlay:
         self.effective: dict[str, list[TripStopTime]] = {}
         self.unknownTrips: list[str] = []
         self.shift: tuple = (0, 0)  # (earliest, latest) change to any stop time, seconds
-        self.patternOf: dict[str, int] = {}  # the graph's, less patterns the updates break
+        self.broken: set = set()  # patterns whose trips the updates leave out of FIFO order
 
 
 def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
@@ -174,10 +172,9 @@ def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
 
     An update pins its stop's arrival (absolute override or signed delay);
     later stops of the trip shift by the same delta until another update
-    takes over. Updates for unknown trips are collected, not fatal. A FIFO
-    pattern stays FIFO unless an updated trip is no longer causal or no longer
-    strictly between its neighbours in static order, the order the search
-    scans.
+    takes over. Updates for unknown trips are collected, not fatal. A pattern
+    is broken when an updated trip is no longer causal or no longer strictly
+    between its neighbours in static order, the order the search scans.
     """
     overlay = Overlay()
     for tu in rt.get("tripUpdates", []):
@@ -209,19 +206,16 @@ def apply_realtime(graph: TransitGraph, rt: dict) -> Overlay:
             shifted.append(TripStopTime(tst.seq, tst.stopId,
                                         tst.arrival + delta, tst.departure + delta))
         overlay.effective[trip_id] = shifted
-    dropped = set()
     for trip_id, times in overlay.effective.items():
-        pattern = graph.patternOf.get(trip_id)
-        if pattern is None or pattern in dropped:
-            continue
+        pattern = graph.patternOf[trip_id]
         trips = graph.patterns[pattern]
+        if len(trips) == 1 or pattern in overlay.broken:
+            continue  # a trip alone in its pattern has no order to keep
         i = trips.index(trip_id)
         near = [overlay.effective.get(t) or graph.tripStopTimes[t]
                 for t in trips[max(i - 1, 0):i + 2]]
         if not (_causal(times) and all(map(_precedes, near, near[1:]))):
-            dropped.add(pattern)
-    overlay.patternOf = ({t: p for t, p in graph.patternOf.items() if p not in dropped}
-                         if dropped else graph.patternOf)
+            overlay.broken.add(pattern)
     return overlay
 
 
@@ -301,13 +295,13 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
 
     A label is (arrival, boardings, parent, scan, (stop, by_walk), move), and
     labels compare as tuples in the order a label-setting search settles them.
-    ``scan`` orders one parent's moves: (static departure, tripId, seq, alight
-    position) for a ride, the target stop for a walk. ``move`` is (mode,
-    start, tripId, from stop) of the leg that ends at the label.
+    ``scan`` orders one parent's moves: (static departure, tripId, board and
+    alight positions) for a ride, the target stop for a walk. ``move`` is
+    (mode, start, tripId, from stop) of the leg that ends at the label.
     """
     (origin_stop, access), (dest_stop, egress) = origin, destination
-    effective, (early, late), fifo = ((overlay.effective, overlay.shift, overlay.patternOf)
-                                      if overlay else ({}, (0, 0), graph.patternOf))
+    effective, (early, late), broken = ((overlay.effective, overlay.shift, overlay.broken)
+                                        if overlay else ({}, (0, 0), ()))
     best: dict = {}    # (stop, by_walk) -> earliest-arriving label so far
     ridden: dict = {}  # tripId -> [(position, departure)] boarded in earlier rounds
     answer = None      # (arrival, boardings, label, egress secs or None)
@@ -343,28 +337,25 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
 
     def ride(marked, k):
         limit = bound(k)
-        boardings: dict = {}  # tripId -> {position: [(departure, parent, static dep, seq)]}
+        boardings: dict = {}  # tripId -> {position: [(departure, parent, static dep)]}
         for label in marked.values():
             arrival = label[0]
-            events = graph.departuresByStop.get(label[4][0], ())  # sorted by static time
-            caught = set()  # (FIFO pattern, position) of the catchable trips seen so far
-            # keep those the overlay's shift can move into [arrival, limit)
-            for dep, trip_id, seq in events[bisect_left(events, (arrival - late,)):
-                                            bisect_left(events, (limit - early,))]:
-                pos = graph.seqIndex[trip_id][seq]
-                key = (fifo.get(trip_id), pos)
-                if key in caught:
-                    continue  # an earlier trip of its pattern gets everywhere first
-                times = effective.get(trip_id)
-                d = times[pos].departure if times else dep
-                if trip_id in banned or not arrival <= d < limit:
-                    continue  # banned, missed or too late
-                if key[0] is not None:
-                    caught.add(key)  # even when ridden: that ride dominates too
-                if trip_id in ridden and any(p <= pos and t <= d for p, t in ridden[trip_id]):
-                    continue  # ridden from here before
-                boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
-                    (d, label, dep, seq))
+            for pattern, pos, column in graph.stopPatterns.get(label[4][0], ()):
+                trips = graph.patterns[pattern]
+                # the trips the overlay's shift can move into [arrival, limit)
+                for i in range(bisect_left(column, arrival - late),
+                               bisect_left(column, limit - early)):
+                    trip_id = trips[i]
+                    times = effective.get(trip_id)
+                    d = times[pos].departure if times else column[i]
+                    if trip_id in banned or not arrival <= d < limit:
+                        continue  # banned, missed or too late
+                    if trip_id not in ridden or not any(p <= pos and t <= d
+                                                        for p, t in ridden[trip_id]):
+                        boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
+                            (d, label, column[i]))
+                    if pattern not in broken:
+                        break  # later trips arrive later: this one dominates, ridden or not
         rode: dict = {}
         for trip_id, group in boardings.items():
             times = effective.get(trip_id) or graph.tripStopTimes[trip_id]
@@ -372,7 +363,7 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
                 (pos, b[0]) for pos, bs in group.items() for b in bs)
             # Boardings so far, less those another outranks while departing no
             # later. A stop is credited to the best one departing by its arrival.
-            active: list = []  # [((parent, static dep, seq), departure, board stop)]
+            active: list = []  # [((parent, static dep, position), departure, board stop)]
             for m in range(min(group), len(times)):
                 tst = times[m]
                 pick = None
@@ -380,11 +371,11 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
                     if e[1] <= tst.arrival and (pick is None or e[0] < pick[0]):
                         pick = e
                 if pick and tst.arrival < limit:
-                    (parent, dep, seq), d, board = pick
+                    (parent, dep, pos), d, board = pick
                     offer(rode, (tst.stopId, False), tst.arrival, k, parent,
-                          (dep, trip_id, seq, m), ("transit", d, trip_id, board))
-                for d, parent, dep, seq in group.get(m, ()):
-                    rank = (parent, dep, seq)
+                          (dep, trip_id, pos, m), ("transit", d, trip_id, board))
+                for d, parent, dep in group.get(m, ()):
+                    rank = (parent, dep, m)
                     if not any(e[1] <= d and e[0] < rank for e in active):
                         active = [e for e in active if not (e[1] >= d and e[0] > rank)]
                         active.append((rank, d, tst.stopId))

@@ -2,6 +2,7 @@
 damaged copy of its feed archive and a server that is not a JSON service."""
 
 import io
+import socket
 import struct
 import threading
 import zipfile
@@ -78,3 +79,27 @@ def html_server():
     server.shutdown()
     server.server_close()
     thread.join()
+
+
+@pytest.fixture
+def malformed_peer():
+    """Base URL of a raw-socket peer that answers every request with a reply
+    whose Content-Length is not a number, then closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # shut down
+                return
+            with conn:
+                conn.recv(65536)  # the request
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: nope\r\n\r\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    listener.shutdown(socket.SHUT_RDWR)
+    thread.join()
+    listener.close()

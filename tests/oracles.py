@@ -40,11 +40,13 @@ def min_arrival(graph, query, overlay=None, max_transfers=None,
     """Earliest reachable arrival for the query, or None when unreachable.
 
     Dynamic program over boarding rounds on states (stop, arrived-by-walk):
-    each round expands every possible ride exhaustively, then relaxes every
-    footpath once (walks never chain, so one relaxation per round is the
-    whole closure). Access and egress walks are bounded by the query's walk
-    budget; network footpaths come from the graph itself. A direct
-    origin-to-destination walk is scored as its own candidate.
+    each round expands every possible ride exhaustively, trying every call of
+    every trip in ``graph.tripStopTimes`` as a boarding (no index of the
+    search's), then relaxes every footpath once (walks never chain, so one
+    relaxation per round is the whole closure). Access and egress walks are
+    bounded by the query's walk budget; network footpaths come from the graph
+    itself. A direct origin-to-destination walk is scored as its own
+    candidate.
     """
     INF = float("inf")
 
@@ -93,18 +95,16 @@ def min_arrival(graph, query, overlay=None, max_transfers=None,
         for _ in range(rounds):
             nxt = dict(best)
             changed = False
-            for (stop, _), t in best.items():
-                for _, trip_id, seq in graph.departuresByStop.get(stop, ()):
-                    if trip_id in banned:
+            for trip_id, static in graph.tripStopTimes.items():
+                if trip_id in banned:
+                    continue
+                times = (overlay.effective.get(trip_id) if overlay else None) or static
+                for i, board in enumerate(times):  # every call, a loop's repeated stop too
+                    t = min(best.get((board.stopId, False), INF),
+                            best.get((board.stopId, True), INF))
+                    if board.departure < t:
                         continue
-                    times = ((overlay.effective.get(trip_id) if overlay else None)
-                             or graph.tripStopTimes[trip_id])
-                    board = next((st for st in times if st.seq == seq), None)
-                    if board is None or board.departure < t:
-                        continue
-                    for alight in times:
-                        if alight.seq <= board.seq:
-                            continue
+                    for alight in times[i + 1:]:
                         if alight.arrival < board.departure:
                             continue  # update made the segment non-causal
                         if improve(nxt, (alight.stopId, False), alight.arrival):
@@ -154,6 +154,8 @@ def _plain_number(v):
 
 
 def _filter_eq(value, literal):
+    if isinstance(value, bool) != isinstance(literal, bool):
+        return False  # a bool equals only a bool, never the number 0 or 1
     if value == literal and isinstance(value, type(literal)):
         return True
     return _plain_number(value) and _plain_number(literal) and value == literal
@@ -405,6 +407,15 @@ def random_trip_updates(rng: Lcg64, graph) -> dict:
                              "arrivalOverride": tst.arrival + shift})
         updates.append({"tripId": trip_id, "stopTimeUpdates": stus})
     return {"tripUpdates": updates}
+
+
+def whole_trip_delays(rng: Lcg64, graph) -> dict:
+    """A realtime document delaying about half the trips as a whole, by -10 to
+    +59 minutes: enough for a trip to overtake the one before it on its route."""
+    return {"tripUpdates": [
+        {"tripId": trip_id, "stopTimeUpdates": [{"stopSequence": times[0].seq,
+                                                 "delaySeconds": (rng.randrange(70) - 10) * 60}]}
+        for trip_id, times in sorted(graph.tripStopTimes.items()) if rng.random() < 0.5]}
 
 
 def random_query(rng: Lcg64, graph, day_start: int):

@@ -137,11 +137,19 @@ def test_query_ordering_across_kinds_raises(broker):
         broker.query_entities(attrFilter=[("label", "<", 3)])
 
 
+def test_query_refuses_an_unknown_comparator(broker):
+    seed_entities(broker)
+    with pytest.raises(MalformedPattern):
+        broker.query_entities(attrFilter=[("level", "~=", 3)])
+
+
 def test_equality_is_type_strict_except_numeric_widths():
     assert compare_values(3, "==", 3.0)
     assert compare_values("3", "==", "3")
     assert not compare_values("3", "==", 3)
     assert not compare_values(1, "==", True)
+    assert not compare_values(True, "==", 1)
+    assert compare_values(True, "!=", 1)
     assert not compare_values(0, "!=", 0.0)
 
 

@@ -296,6 +296,26 @@ class TestGtfsTools:
         assert json.loads(line)["outcome"] == "parse-error"
         assert "Traceback" not in captured.err
 
+    def test_gtfs_fetch_records_a_malformed_router_reply(self, tmp_path, served_broker,
+                                                         malformed_peer, capsys, city_feed):
+        url, broker = served_broker
+        zip_path = tmp_path / "city.zip"
+        zip_path.write_bytes(serialize_feed(city_feed))
+        publish_feed_entity(str(zip_path), broker)
+        assert main(["gtfs-fetch", "--broker", url, "--router", malformed_peer]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert json.loads(line)["outcome"] == "fetch-error"
+        assert "Traceback" not in captured.err
+
+    def test_gtfs_build_answers_a_malformed_broker_reply_with_one_error_line(
+            self, tmp_path, malformed_peer, capsys):
+        assert main(["gtfs-build", "--broker", malformed_peer,
+                     "--out", str(tmp_path / "feed.zip")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "io-error" and "nope" in error["detail"]
+
 
 class TestServe:
     @pytest.fixture

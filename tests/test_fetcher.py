@@ -184,6 +184,12 @@ class TestRemoteRouter:
         assert err.value.kind == "reload-failed"
         assert "It works!" in err.value.message
 
+    def test_a_malformed_router_reply_is_a_fetch_error(self, broker, feed_zip, malformed_peer):
+        publish_feed_entity(str(feed_zip), broker)
+        fetcher = GtfsFetcher(RouterClient(malformed_peer))
+        assert fetcher.poll(broker) == 0
+        assert fetcher.events[-1]["outcome"] == "fetch-error"
+
     def test_unreachable_router_is_a_fetch_error(self, broker, feed_zip):
         publish_feed_entity(str(feed_zip), broker)
         fetcher = GtfsFetcher(RouterClient("http://127.0.0.1:9"))  # discard port, nothing listens

@@ -1,5 +1,7 @@
 """Real-time feed building: trip resolution, overrides, loader, server."""
 
+import threading
+
 import pytest
 
 from citykit.broker import ContextBroker, Subscription
@@ -137,6 +139,49 @@ class TestRtLoader:
                                       target=lambda entities: loader.refresh()))
         broker.upsert_entity(make_entity("p-1", "ParkingSite", availableSpotNumber=2))
         assert loader.refresh_count == 0
+
+    def test_overlapping_refreshes_keep_the_newer_set(self, broker, resolver):
+        first_read, moved, release = threading.Event(), threading.Event(), threading.Event()
+
+        class WatchedLock:
+            """The loader's lock; sets ``moved`` when a refresh waits on it or leaves it."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if not self.lock.acquire(blocking=False):
+                    moved.set()
+                    self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+                moved.set()
+
+        def get_entities():
+            entities = broker.query_entities(typeFilter="ArrivalEstimation")
+            if not first_read.is_set():  # the first refresh holds its older set
+                first_read.set()
+                release.wait()
+            return entities
+
+        loader = RtLoader(get_entities, resolver, clock=SimulatedClock(DAY + 28900))
+        loader._lock = WatchedLock()
+        broker.upsert_entity(arrival("a1", "S5", "R1", 100))
+        first = threading.Thread(target=loader.refresh)
+        first.start()
+        assert first_read.wait(10)
+        broker.upsert_entity(arrival("a1", "S5", "R1", 200))
+        second = threading.Thread(target=loader.refresh)
+        second.start()
+        # the second refresh waits for the first, or (unlocked) has already finished
+        assert moved.wait(10)
+        release.set()
+        first.join(10)
+        second.join(10)
+        (update,) = loader.current()["tripUpdates"][0]["stopTimeUpdates"]
+        assert update["arrivalOverride"] == DAY + 28900 + 200
+        assert loader.refresh_count == 2
 
     def test_header_timestamp_never_regresses(self, broker, resolver):
         class WobblyClock:

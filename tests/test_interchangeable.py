@@ -154,6 +154,17 @@ def test_query_entities(open_broker):
     ]
 
 
+def test_a_bool_equals_no_number(open_broker):
+    def scenario(broker):
+        broker.upsert_entity(make_entity("on", "Sensor", flag=True, count=1))
+        broker.upsert_entity(make_entity("off", "Sensor", flag=False, count=0))
+        return [[e.id for e in broker.query_entities(attrFilter=parse_q(q))] for q in (
+            "flag==1", "flag!=1", "flag==true", "count==true", "count!=true", "count==1.0")]
+
+    assert on_every_broker(open_broker, scenario) == [
+        [], ["off", "on"], ["on"], [], ["off", "on"], ["on"]]
+
+
 def test_ingest_snapshot(open_broker):
     mapping = {"OnStreetParking": "availableSpotNumber"}
 

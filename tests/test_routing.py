@@ -40,6 +40,7 @@ from oracles import (
     random_network,
     random_query,
     random_trip_updates,
+    whole_trip_delays,
 )
 
 DAY = 1748822400  # 2025-06-02 00:00:00 UTC
@@ -100,6 +101,12 @@ class TestGraphBuild:
         assert len(weekday.tripStopTimes) == 2
         assert len(sunday.tripStopTimes) == 0
 
+    def test_a_trip_without_stop_times_is_left_out(self):
+        feed = two_leg_feed()
+        feed.trips.append(Trip("TX", "RA", "ALL"))
+        graph = build_graph(feed, service_date=date(2025, 6, 2))
+        assert sorted(graph.tripStopTimes) == sorted(graph.patternOf) == ["TA", "TB"]
+
     def test_feed_order_does_not_matter(self, city_feed):
         other = GtfsFeed(
             agencies=list(reversed(city_feed.agencies)),
@@ -112,7 +119,7 @@ class TestGraphBuild:
         a = build_graph(city_feed, service_date=date(2025, 6, 2))
         b = build_graph(other, service_date=date(2025, 6, 2))
         assert a.tripStopTimes == b.tripStopTimes
-        assert a.departuresByStop == b.departuresByStop
+        assert a.patterns == b.patterns and a.stopPatterns == b.stopPatterns
         assert a.footpaths == b.footpaths
 
 
@@ -156,6 +163,11 @@ class TestPlanStatic:
         (only,) = plan(city_graph, query(destination="S1"))
         assert only.legs == []
         assert only.totalSeconds == 0
+
+    def test_same_unknown_stop_is_origin_isolated(self, city_graph):
+        with pytest.raises(PlanError) as err:
+            plan(city_graph, query(origin="S99", destination="S99"))
+        assert err.value.kind == "origin-isolated"
 
     def test_walk_beats_the_bus_next_door(self, city_graph):
         # one stop apart and the first bus is far away
@@ -252,6 +264,14 @@ class TestOverlay:
         ]})
         assert overlay.effective["R1-T1"][4].arrival == DAY + 30000
 
+    def test_an_update_for_a_stop_off_the_trip_is_ignored(self, city_graph):
+        overlay = apply_realtime(city_graph, {"tripUpdates": [
+            {"tripId": "R1-T1",
+             "stopTimeUpdates": [{"stopId": "S99", "delaySeconds": 600}]},
+        ]})
+        assert overlay.effective["R1-T1"] == city_graph.tripStopTimes["R1-T1"]
+        assert overlay.shift == (0, 0)
+
     def test_unknown_trips_are_collected_not_fatal(self, city_graph):
         overlay = apply_realtime(city_graph, {"tripUpdates": [
             {"tripId": "ghost", "stopTimeUpdates": []},
@@ -328,15 +348,6 @@ class TestAgainstEnumerator:
                         answered += best is not None
                         transferred += bool(best and best.transfers)
         assert checked == 720 and answered > 600 and transferred > 10
-
-
-def whole_trip_delays(rng: Lcg64, graph) -> dict:
-    """A realtime document delaying about half the trips as a whole, by -10 to
-    +59 minutes: enough for a trip to overtake the one before it on its route."""
-    return {"tripUpdates": [
-        {"tripId": trip_id, "stopTimeUpdates": [{"stopSequence": times[0].seq,
-                                                 "delaySeconds": (rng.randrange(70) - 10) * 60}]}
-        for trip_id, times in sorted(graph.tripStopTimes.items()) if rng.random() < 0.5]}
 
 
 class TestPinnedAnswers:
@@ -420,10 +431,11 @@ class TestRoundBoundaries:
 
 
 class TestFifoPatterns:
-    """The trips of one stop sequence form a pattern. From each stop the
-    search boards only the earliest catchable trip of a FIFO pattern, so an
-    overlay that breaks the order drops the pattern, and a pattern whose
-    trips tie at a stop is not FIFO."""
+    """The trips of one stop sequence form one pattern when they are FIFO,
+    else each trip is a pattern of its own. From each stop the search boards
+    only the earliest catchable trip of a pattern, so an overlay that breaks
+    the order breaks the pattern, and trips that tie at a stop are not one
+    pattern."""
 
     @staticmethod
     def route_graph(first, second):
@@ -463,7 +475,7 @@ class TestFifoPatterns:
         # T1 now runs 300 s behind T2 at every stop: FIFO, but not in static order
         overlay = apply_realtime(graph, {"tripUpdates": [{"tripId": "T1", "stopTimeUpdates": [
             {"stopSequence": 1, "delaySeconds": 900}]}]})
-        assert "T1" not in overlay.patternOf and "T2" not in overlay.patternOf
+        assert overlay.broken == {graph.patternOf["T1"]}
         assert self.answers(graph, "A", "C", 900, overlay) == [
             self.ride(graph, 900, "T2", "A", "C", 1600, 2200),
             self.ride(graph, 900, "T1", "A", "C", 1900, 2500)]
@@ -476,7 +488,7 @@ class TestFifoPatterns:
             {"stopSequence": 2, "arrivalOverride": graph.dayStart + 1100}]}]})
         assert [t.arrival - graph.dayStart for t in overlay.effective["T1"]] \
             == [1300, 1100, 1400]
-        assert "T1" not in overlay.patternOf and "T2" not in overlay.patternOf
+        assert overlay.broken == {graph.patternOf["T1"]}
         assert self.answers(graph, "A", "B", 900, overlay) == [
             self.ride(graph, 900, "T2", "A", "B", 1600, 1900)]
         assert self.answers(graph, "A", "C", 900, overlay) == [
@@ -485,7 +497,7 @@ class TestFifoPatterns:
 
     def test_trips_that_tie_at_a_stop_are_not_fifo(self):
         graph = self.route_graph((1000, 1300, 1600), (1200, 1300, 1900))
-        assert "T1" not in graph.patternOf and "T2" not in graph.patternOf
+        assert graph.patterns == [["T1"], ["T2"]]
         assert self.answers(graph, "A", "C", 900) == [
             self.ride(graph, 900, "T1", "A", "C", 1000, 1600),
             self.ride(graph, 900, "T2", "A", "C", 1200, 1900)]
@@ -508,7 +520,7 @@ class TestScanWindow:
         assert overlay.shift == (0, 300)
         q = ItineraryQuery("A", "C", graph.dayStart + 1300, modes={"transit"})
         # statically T left A at 1000: at the lower edge, arrival - late
-        assert graph.departuresByStop["A"][0][0] == q.departAfter - overlay.shift[1]
+        assert graph.stopPatterns["A"] == [(0, 0, [q.departAfter - overlay.shift[1]])]
         with pytest.raises(PlanError):
             plan(graph, q)
         (best,) = plan(graph, q, overlay, max_transfers=0)
@@ -530,7 +542,8 @@ class TestScanWindow:
         (static,) = plan(graph, q)
         assert static.arrival == walked and not static.trip_ids()
         # statically T leaves A after the walk arrives: past the bound, before limit - early
-        assert walked <= graph.departuresByStop["A"][0][0] < walked - overlay.shift[0]
+        ((_, _, (departure,)),) = graph.stopPatterns["A"]
+        assert walked <= departure < walked - overlay.shift[0]
         best = plan(graph, q, overlay, max_transfers=0)[0]
         (leg,) = best.legs
         assert (leg.tripId, leg.startTime, leg.endTime) \
