@@ -292,11 +292,11 @@ class ContextBroker:
 
     def upsert_entity(self, entity: NgsiEntity) -> str:
         """Full replace; returns "created" or "updated"."""
+        version = entity.copy()  # then checked: the caller may change ``entity`` meanwhile
         try:
-            check_entity(entity)  # outside the lock: it reads only the caller's entity
+            check_entity(version)  # outside the lock: the copy is this call's alone
         except NgsiError as exc:
             raise InvalidEntity(exc.message) from exc
-        version = entity.copy()
         with self._lock:
             created = version.id not in self._entities
             self._commit(version, set(version.attributes))

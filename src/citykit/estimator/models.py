@@ -164,9 +164,7 @@ def train(store: TimeSeriesStore, entity_id: str, attribute: str,
     window = store.get(entity_id, attribute, last=config.windowSize)
     values = [s.value for s in window]
     n = len(values)
-    n_train = max(1, int(n * config.trainTestRatio))
-    if n_train >= n:
-        n_train = n - 1  # keep at least one held-out point
+    n_train = max(1, int(n * config.trainTestRatio))  # below n unless n is 1
     interval = median_interval(window)
 
     if config.algorithm == "seasonal-naive":

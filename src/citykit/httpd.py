@@ -32,7 +32,8 @@ reads only a body framed by one ``Content-Length`` of at most
 ``MAX_INTERIM_REPLIES`` ``1xx`` replies; any other reply is its status alone:
 its body is not read and its connection closes. A malformed reply, or one
 declaring a longer body or more interim replies, is an
-``http.client.HTTPException``.
+``http.client.HTTPException``. Only a request that got no reply at all (the
+connection closed or reset) is resent, once, and only when idempotent.
 """
 
 import atexit
@@ -440,11 +441,12 @@ def request_json(method: str, url: str, body=None, timeout: float = 10.0):
     body not framed by ``Content-Length`` (left unread), and ``OSError`` when
     the host is unreachable or the connection fails. The request goes over the
     calling thread's open connection to the same (scheme, host, port) when the
-    server has kept it open. If the connection fails after the request may
-    have reached the server, a GET, PUT or DELETE is sent once more on a fresh
-    connection; a POST or PATCH is never resent. A reply that is not HTTP/1.x,
-    or that declares a body over ``MAX_BODY_BYTES``, is an
-    ``http.client.HTTPException``.
+    server has kept it open. If the connection closes or resets with no reply
+    after the request may have reached the server, a GET, PUT or DELETE is
+    sent once more on a fresh connection; a POST or PATCH is never resent. A
+    reply that is not HTTP/1.x, is cut short, or declares a body over
+    ``MAX_BODY_BYTES`` is an ``http.client.HTTPException``, raised and never
+    resent.
     """
     method = method.upper()
     parts = urlsplit(url)
@@ -468,7 +470,7 @@ def request_json(method: str, url: str, body=None, timeout: float = 10.0):
             conn.sock.sendall(message)
             status, raw, keep = _read_reply(conn.sock)
             break
-        except (ConnectionError, http.client.HTTPException):
+        except ConnectionError:  # no reply came back, so a GET may not have run
             conn.close()
             if not retries:
                 raise

@@ -75,10 +75,13 @@ class Attribute:
     metadata: dict = field(default_factory=dict)
 
     def copy(self) -> "Attribute":
-        """An equal attribute that shares no dict or list with this one."""
-        value = self.value
+        """An equal attribute that shares no dict or list with this one. Metadata
+        that is not a dict is kept as it is, for ``check_attributes`` to refuse."""
+        value, metadata = self.value, self.metadata
+        if isinstance(metadata, dict):
+            metadata = _tree_copy(metadata) if metadata else {}
         return Attribute(_tree_copy(value) if isinstance(value, _TREES) else value,
-                         self.valueType, _tree_copy(self.metadata) if self.metadata else {})
+                         self.valueType, metadata)
 
     def to_wire(self) -> dict:
         value = self.value

@@ -302,9 +302,8 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
     (origin_stop, access), (dest_stop, egress) = origin, destination
     effective, (early, late), broken = ((overlay.effective, overlay.shift, overlay.broken)
                                         if overlay else ({}, (0, 0), ()))
-    best: dict = {}    # (stop, by_walk) -> earliest-arriving label so far
-    ridden: dict = {}  # tripId -> [(position, departure)] boarded in earlier rounds
-    answer = None      # (arrival, boardings, label, egress secs or None)
+    best: dict = {}  # (stop, by_walk) -> earliest-arriving label so far
+    answer = None    # (arrival, boardings, label, egress secs or None)
     ends = ([((dest_stop, False), None), ((dest_stop, True), None)] if dest_stop is not None
             else [((stop, False), secs) for stop, secs in egress])  # no walk after a walk
 
@@ -350,17 +349,13 @@ def _search(graph: TransitGraph, overlay: Optional[Overlay], depart: int,
                     d = times[pos].departure if times else column[i]
                     if trip_id in banned or not arrival <= d < limit:
                         continue  # banned, missed or too late
-                    if trip_id not in ridden or not any(p <= pos and t <= d
-                                                        for p, t in ridden[trip_id]):
-                        boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
-                            (d, label, column[i]))
+                    boardings.setdefault(trip_id, {}).setdefault(pos, []).append(
+                        (d, label, column[i]))
                     if pattern not in broken:
-                        break  # later trips arrive later: this one dominates, ridden or not
+                        break  # later trips arrive later: this one dominates them
         rode: dict = {}
         for trip_id, group in boardings.items():
             times = effective.get(trip_id) or graph.tripStopTimes[trip_id]
-            ridden.setdefault(trip_id, []).extend(
-                (pos, b[0]) for pos, bs in group.items() for b in bs)
             # Boardings so far, less those another outranks while departing no
             # later. A stop is credited to the best one departing by its arrival.
             active: list = []  # [((parent, static dep, position), departure, board stop)]

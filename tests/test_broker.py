@@ -60,6 +60,43 @@ def test_upsert_validates_at_the_write_boundary(broker):
         broker.get_entity("p-1")
 
 
+class ChangedWhileCopied(NgsiEntity):
+    """An entity its caller changes as the broker copies it."""
+
+    def copy(self):
+        self.attributes["n"] = Attribute("high", "Number")
+        return super().copy()
+
+
+def test_an_upsert_checks_the_version_it_commits(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    broker = ContextBroker(journal_path=path)
+    with pytest.raises(InvalidEntity, match="tagged Number holds 'high'"):
+        broker.upsert_entity(ChangedWhileCopied("q-1", "Sensor", {"n": Attribute(3, "Number")}))
+    broker.upsert_entity(make_entity("q-2", "Sensor", level=1))
+    broker.close()
+    restarted = ContextBroker(journal_path=path)  # replay accepts every committed line
+    assert [e.id for e in restarted.query_entities()] == ["q-2"]
+    restarted.close()
+
+
+@pytest.mark.parametrize("attr, rule", [
+    (Attribute(3, ""), "valueType must be a non-empty string"),
+    (Attribute(3, None), "valueType must be a non-empty string"),
+    *[(Attribute(3, "Number", metadata), "metadata must be an object")
+      for metadata in (None, False, 5, ["unit"])],
+])
+@pytest.mark.parametrize("write", ["upsert", "update"])
+def test_an_attribute_of_the_wrong_shape_is_refused(broker, write, attr, rule):
+    broker.upsert_entity(make_parking())
+    with pytest.raises(InvalidEntity, match=rule):
+        if write == "upsert":
+            broker.upsert_entity(make_entity("p-1", "ParkingSite", level=attr))
+        else:
+            broker.update_attributes("p-1", {"level": attr})
+    assert "level" not in broker.get_entity("p-1").attributes
+
+
 def test_get_returns_an_isolated_copy(broker):
     broker.upsert_entity(make_parking())
     broker.get_entity("p-1").set("availableSpotNumber", 0)
@@ -454,6 +491,33 @@ def test_background_delivery_needs_no_pump_call_and_close_ends_it():
         broker.close()
     assert seen == ["p-1"]
     assert not broker._poll_thread.is_alive()
+
+
+class ClockFailingOnce(SimulatedClock):
+    """A simulated clock whose first reading raises."""
+
+    def __init__(self, start: float):
+        super().__init__(start)
+        self.failed = False
+
+    def now(self) -> float:
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("clock unreadable")
+        return super().now()
+
+
+def test_the_background_pump_logs_a_failed_cycle_and_runs_on(caplog):
+    broker = ContextBroker(clock=ClockFailingOnce(1000.0), delivery="background")
+    delivered = threading.Event()
+    broker.subscribe(Subscription(id="", target=lambda versions: delivered.set()))
+    try:
+        broker.upsert_entity(make_parking())
+        assert delivered.wait(5.0)  # a failure bound only: the poll thread delivers
+    finally:
+        broker.close()
+    assert broker.clock.failed
+    assert "background pump error" in caplog.text and "clock unreadable" in caplog.text
 
 
 # -- journal -----------------------------------------------------------------

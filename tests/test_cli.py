@@ -231,6 +231,21 @@ class TestScenarioCommand:
         assert len(doc["stages"]) == 10
         assert path.read_text().endswith("\n")
 
+    def test_estimation_report_on_stdout(self, capsys):
+        assert main(["scenario", "estimation"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["scenario"], doc["outcome"]) == ("estimation", "pass")
+        assert [stage["status"] for stage in doc["stages"]] == ["pass"] * 9
+
+    def test_a_reader_that_closes_the_pipe_early_is_no_error(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["scenario", "routing"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestGtfsTools:
     def test_gtfs_build_round_trips_broker_entities(
@@ -420,6 +435,17 @@ class TestServe:
         assert main(["estimator-serve", "--config", str(config), "--listen", "127.0.0.1:0"]) == 0
         assert during == [signal.default_int_handler]
         assert signal.getsignal(signal.SIGTERM) is previous
+
+    def test_router_serve_loads_the_feed_it_is_given(self, served, tmp_path, city_feed,
+                                                     capsys):
+        path = tmp_path / "feed.zip"
+        path.write_bytes(serialize_feed(city_feed))
+        assert main(["router-serve", "--listen", "127.0.0.1:0", "--feed", str(path),
+                     "--service-date", "20250602"]) == 0
+        (server,) = served
+        assert server.router.version == 1
+        assert sorted(server.router.graph.stops) == sorted(s.stopId for s in city_feed.stops)
+        assert capsys.readouterr().err == f"loaded graph v1 from {path}\n"
 
     def test_router_serve_defaults_to_today_utc(self, served):
         before = datetime.now(timezone.utc).date()

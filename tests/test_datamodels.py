@@ -183,6 +183,20 @@ class TestSchemaParsing:
             DataModelSchema.from_doc({"entityType": "T",
                                       "attributeRules": {"a": {}}})
 
+    @pytest.mark.parametrize("doc, detail", [
+        ({"attributeRules": ["a"]}, "attributeRules must be an object"),
+        ({"attributeRules": {"a": {"expectedValueType": "Number", "numericRange": [0]}}},
+         "rule for 'a': numericRange must be [min, max]"),
+        ({"attributeRules": {"a": {"expectedValueType": "Number", "numericRange": 5}}},
+         "rule for 'a': numericRange must be [min, max]"),
+        ({"lessOrEqual": [["a", "b", "c"]]}, "lessOrEqual entries must be [a, b]"),
+        ({"lessOrEqual": ["ab"]}, "lessOrEqual entries must be [a, b]"),
+    ])
+    def test_rejects_a_malformed_part(self, doc, detail):
+        with pytest.raises(SchemaError) as err:
+            DataModelSchema.from_doc({"entityType": "T", **doc})
+        assert (err.value.kind, err.value.message) == ("parse-error", detail)
+
 
 def test_load_schemas_refuses_a_file_that_is_not_json(tmp_path):
     bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citykit.estimator.scheduler as scheduler_module
 from citykit.clock import SimulatedClock
 from citykit.estimator.ingest import (
     ingest_entity,
@@ -239,6 +240,13 @@ class TestTrain:
         assert doc["period"] == 4
         assert "coefficients" not in doc
 
+    def test_one_sample_fits_no_autoregression_and_scores_no_naive_error(self):
+        store = TimeSeriesStore()
+        store.append("e", "a", DAY, 5.0)
+        assert train(store, "e", "a", TrainingConfig(lags=1, minSamples=1), DAY) is None
+        naive = TrainingConfig(algorithm="seasonal-naive", period=1, minSamples=1)
+        assert train(store, "e", "a", naive, DAY).testError == 0.0
+
     def test_singular_fit_returns_none_not_raise(self):
         store = TimeSeriesStore()
         store.extend("e", "a", [(i * 900.0, 5.0) for i in range(20)])
@@ -445,6 +453,37 @@ class TestScheduler:
         sched.start(DAY)
         sched.advance(DAY + 900)
         assert len(seen) == 1
+
+    def test_a_series_that_fails_to_train_keeps_the_schedule(self, monkeypatch, caplog):
+        sched, store = self.make()
+        for sample in store.get("p-1", "availableSpotNumber"):
+            store.append("p-2", "availableSpotNumber", sample.t, sample.value)
+
+        def train_but_p2(store, entity_id, *rest):
+            if entity_id == "p-2":
+                raise ValueError("boom")
+            return train(store, entity_id, *rest)
+
+        monkeypatch.setattr(scheduler_module, "train", train_but_p2)
+        sched.start(DAY)
+        sched.advance(DAY + 86400)
+        assert list(sched.models) == [("p-1", "availableSpotNumber")]
+        assert sched.trains_by_key == {("p-1", "availableSpotNumber"): 1}
+        assert sched.infers_by_key == {("p-1", "availableSpotNumber"): 96}
+        assert caplog.text.count("train failed for ('p-2', 'availableSpotNumber')") == 2
+
+    def test_a_model_short_of_context_skips_its_inference(self, caplog):
+        # seasonal-naive trains on fewer samples than its period, then infers from none
+        sched, _ = self.make(algorithm="seasonal-naive", period=96)
+        seen = []
+        sched.on_prediction = seen.append
+        sched.start(DAY)
+        model = sched.models[("p-1", "availableSpotNumber")]
+        assert model.testError == 0.0  # no held-out point has a sample a period back
+        sched.advance(DAY + 900)
+        assert (sched.infer_passes, sched.infers_by_key, seen) == (1, {}, [])
+        assert "inference skipped for ('p-1', 'availableSpotNumber'): " \
+               "insufficient-context: need 96 samples, have 40" in caplog.text
 
     def test_predict_now_on_demand(self):
         sched, _ = self.make()
@@ -678,6 +717,7 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"algorithm": "arima"},
         {"lags": 0},
+        {"period": 0},
         {"trainTestRatio": 1.0},
         {"ridgeLambda": -0.1},
         {"minSamples": 0},
@@ -687,6 +727,7 @@ class TestConfig:
         with pytest.raises(EstimatorError) as err:
             TrainingConfig(**overrides)
         assert err.value.kind == "invalid-config"
+        assert next(iter(overrides)) in err.value.message
 
 
 class TestService:

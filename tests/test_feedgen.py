@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,15 @@ class TestLcg64:
     def test_gauss_is_reproducible(self):
         assert [Lcg64(4).gauss() for _ in range(1)] == [Lcg64(4).gauss()]
 
+    def test_gauss_takes_a_zero_draw_as_the_smallest_one(self):
+        mult, inc = 6364136223846793005, 1442695040888963407  # Knuth's MMIX LCG
+        before_zero = -inc * pow(mult, -1, 1 << 64) % (1 << 64)  # its successor is 0
+        rng = Lcg64(before_zero)
+        assert rng.random() == 0.0
+        u2 = rng.random()
+        assert Lcg64(before_zero).gauss() == \
+            math.sqrt(-2.0 * math.log(2.0 ** -53)) * math.cos(2.0 * math.pi * u2)
+
 
 class TestFixture:
     def test_bundled_fixture_file_matches_defaults(self):
@@ -88,6 +99,9 @@ class TestFixture:
     def test_fixture_validation(self):
         with pytest.raises(ValueError):
             CityFixture(stopCount=1)
+        for counts in ({"routeCount": 0}, {"tripsPerRoute": 0}):
+            with pytest.raises(ValueError, match="need at least one route and one trip"):
+                CityFixture(**counts)
         with pytest.raises(ValueError):
             CityFixture(defectPlan={"wrong-type": -1})
 
@@ -186,6 +200,13 @@ class TestStreams:
             (attr,) = [k for k in event.attributes if k != "dateObserved"]
             spec = fixture.seriesSpecs[attr]
             assert event.attributes[attr].value == closed_form(attr, spec, event.t)
+
+    def test_an_attribute_without_a_series_spec_is_not_emitted(self):
+        fixture = CityFixture()
+        specs = {k: v for k, v in fixture.seriesSpecs.items() if k != "intensity"}
+        events = StreamGenerator(replace(fixture, seriesSpecs=specs)).series_events()
+        assert len(events) == 288  # the traffic site's 96 samples are gone
+        assert "traffic-1" not in {e.entityId for e in events}
 
     def test_events_sorted_by_time_then_entity(self):
         events = StreamGenerator(CityFixture()).events()

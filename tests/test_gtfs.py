@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import time
 import zipfile
 from io import BytesIO
 
 import pytest
 
+from citykit.broker_http import BrokerClient
 from citykit.feedgen import CityFixture, Lcg64, generate_static_network
 from citykit.gtfs import (
     Agency,
@@ -26,7 +28,7 @@ from citykit.gtfs import (
     publish_feed_entity,
     serialize_feed,
 )
-from citykit.ngsi import Attribute, make_entity
+from citykit.ngsi import Attribute, iso_utc, make_entity
 
 from oracles import random_network
 
@@ -203,6 +205,24 @@ class TestRoundTrip:
             parse_feed(bytes(data))
         assert (err.value.kind, "stops.txt" in err.value.message) == ("parse-error", True)
 
+    @pytest.mark.parametrize("member, old, new, error", [
+        ("stops.txt", b"stop_lat", b"latitude", "'stop_lat'"),  # a column missing
+        ("routes.txt", b"R1,A1,1,3", b"R1,A1,1,bus", "invalid literal for int()"),
+        ("stop_times.txt", b"08:02:00,08:02:10", b"08:0x:00,08:02:10", "'0x'"),
+    ])
+    def test_parse_rejects_a_malformed_table_row(self, member, old, new, error):
+        buf = BytesIO()
+        with zipfile.ZipFile(BytesIO(serialize_feed(minimal_feed()))) as src, \
+                zipfile.ZipFile(buf, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                dst.writestr(name, data.replace(old, new) if name == member else data)
+        with pytest.raises(FeedError) as err:
+            parse_feed(buf.getvalue())
+        assert err.value.kind == "parse-error"
+        assert err.value.message.startswith("malformed table row: ")
+        assert error in err.value.message
+
     def test_load_feed_from_disk(self, tmp_path):
         target = tmp_path / "feed.zip"
         target.write_bytes(serialize_feed(minimal_feed()))
@@ -314,6 +334,26 @@ def test_publish_feed_entity_points_at_archive(tmp_path, broker):
     stored = broker.get_entity("feed-city")
     assert stored.value("url") == file_url(target)
     assert stored.value("dateModified")
+
+
+@pytest.mark.parametrize("url, stem", [("http://feeds.example/gtfs/city.zip", "city"),
+                                       ("https://feeds.example/", "feed")])
+def test_publish_feed_entity_points_at_a_remote_archive(broker, url, stem):
+    before = time.time()
+    entity = publish_feed_entity(url, broker)
+    after = time.time()
+    stored = broker.get_entity(f"feed-{stem}")
+    assert stored == entity
+    assert (stored.value("url"), stored.value("name")) == (url, stem)
+    assert iso_utc(before) <= stored.value("dateModified") <= iso_utc(after)
+
+
+def test_publish_feed_entity_to_an_unreachable_broker(tmp_path):
+    target = tmp_path / "city.zip"
+    target.write_bytes(serialize_feed(minimal_feed()))
+    with pytest.raises(FeedError) as err:
+        publish_feed_entity(str(target), BrokerClient("http://127.0.0.1:1"))
+    assert err.value.kind == "broker-unreachable"
 
 
 def test_publish_feed_entity_requires_existing_file(tmp_path, broker):

@@ -1,6 +1,7 @@
 """Real-time feed building: trip resolution, overrides, loader, server."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,12 @@ class TestTripResolver:
         assert resolver.resolve("R1", "S9", DAY) is None
         # R2 is the express: it never calls at S2
         assert resolver.resolve("R2", "S2", DAY) is None
+
+    def test_the_calls_of_a_trip_the_feed_does_not_list_are_left_out(self, city_feed):
+        feed = replace(city_feed, trips=[t for t in city_feed.trips if t.tripId != "R1-T1"])
+        resolver = TripResolver(feed, DAY)
+        assert resolver.resolve("R1", "S5", DAY + 29000)[0] == "R1-T2"
+        assert resolver.resolve(None, "S5", DAY + 29000) is None  # filed under no line
 
 
 class TestFeedBuild:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
+import citykit.estimator.scheduler as scheduler_module
+from citykit import harness
+from citykit.estimator.models import EstimatorError
 from citykit.feedgen import CityFixture
+from citykit.gtfs_realtime import TripResolver
 from citykit.harness import (
     ESTIMATION_STAGES,
     ROUTING_STAGES,
@@ -15,6 +20,7 @@ from citykit.harness import (
     run_scenario_estimation,
     run_scenario_routing,
 )
+from citykit.ngsi import Attribute
 
 DAY = 1748822400  # 2025-06-02 00:00 UTC
 
@@ -191,3 +197,112 @@ class TestPinnedReports:
         strip = (("forecast-quality", "testError"), ("writeback", "value"))
         assert _report_digest(estimation_report, strip) == \
             "af223bda731526ea83acc5887e87500adcd9907a1634e964c60392d46e93812e"
+
+
+def _failed_at(report, stage, outcome="fail"):
+    """The detail of ``stage``, after checking it is the one stage that failed,
+    and that the stages after it were skipped (outcome "fail") or passed."""
+    after = "skipped" if outcome == "fail" else "pass"
+    names = [s.name for s in report.stages]
+    at = names.index(stage)
+    assert [s.status for s in report.stages] == \
+        ["pass"] * at + ["fail"] + [after] * (len(names) - at - 1)
+    assert report.outcome == outcome
+    return report.stage(stage).detail
+
+
+class TestRoutingStageFailures:
+    def test_an_invalid_city_entity(self, monkeypatch):
+        monkeypatch.setattr(harness, "validate_entity", lambda entity, registry:
+                            SimpleNamespace(valid=entity.entityType != "GtfsStop"))
+        detail = _failed_at(run_scenario_routing(), "generate-city")
+        assert detail == {"invalidEntities": ["S1", "S2", "S3", "S4", "S5"]}
+
+    def test_a_feed_the_fetcher_does_not_apply(self, monkeypatch):
+        monkeypatch.setattr(harness.GtfsFetcher, "poll", lambda self, broker: 0)
+        detail = _failed_at(run_scenario_routing(), "fetch-feed")
+        assert detail == {"applied": 0, "events": []}
+
+    def test_an_update_that_raises_leaves_the_old_graph_serving(self, monkeypatch):
+        publish, calls = harness.publish_feed_entity, []
+
+        def publish_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise OSError("disk gone")
+            return publish(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "publish_feed_entity", publish_once)
+        report = run_scenario_routing()
+        assert _failed_at(report, "update-feed", "fail-safe") == "OSError: disk gone"
+        assert report.stage("plan-realtime").detail["graphVersion"] == 1
+
+    def test_no_arrival_within_the_lead(self):
+        report = run_scenario_routing(RoutingScenarioConfig(
+            fixture=CityFixture(arrivalLeadSeconds=60)))  # the first call is 300 s away
+        assert _failed_at(report, "commit-arrivals") == {"committed": 0,
+                                                         "emitTime": DAY + 28500}
+
+    def test_an_estimation_no_trip_resolves(self, monkeypatch):
+        monkeypatch.setattr(harness, "TripResolver", lambda feed, day_start:
+                            TripResolver(replace(feed, trips=[]), day_start))
+        detail = _failed_at(run_scenario_routing(), "build-rt")
+        assert len(detail["unresolved"]) == 8
+        assert all(u["reason"].startswith("no upcoming trip") for u in detail["unresolved"])
+
+
+class TestEstimationStageFailures:
+    def test_a_series_that_does_not_train(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(scheduler_module, "train", fail)
+        detail = _failed_at(run_scenario_estimation(), "start-scheduler")
+        assert detail == {"expectedModels": ["parking-1/availableSpotNumber",
+                                             "parking-2/availableSpotNumber",
+                                             "traffic-1/intensity"]}
+
+    def test_a_model_below_min_samples(self, monkeypatch):
+        train = scheduler_module.train
+        monkeypatch.setattr(scheduler_module, "train", lambda store, e, a, config, now:
+                            train(store, e, a, replace(config, minSamples=96), now))
+        detail = _failed_at(run_scenario_estimation(), "train-gate")
+        assert detail["gateViolation"] == "noise-1/LAeq"
+        assert detail["series"]["noise-1/LAeq"] == {
+            "samples": 96, "model": True, "note": "skipped: below minSamples (96 < 1000)"}
+
+    def test_a_skipped_inference(self, monkeypatch):
+        infer = scheduler_module.infer
+
+        def infer_but_parking_2(model, *args):
+            if model.entityId == "parking-2":
+                raise EstimatorError("insufficient-context", "withheld")
+            return infer(model, *args)
+
+        monkeypatch.setattr(scheduler_module, "infer", infer_but_parking_2)
+        detail = _failed_at(run_scenario_estimation(), "invocation-counts")
+        assert detail["infers"] == {"parking-1/availableSpotNumber": 96,
+                                    "traffic-1/intensity": 96}
+
+    def test_no_parking_model(self):
+        report = run_scenario_estimation(EstimationScenarioConfig(backfillDays=1))
+        assert _failed_at(report, "forecast-quality") == {"error": "no parking model"}
+
+    def test_a_model_the_naive_baseline_beats(self, monkeypatch):
+        monkeypatch.setattr(harness, "train", lambda *args: SimpleNamespace(testError=0.0))
+        detail = _failed_at(run_scenario_estimation(), "forecast-quality")
+        assert detail["naiveTestError"] == 0.0 < detail["testError"] <= detail["threshold"]
+
+    def test_no_forecast_written_back(self, monkeypatch):
+        monkeypatch.setattr(harness, "writeback", lambda prediction, broker: True)
+        detail = _failed_at(run_scenario_estimation(), "writeback")
+        assert detail == {"missingAttribute": "availableSpotNumberForecast"}
+
+    def test_a_forecast_written_back_without_its_horizon(self, monkeypatch):
+        def bare_writeback(prediction, broker):
+            broker.update_attributes(prediction.entityId, {
+                prediction.attributeName + "Forecast": Attribute(prediction.value, "Number")})
+
+        monkeypatch.setattr(harness, "writeback", bare_writeback)
+        detail = _failed_at(run_scenario_estimation(), "writeback")
+        assert detail == {"missingMetadata": "horizonStart"}

@@ -4,6 +4,7 @@ client reads, and the server's request parser and bounds."""
 import gc
 import http.client
 import json
+import logging
 import select
 import socket
 import string
@@ -290,18 +291,18 @@ BAD_STATUS = OK_REPLY.replace(b"HTTP/1.1 200", b"HTTP/1.1 2OO")
 
 @pytest.mark.parametrize("reply, method, sent", [
     pytest.param(BAD_LENGTH, "POST", ["POST"], id="POST-sent0"),
-    pytest.param(BAD_LENGTH, "GET", ["GET", "GET"], id="GET-sent1"),
+    pytest.param(BAD_LENGTH, "GET", ["GET"], id="GET-sent1"),
     pytest.param(CUT_SHORT, "POST", ["POST"], id="incomplete-POST"),
-    pytest.param(CUT_SHORT, "GET", ["GET", "GET"], id="incomplete-GET"),
+    pytest.param(CUT_SHORT, "GET", ["GET"], id="incomplete-GET"),
     pytest.param(BAD_STATUS, "POST", ["POST"], id="bad-status-line-POST"),
-    pytest.param(BAD_STATUS, "GET", ["GET", "GET"], id="bad-status-line-GET"),
+    pytest.param(BAD_STATUS, "GET", ["GET"], id="bad-status-line-GET"),
 ])
 def test_a_reply_with_a_bad_content_length_is_an_http_exception(reply, method, sent):
     server = StubServer(reply, close=True)
     try:
         with pytest.raises(http.client.HTTPException):
             _in_thread(lambda: request_json(method, server.url("/x"), body={}, timeout=3.0))
-        assert server.requests == sent  # the retry rule holds for it
+        assert server.requests == sent  # a reply came back, so nothing is resent
     finally:
         server.close()
 
@@ -627,6 +628,26 @@ def test_every_reply_is_framed_by_its_content_length(echo, sent, status):
     lengths = [line.partition(b":")[2] for line in lines[1:]
                if line.partition(b":")[0].lower() == b"content-length"]
     assert lengths == [b" %d" % len(body)]
+
+
+def test_a_payload_that_does_not_encode_closes_the_connection_unanswered(echo):
+    calls, failures, logged = [], [], threading.Semaphore(0)
+    echo.add_route("GET", r"/opaque", lambda match, params, body: calls.append(1) or (
+        200, {"value": object()}))
+    signal = logging.Handler(logging.ERROR)
+    signal.emit = lambda record: failures.append(record.exc_info[0]) or logged.release()
+    logging.getLogger("citykit.httpd").addHandler(signal)
+    try:
+        with pytest.raises(http.client.RemoteDisconnected):
+            _in_thread(lambda: request_json("GET", echo.url("/opaque"), timeout=3.0))
+        # failure bounds only: each serving thread logs after the close the client saw
+        assert logged.acquire(timeout=5.0) and logged.acquire(timeout=5.0)
+    finally:
+        logging.getLogger("citykit.httpd").removeHandler(signal)
+    assert len(calls) == 2  # no reply came back, so the GET was sent once more
+    assert failures == [TypeError, TypeError]
+    assert _in_thread(lambda: request_json("GET", echo.url("/echo"), timeout=3.0)) == (
+        200, {"n": 1})
 
 
 def test_a_body_cut_short_is_400_and_never_dispatched(echo):

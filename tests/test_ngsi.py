@@ -35,6 +35,12 @@ def test_attribute_from_wire_rejects_missing_value():
         Attribute.from_wire({"valueType": "Number"})
 
 
+@pytest.mark.parametrize("value_type", ["", 3, ["Number"]])
+def test_attribute_from_wire_refuses_a_value_type_that_is_not_a_name(value_type):
+    with pytest.raises(NgsiError, match="valueType must be a non-empty string"):
+        Attribute.from_wire({"value": 1, "valueType": value_type})
+
+
 def test_attribute_from_wire_rejects_bad_metadata():
     with pytest.raises(NgsiError):
         Attribute.from_wire({"value": 1, "metadata": "oops"})

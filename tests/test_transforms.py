@@ -264,6 +264,16 @@ class TestNgsiToLd:
         with pytest.raises(TransformError):
             ngsi_to_ngsild(entity, "ctx")
 
+    @pytest.mark.parametrize("entity_id, ref, detail", [
+        ("urn:x", "S4", "id 'urn:x' is not a URN"),
+        ("x", "urn:x", "relationship 'refStop' object 'urn:x' is not a URN"),
+    ])
+    def test_a_urn_prefix_without_a_namespace_is_malformed(self, entity_id, ref, detail):
+        entity = make_entity(entity_id, "T", refStop=Attribute(ref, "Reference"))
+        with pytest.raises(TransformError) as err:
+            ngsi_to_ngsild(entity, "ctx")
+        assert (err.value.kind, err.value.message) == ("malformed-reference", detail)
+
     def test_extraction_recovers_values(self):
         entity = make_entity(
             "lot-1", "ParkingSite",

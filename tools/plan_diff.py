@@ -2,12 +2,9 @@
 
     python3 tools/plan_diff.py --parent DIR [--change DIR] [--queries 50000]
 
-The corpus is ``TestPinnedAnswers``' recipe, run for as many seeds as the
-query count needs: seed s builds a ``random_grid_network`` (every third seed)
-or a ``random_network``, overlays it with ``random_trip_updates``,
-``whole_trip_delays`` or nothing (by ``s % 4``), and asks four random queries
-with 1-3 itineraries and a transfer cap of None or 0-2. The inputs come from
-this checkout's ``tests/oracles.py`` on both sides.
+The corpus is ``tests/answer_corpus.py``'s, the one ``TestPinnedAnswers``
+pins, taken for as many queries as asked. The corpus and its inputs come from
+this checkout's ``tests`` on both sides.
 
 Each side runs in a child process with its checkout's ``src`` first on
 ``PYTHONPATH`` and prints one SHA-256 per answer: the ``to_doc()`` of every
@@ -19,7 +16,7 @@ when some do, and 2 when a side fails to run. Only the stdlib is imported;
 
 import argparse
 import hashlib
-import json
+import itertools
 import os
 import subprocess
 import sys
@@ -31,35 +28,10 @@ SHOWN = 10  # differing query indexes named in the report
 
 def emit(queries: int) -> None:
     """Print one SHA-256 per answer of the first ``queries`` corpus queries."""
-    from datetime import date
+    from answer_corpus import answer, corpus
 
-    from citykit.feedgen import Lcg64
-    from citykit.routing import ItineraryQuery, PlanError, apply_realtime, build_graph, plan
-    from oracles import (random_grid_network, random_network, random_query,
-                         random_trip_updates, whole_trip_delays)
-
-    done, seed = 0, 0
-    while done < queries:
-        rng = Lcg64(seed * 4099 + 11)
-        grid = seed % 3 == 0
-        graph = build_graph((random_grid_network if grid else random_network)(rng),
-                            date(2025, 6, 2))
-        updates = (random_trip_updates, whole_trip_delays, None, None)[seed % 4]
-        overlay = apply_realtime(graph, updates(rng, graph)) if updates else None
-        for _ in range(min(4, queries - done)):
-            kwargs = random_query(rng, graph, graph.dayStart)
-            if grid:  # while the grid's trips run
-                kwargs["departAfter"] = graph.dayStart + 6 * 3600 + rng.randrange(16) * 600
-            kwargs["maxItineraries"] = 1 + rng.randrange(3)
-            cap = rng.choice((None, 0, 1, 2))
-            try:
-                answer = [itin.to_doc() for itin in
-                          plan(graph, ItineraryQuery(**kwargs), overlay, max_transfers=cap)]
-            except PlanError as exc:
-                answer = exc.kind
-            print(hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest())
-            done += 1
-        seed += 1
+    for case in itertools.islice(corpus(), queries):
+        print(hashlib.sha256(answer(*case)).hexdigest())
 
 
 def start_side(checkout: str, queries: int) -> tuple:
